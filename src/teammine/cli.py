@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from teammine.errors import ConfigError, TeammineError
+from teammine.errors import ConfigError, MissingArtifactError, TeammineError
 from teammine.overlaps import read_overlaps_csv
 from teammine.pipeline import STAGES, Pipeline, PipelineConfig
 from teammine.presets import PRESETS
@@ -49,8 +49,6 @@ configuration keys (file lines `key = value`, or --set key=value):
                                        authors (0 = no cap)
   margin_years                         drop teams touching the window edges
                                        from figure tables (default 4)
-  workers                              mining threads, 0 = all cores; never
-                                       changes output bytes
 """
 
 
@@ -88,7 +86,18 @@ def _cmd_synth(args) -> int:
 
 def _cmd_verify(args) -> int:
     out = Path(args.out)
-    truth = GroundTruth.from_json(args.truth)
+    try:
+        truth = GroundTruth.from_json(args.truth)
+    except FileNotFoundError:
+        raise TeammineError(f"truth file {args.truth} not found; write it with "
+                            f"'teammine synth'") from None
+    except ValueError:  # truncated or not JSON
+        raise TeammineError(f"truth file {args.truth} is not a truth.json written "
+                            f"by 'teammine synth'") from None
+    for name in ("teams.csv", "team_pubs.csv", "overlaps.csv", "success_tags.csv"):
+        if not (out / name).exists():
+            raise MissingArtifactError(f"artifact {out / name} is missing; "
+                                       f"run 'teammine all' first")
     teams = read_teams_csv(out / "teams.csv", out / "team_pubs.csv")
     relations = read_overlaps_csv(out / "overlaps.csv")
     tags = read_success_tags_csv(out / "success_tags.csv")

@@ -6,24 +6,31 @@ span such that every member pair is connected in every year of the span. It is
 maximal when neither endpoint of the span can be moved outward nor any author
 added for the same span.
 
-The enumerator expands member sets from single edges: a state is a member set
-together with one maximal connectivity run of that set, and adding author v
-splits the run into the maximal sub-runs throughout which v is connected to
-every current member. A state is emitted when no outside author covers its
-whole run. A visited set keeps the expansion from re-walking states reachable
-in several orders. Completeness and maximality are pinned by equivalence with
-the brute-force oracle below.
+The enumerator is the temporal Bron-Kerbosch of Himmel et al. (SNAM 2017)
+with the pivot rule of Tomita et al. (TCS 2006), run per connected component
+over integer year bitmasks (bit i is year ``offset + i``). A state is
+``(R, span, P, X)``: ``span`` is one maximal connectivity run of the member
+set R, and P (candidates still to branch on) and X (candidates already
+branched on) map each outside author to the years of ``span`` in which that
+author is connected to every member of R. A component's root has R empty,
+span every year and all its authors in P. An author in P or X whose mask is
+the whole span is a pivot: while one exists the state is not maximal, and
+only P authors whose pair mask with the pivot misses part of the span (plus
+the pivot itself) need a branch. A state without a pivot is emitted when R
+is large enough. Branching on v splits v's mask into its maximal runs, one
+child state per run, and then moves v from P to X. The walk uses an explicit
+stack, so clique size is not bounded by the recursion limit. Completeness and
+maximality are pinned by equivalence with the brute-force oracle below.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from teammine.errors import SizeGuardError
-from teammine.intervals import Interval, intersect
+from teammine.intervals import Interval
 from teammine.pairs import Pair
 
 
@@ -47,14 +54,17 @@ class TemporalClique:
     end: int
 
 
-Adjacency = dict[str, dict[str, list[Interval]]]
+Adjacency = dict[str, dict[str, int]]  # author -> neighbour -> year bitmask
 
 
-def _build_adjacency(network: dict[Pair, list[Interval]]) -> Adjacency:
+def _build_adjacency(network: dict[Pair, list[Interval]], offset: int) -> Adjacency:
     adj: Adjacency = {}
     for (a, b), periods in network.items():
-        adj.setdefault(a, {})[b] = periods
-        adj.setdefault(b, {})[a] = periods
+        mask = 0
+        for s, e in periods:
+            mask |= ((1 << (e - s + 1)) - 1) << (s - offset)
+        adj.setdefault(a, {})[b] = mask
+        adj.setdefault(b, {})[a] = mask
     return adj
 
 
@@ -78,64 +88,82 @@ def _components(adj: Adjacency) -> list[list[str]]:
     return comps
 
 
-def _mine_component(adj: Adjacency, members: list[str], min_size: int) -> set[TemporalClique]:
-    out: set[TemporalClique] = set()
-    seen: set[tuple[frozenset[str], Interval]] = set()
-    stack: list[tuple[frozenset[str], Interval]] = []
-    for a in members:
-        for b, periods in adj[a].items():
-            if a < b:
-                for period in periods:
-                    stack.append((frozenset((a, b)), period))
-    while stack:
-        state = stack.pop()
-        if state in seen:
+def _runs(mask: int):
+    """Maximal runs of consecutive set bits, lowest first, each as a mask."""
+    while mask:
+        run = mask & ~(mask + (mask & -mask))
+        yield run
+        mask ^= run
+
+
+def _restrict(masks: dict[str, int], v_adj: dict[str, int], run: int) -> dict[str, int]:
+    """masks AND v's pair masks AND run, empty masks dropped; walks the smaller side."""
+    if len(v_adj) < len(masks):
+        return {w: m for w, pair in v_adj.items() if (m := masks.get(w, 0) & pair & run)}
+    return {w: m for w, old in masks.items() if (m := old & v_adj.get(w, 0) & run)}
+
+
+def _branch_set(adj: Adjacency, span: int, cand: dict[str, int],
+                done: dict[str, int]) -> list[str] | None:
+    """Candidates to branch on, or None when no author covers the whole span.
+
+    Any author of P or X whose mask is the whole span can be the pivot; the
+    one whose pair masks cover the span for the most candidates wins (Tomita's
+    rule), and the scan stops once it leaves nothing but itself to branch on.
+    """
+    pivot_adj, covered = None, -1
+    for pivot, mask in (*done.items(), *cand.items()):
+        if mask != span:
             continue
-        seen.add(state)
-        group, span = state
-        neighbors: set[str] = set()
-        for m in group:
-            neighbors.update(adj[m])
-        neighbors -= group
-        extends_full = False
-        for v in sorted(neighbors):
-            cover = [span]
-            for m in group:
-                periods = adj[v].get(m)
-                if not periods:
-                    cover = []
-                    break
-                cover = intersect(cover, periods)
-                if not cover:
-                    break
-            for sub in cover:
-                if sub == span:
-                    extends_full = True
-                stack.append((group | {v}, sub))
-        if not extends_full and len(group) >= min_size:
-            out.add(TemporalClique(tuple(sorted(group)), span[0], span[1]))
+        p_adj = adj[pivot]
+        if len(p_adj) < len(cand):
+            n = sum(1 for w, pair in p_adj.items() if pair & span == span and w in cand)
+        else:
+            n = sum(1 for w in cand if p_adj.get(w, 0) & span == span)
+        if n > covered:
+            pivot_adj, covered = p_adj, n
+            if n + (pivot in cand) == len(cand):
+                break
+    if pivot_adj is None:
+        return None
+    # the pivot has no edge to itself, so a pivot taken from P stays listed
+    return [w for w in cand if pivot_adj.get(w, 0) & span != span]
+
+
+def _mine_component(adj: Adjacency, members: list[str], full: int, offset: int,
+                    min_size: int) -> list[TemporalClique]:
+    out: list[TemporalClique] = []
+    stack = [((), full, dict.fromkeys(members, full), {})]
+    while stack:
+        group, span, cand, done = stack.pop()
+        branch = _branch_set(adj, span, cand, done)
+        if branch is None:
+            if len(group) >= min_size:
+                out.append(TemporalClique(tuple(sorted(group)),
+                                          offset + (span & -span).bit_length() - 1,
+                                          offset + span.bit_length() - 1))
+            branch = list(cand)
+        for v in branch:
+            v_adj = adj[v]
+            years = cand.pop(v)
+            for run in _runs(years):
+                stack.append((group + (v,), run, _restrict(cand, v_adj, run),
+                              _restrict(done, v_adj, run)))
+            done[v] = years
     return out
 
 
 def enumerate_maximal_cliques(network: dict[Pair, list[Interval]],
-                              params: CliqueParams = CliqueParams(),
-                              workers: int = 1) -> list[TemporalClique]:
-    """All temporal maximal cliques, sorted by member tuple then span.
-
-    Work is partitioned by connected component; the canonical final sort makes
-    the output independent of worker count and scheduling.
-    """
-    adj = _build_adjacency(network)
-    comps = _components(adj)
-    if workers > 1 and len(comps) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(comps) // (workers * 4))
-            results = pool.map(lambda c: _mine_component(adj, c, params.min_size),
-                               comps, chunksize=chunk)
-            cliques = [cl for part in results for cl in part]
-    else:
-        cliques = [cl for comp in comps for cl in _mine_component(adj, comp, params.min_size)]
-    return sorted(cliques)
+                              params: CliqueParams = CliqueParams()) -> list[TemporalClique]:
+    """All temporal maximal cliques, sorted by member tuple then span."""
+    if not network:
+        return []
+    offset = min(s for periods in network.values() for s, _ in periods)
+    last = max(e for periods in network.values() for _, e in periods)
+    full = (1 << (last - offset + 1)) - 1
+    adj = _build_adjacency(network, offset)
+    return sorted(cl for comp in _components(adj)
+                  for cl in _mine_component(adj, comp, full, offset, params.min_size))
 
 
 def brute_force_cliques(network: dict[Pair, list[Interval]],

@@ -114,12 +114,6 @@ class PublicationTable:
     def get(self, pub_id: str) -> PublicationRecord | None:
         return self._by_id.get(pub_id)
 
-    def reject_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for _, reason in self.rejects:
-            counts[reason] = counts.get(reason, 0) + 1
-        return counts
-
 
 @dataclass
 class CitationTable:

@@ -48,7 +48,3 @@ def covers(intervals: list[Interval], span: Interval) -> bool:
 
 def contains_year(intervals: list[Interval], year: int) -> bool:
     return any(s <= year <= e for s, e in intervals)
-
-
-def total_years(intervals: list[Interval]) -> int:
-    return sum(e - s + 1 for s, e in intervals)

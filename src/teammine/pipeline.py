@@ -5,7 +5,7 @@ manifest entry holding the digests of everything it consumed and produced.
 A stage is skipped when its inputs, configuration, and outputs all match the
 manifest; a prerequisite whose artifact changed on disk is refused with an
 instruction to rerun it. All artifacts are plain text (JSONL / CSV) and byte
-deterministic for fixed inputs and configuration, regardless of worker count.
+deterministic for fixed inputs and configuration.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from teammine.analytics import compute_all_figures, filter_margin
 from teammine.cliques import (CliqueParams, enumerate_maximal_cliques,
                               read_cliques_csv, write_cliques_csv)
 from teammine.errors import (ConfigError, MissingArtifactError, StaleCacheError,
-                             UnknownTeamError)
+                             TeammineError, UnknownTeamError)
 from teammine.ingest import (IngestConfig, corpus_stats, load_citations,
                              load_publications, write_citations_csv,
                              write_corpus_stats_csv, write_publications_jsonl,
@@ -82,10 +81,9 @@ class PipelineConfig:
     citation_window: str = "calendar_inclusive"
     author_cap: int = 0        # 0 = no cap
     margin_years: int = 4
-    workers: int = 1           # 0 = all cores; never affects output bytes
 
     _INT_KEYS = ("year_min", "year_max", "window_len", "min_pubs", "delta", "gamma",
-                 "min_size", "author_cap", "margin_years", "workers")
+                 "min_size", "author_cap", "margin_years")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -114,9 +112,6 @@ class PipelineConfig:
         else:
             setattr(self, key, value)
 
-    def effective_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
-
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
@@ -137,7 +132,11 @@ class Pipeline:
         self.manifest: dict = {}
         if self.manifest_path.exists():
             with open(self.manifest_path, "r", encoding="utf-8") as fh:
-                self.manifest = json.load(fh)
+                try:
+                    self.manifest = json.load(fh)
+                except ValueError:  # truncated or not UTF-8
+                    raise TeammineError(f"manifest {self.manifest_path} is corrupt; "
+                                        f"delete it and rerun") from None
         self._mem: dict[str, object] = {}
 
     # --- manifest plumbing ---
@@ -358,8 +357,7 @@ class Pipeline:
     def _stage_mine(self) -> dict:
         params = CliqueParams(delta=self.config.delta, gamma=self.config.gamma,
                               min_size=self.config.min_size)
-        cliques = enumerate_maximal_cliques(self._network(), params,
-                                            workers=self.config.effective_workers())
+        cliques = enumerate_maximal_cliques(self._network(), params)
         write_cliques_csv(cliques, self._artifact("cliques.csv"))
         self._mem["cliques"] = cliques
         return {"cliques": len(cliques)}

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from teammine.errors import InternalInconsistencyError
 from teammine.ingest import CitationTable, PublicationTable
 
 TOP1 = Fraction(1, 100)
@@ -107,8 +108,8 @@ def tag_success(pubs: PublicationTable, counts: dict[str, int],
         top10 = top1 = False
         for field_id in rec.fields:
             key = (field_id, rec.year)
-            assert key in thresholds_top10 and key in thresholds_top1, \
-                f"no threshold for cell {key}"
+            if key not in thresholds_top10 or key not in thresholds_top1:
+                raise InternalInconsistencyError(f"no threshold for cell {key}")
             top10 = top10 or c >= thresholds_top10[key].threshold
             top1 = top1 or c >= thresholds_top1[key].threshold
         tags.append(SuccessTag(pub_id=rec.pub_id, citations_3y=c, top10=top10, top1=top1))

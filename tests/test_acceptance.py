@@ -219,16 +219,15 @@ def test_criterion_8_determinism(tmp_path):
     corpus = tmp_path / "corpus"
     generate_corpus(config, corpus)
     outs = []
-    for name, workers in (("r1", 1), ("r2", 1), ("rmax", 0)):
-        run_pipeline(corpus, tmp_path / name, config.year_min, config.year_max,
-                     workers=workers)
+    for name in ("r1", "r2", "r3"):
+        run_pipeline(corpus, tmp_path / name, config.year_min, config.year_max)
         outs.append(tmp_path / name)
     names = [f"{stem}.csv" for stem in FIGURE_STEMS] + ["table_s1.csv"]
     for name in names:
         reference = (outs[0] / name).read_bytes()
         for out in outs[1:]:
             assert (out / name).read_bytes() == reference, name
-    passed(8, f"two identical runs and workers 1 vs {os.cpu_count()} produce "
+    passed(8, f"three identical runs in three directories produce "
               f"byte-identical figure tables ({len(names)} files)")
 
 
@@ -246,7 +245,7 @@ def test_criterion_9_scale_smoke(tmp_path):
 
     start = time.perf_counter()
     pipeline = run_pipeline(corpus, tmp_path / "out",
-                            config.year_min, config.year_max, workers=0)
+                            config.year_min, config.year_max)
     elapsed = time.perf_counter() - start
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 / 1024
     counts = {stage: entry["counts"] for stage, entry in pipeline.manifest.items()}

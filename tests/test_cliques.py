@@ -12,7 +12,7 @@ def clique(members, start, end):
     return TemporalClique(tuple(sorted(members)), start, end)
 
 
-def random_network(rng, max_authors=10, max_year=8, edge_p=0.45):
+def random_network(rng, max_authors=10, max_year=8, edge_p=0.45, max_periods=2):
     n = rng.randint(2, max_authors)
     authors = [f"a{i}" for i in range(n)]
     network = {}
@@ -20,7 +20,7 @@ def random_network(rng, max_authors=10, max_year=8, edge_p=0.45):
         for j in range(i + 1, n):
             if rng.random() < edge_p:
                 periods = []
-                for _ in range(rng.randint(1, 2)):
+                for _ in range(rng.randint(1, max_periods)):
                     start = rng.randint(1, max_year)
                     periods.append((start, rng.randint(start, max_year)))
                 network[(authors[i], authors[j])] = merge_union(periods)
@@ -142,9 +142,37 @@ def test_pairwise_non_domination():
                 assert not dominated
 
 
-def test_deterministic_across_runs_and_workers():
+def test_oracle_equivalence_dense_multi_period():
+    # near-complete graphs with split periods: pivots prune and runs split
+    rng = random.Random(4321)
+    for _ in range(150):
+        network = random_network(rng, max_authors=12, edge_p=0.9, max_periods=3)
+        assert enumerate_maximal_cliques(network) == brute_force_cliques(network)
+
+
+def test_disjoint_teams_with_long_cores():
+    network, expected = {}, []
+    for t, size in enumerate(range(6, 11)):
+        members = [f"t{t}m{j}" for j in range(size)]
+        start, end = 3 + t % 3, 6 + t % 3
+        for i in range(size):
+            for j in range(i + 1, size):
+                core = i < 3 and j < 3
+                network[(members[i], members[j])] = [(start - 2, end + 1) if core
+                                                     else (start, end)]
+        expected += [clique(members, start, end), clique(members[:3], start - 2, end + 1)]
+    assert enumerate_maximal_cliques(network) == sorted(expected)
+
+
+def test_large_clique_needs_no_recursion():
+    authors = [f"a{i:04d}" for i in range(1050)]
+    network = {(a, b): [(3, 7)] for i, a in enumerate(authors) for b in authors[i + 1:]}
+    assert enumerate_maximal_cliques(network) == [clique(authors, 3, 7)]
+
+
+def test_deterministic_across_runs():
     rng = random.Random(5)
     network = random_network(rng, max_authors=9)
-    ref = enumerate_maximal_cliques(network, workers=1)
-    assert enumerate_maximal_cliques(network, workers=1) == ref
-    assert enumerate_maximal_cliques(network, workers=4) == ref
+    ref = enumerate_maximal_cliques(network)
+    assert enumerate_maximal_cliques(network) == ref
+    assert enumerate_maximal_cliques(dict(reversed(network.items()))) == ref

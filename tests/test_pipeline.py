@@ -95,11 +95,11 @@ def test_changed_input_invalidates_downstream(s1_corpus, tmp_path):
         pipeline.run("persist")
 
 
-def test_deterministic_across_directories_and_workers(s1_corpus, tmp_path):
+def test_deterministic_across_directories(s1_corpus, tmp_path):
     out1 = tmp_path / "o1"
     out2 = tmp_path / "o2"
-    run_pipeline(s1_corpus, out1, 1, 8, workers=1)
-    run_pipeline(s1_corpus, out2, 1, 8, workers=0)  # all cores
+    run_pipeline(s1_corpus, out1, 1, 8)
+    run_pipeline(s1_corpus, out2, 1, 8)
     b1 = artifact_bytes(out1)
     b2 = artifact_bytes(out2)
     assert b1.keys() == b2.keys()
@@ -131,9 +131,9 @@ def test_closed_team_explain_shows_zero_relations(s1_corpus, tmp_path):
 
 def test_config_file_and_overrides(tmp_path):
     config_file = tmp_path / "run.conf"
-    config_file.write_text("# comment\nyear_min = 1\nyear_max = 8\nworkers = 3\n")
+    config_file.write_text("# comment\nyear_min = 1\nyear_max = 8\nauthor_cap = 3\n")
     config = PipelineConfig.from_file(config_file)
-    assert (config.year_min, config.year_max, config.workers) == (1, 8, 3)
+    assert (config.year_min, config.year_max, config.author_cap) == (1, 8, 3)
     config.set_option("margin_years", "0")
     assert config.margin_years == 0
     with pytest.raises(ConfigError):
@@ -175,6 +175,41 @@ def test_cli_error_paths(tmp_path, capsys):
                  "--pubs", "missing.jsonl", "--citations", "missing.csv"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_cli_corrupt_manifest(s1_corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    run_pipeline(s1_corpus, out, 1, 8)
+    manifest = out / "manifest.json"
+    manifest.write_bytes(manifest.read_bytes()[:40])
+    assert main(["all", "--out", str(out),
+                 "--pubs", str(s1_corpus / "publications.jsonl"),
+                 "--citations", str(s1_corpus / "citations.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(manifest) in err[0] and "delete it and rerun" in err[0]
+
+
+def test_cli_verify_missing_files(s1_corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    missing = tmp_path / "nowhere" / "truth.json"
+    assert main(["verify", "--out", str(out), "--truth", str(missing)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0]
+    truncated = tmp_path / "truth.json"
+    truncated.write_bytes((s1_corpus / "truth.json").read_bytes()[:50])
+    assert main(["verify", "--out", str(out), "--truth", str(truncated)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "not a truth.json" in err[0]
+    assert main(["verify", "--out", str(out),
+                 "--truth", str(s1_corpus / "truth.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "teams.csv is missing" in err[0]
+
+
+def test_cli_removed_workers_key(tmp_path, capsys):
+    assert main(["all", "--out", str(tmp_path / "out"), "--set", "workers=2"]) == 2
+    assert "unknown configuration key 'workers'" in capsys.readouterr().err
 
 
 def test_cli_synth_seeded_preset(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teammine.errors import InternalInconsistencyError
 from teammine.ingest import CitationEvent, CitationTable
 from teammine.success import (TOP1, TOP10, WINDOW_AFTER, compute_tags,
                               percentile_thresholds, tag_success,
@@ -98,6 +99,15 @@ def test_all_zero_cell_tags_nothing():
     th10 = percentile_thresholds(pubs, counts, TOP10)
     tags = tag_success(pubs, counts, th10, th1)
     assert all(not t.top1 and not t.top10 for t in tags)
+
+
+def test_tag_missing_threshold_cell_raises():
+    pubs, counts = _cell({"p0": 3, "p1": 0})
+    th1 = percentile_thresholds(pubs, counts, TOP1)
+    th10 = percentile_thresholds(pubs, counts, TOP10)
+    del th1[("F0", 2010)]
+    with pytest.raises(InternalInconsistencyError, match="no threshold for cell"):
+        tag_success(pubs, counts, th10, th1)
 
 
 @st.composite
