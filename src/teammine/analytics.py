@@ -9,12 +9,12 @@ underlying intervals are disconnected.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from teammine.csvio import write_csv
 from teammine.ingest import PublicationTable
 from teammine.overlaps import ImpulseSummary
 from teammine.success import SuccessTagTable
@@ -45,12 +45,9 @@ class SeriesTable:
         self.rows.append(SeriesRow(keys, scale * count / n, n, count, flag))
 
     def to_csv(self, path: str | Path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([*self.key_names, "value", "n", "flag"])
-            for row in self.rows:
-                value = "" if row.value is None else repr(row.value)
-                writer.writerow([*row.keys, value, row.n, row.flag])
+        write_csv(path, [*self.key_names, "value", "n", "flag"],
+                  ([*row.keys, "" if row.value is None else repr(row.value), row.n, row.flag]
+                   for row in self.rows))
 
 
 def filter_margin(teams: list[Team], year_min: int, year_max: int, margin: int) -> list[Team]:

@@ -41,8 +41,7 @@ configuration keys (file lines `key = value`, or --set key=value):
   year_min, year_max                   data window, default 2008..2020
   window_len, min_pubs                 persistence rule, default 5-year window
                                        with 3 joint publications
-  delta, gamma, min_size               clique parameters, fixed 1/1 and
-                                       smallest team size 2
+  min_size                             smallest team size, default 2
   citation_window                      calendar_inclusive [Y,Y+2] (default)
                                        or calendar_after [Y+1,Y+3]
   author_cap                           skip pair generation above this many
@@ -53,6 +52,8 @@ configuration keys (file lines `key = value`, or --set key=value):
 
 
 def _add_config_options(parser: argparse.ArgumentParser):
+    parser.epilog = _CONFIG_KEY_HELP
+    parser.formatter_class = argparse.RawDescriptionHelpFormatter
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one configuration key (repeatable)")

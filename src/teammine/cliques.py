@@ -25,10 +25,10 @@ maximality are pinned by equivalence with the brute-force oracle below.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
+from teammine.csvio import read_csv, write_csv
 from teammine.errors import SizeGuardError
 from teammine.intervals import Interval
 from teammine.pairs import Pair
@@ -36,13 +36,9 @@ from teammine.pairs import Pair
 
 @dataclass(frozen=True)
 class CliqueParams:
-    delta: int = 1
-    gamma: int = 1
     min_size: int = 2
 
     def __post_init__(self):
-        if self.delta != 1 or self.gamma != 1:
-            raise ValueError("this artifact fixes delta = 1 and gamma = 1")
         if self.min_size < 2:
             raise ValueError("min_size must be >= 2")
 
@@ -262,18 +258,10 @@ def _subset_mask(subset: int, conn, full: int) -> int:
 
 
 def write_cliques_csv(cliques: list[TemporalClique], path: str | Path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["members", "start", "end"])
-        for clique in cliques:
-            writer.writerow([";".join(clique.members), clique.start, clique.end])
+    write_csv(path, ["members", "start", "end"],
+              ((";".join(c.members), c.start, c.end) for c in cliques))
 
 
 def read_cliques_csv(path: str | Path) -> list[TemporalClique]:
-    cliques = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            cliques.append(TemporalClique(tuple(row[0].split(";")), int(row[1]), int(row[2])))
-    return cliques
+    return [TemporalClique(tuple(members.split(";")), int(start), int(end))
+            for members, start, end in read_csv(path)]

@@ -28,6 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
+from teammine.csvio import write_csv
 from teammine.errors import IngestError
 
 
@@ -334,19 +335,12 @@ def write_publications_jsonl(pubs: Iterable[PublicationRecord], path: str | Path
 
 
 def write_citations_csv(citations: Iterable[CitationEvent], path: str | Path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["citing_pub_id", "cited_pub_id", "citing_year"])
-        for ev in citations:
-            writer.writerow([ev.citing_pub_id, ev.cited_pub_id, ev.citing_year])
+    write_csv(path, ["citing_pub_id", "cited_pub_id", "citing_year"],
+              ((ev.citing_pub_id, ev.cited_pub_id, ev.citing_year) for ev in citations))
 
 
 def write_rejects_csv(rejects: Iterable[tuple[int, str]], path: str | Path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["line", "reason"])
-        for line, reason in rejects:
-            writer.writerow([line, reason])
+    write_csv(path, ["line", "reason"], rejects)
 
 
 # --- document type prevalence ------------------------------------------------
@@ -389,9 +383,6 @@ def corpus_stats(pubs: PublicationTable, tags) -> CorpusStats:
 
 
 def write_corpus_stats_csv(stats: CorpusStats, path: str | Path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(CorpusStats.HEADER) + ["empty_corpus"])
-        for row in stats.rows:
-            writer.writerow([row[0], row[1], repr(row[2]), row[3], repr(row[4]),
-                             row[5], repr(row[6]), int(stats.empty)])
+    write_csv(path, [*CorpusStats.HEADER, "empty_corpus"],
+              ((row[0], row[1], repr(row[2]), row[3], repr(row[4]), row[5], repr(row[6]),
+                int(stats.empty)) for row in stats.rows))

@@ -48,3 +48,16 @@ def covers(intervals: list[Interval], span: Interval) -> bool:
 
 def contains_year(intervals: list[Interval], year: int) -> bool:
     return any(s <= year <= e for s, e in intervals)
+
+
+def format_intervals(intervals) -> str:
+    """Artifact encoding of an interval list: ``s-e;s-e``."""
+    return ";".join(f"{s}-{e}" for s, e in intervals)
+
+
+def parse_intervals(raw: str) -> list[Interval]:
+    out = []
+    for chunk in raw.split(";"):
+        s, e = chunk.split("-")
+        out.append((int(s), int(e)))
+    return out

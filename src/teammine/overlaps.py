@@ -24,11 +24,11 @@ them as anomalies instead of classifying them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from teammine.csvio import read_csv, write_csv
 from teammine.errors import InternalInconsistencyError
 from teammine.teams import Team, TeamTable
 
@@ -301,24 +301,15 @@ def summarize_all(teams: TeamTable, relations: list[OverlapRelation],
 # --- artifacts ----------------------------------------------------------------
 
 def write_overlaps_csv(relations: list[OverlapRelation], path: str | Path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["focal_id", "other_id", "kind", "timing", "impulse"])
-        for rel in relations:
-            writer.writerow([rel.focal_team_id, rel.other_team_id,
-                             rel.kind.value, rel.timing.value, rel.impulse.value])
+    write_csv(path, ["focal_id", "other_id", "kind", "timing", "impulse"],
+              ((rel.focal_team_id, rel.other_team_id, rel.kind.value, rel.timing.value,
+                rel.impulse.value) for rel in relations))
 
 
 def read_overlaps_csv(path: str | Path) -> list[OverlapRelation]:
-    relations = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            relations.append(OverlapRelation(int(row[0]), int(row[1]),
-                                             OverlapKind(row[2]), Timing(row[3]),
-                                             Impulse(row[4])))
-    return relations
+    return [OverlapRelation(int(focal), int(other), OverlapKind(kind), Timing(timing),
+                            Impulse(impulse))
+            for focal, other, kind, timing, impulse in read_csv(path)]
 
 
 IMPULSE_COLUMNS = ["team_id", "persistence", "synchronous", "freshness",
@@ -327,31 +318,19 @@ IMPULSE_COLUMNS = ["team_id", "persistence", "synchronous", "freshness",
                    "freshness_top10", "freshness_top1",
                    "persistence_early_top10", "persistence_early_top1",
                    "impulses_per_year"]
+_COUNT_COLUMNS = IMPULSE_COLUMNS[:-1]
 
 
 def write_impulses_csv(summaries: dict[int, ImpulseSummary], path: str | Path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(IMPULSE_COLUMNS)
-        for team_id in sorted(summaries):
-            s = summaries[team_id]
-            writer.writerow([s.team_id, s.persistence, s.synchronous, s.freshness,
-                             s.persistence_top10, s.persistence_top1,
-                             s.synchronous_top10, s.synchronous_top1,
-                             s.freshness_top10, s.freshness_top1,
-                             s.persistence_early_top10, s.persistence_early_top1,
-                             repr(s.impulses_per_year)])
+    write_csv(path, IMPULSE_COLUMNS,
+              ([*(getattr(s, col) for col in _COUNT_COLUMNS), repr(s.impulses_per_year)]
+               for _, s in sorted(summaries.items())))
 
 
 def read_impulses_csv(path: str | Path) -> dict[int, ImpulseSummary]:
     summaries = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            summary = ImpulseSummary(team_id=int(row[0]))
-            for col, value in zip(IMPULSE_COLUMNS[1:12], row[1:12]):
-                setattr(summary, col, int(value))
-            summary.impulses_per_year = float(row[12])
-            summaries[summary.team_id] = summary
+    for row in read_csv(path):
+        summary = ImpulseSummary(**{col: int(value) for col, value in zip(_COUNT_COLUMNS, row)},
+                                 impulses_per_year=float(row[-1]))
+        summaries[summary.team_id] = summary
     return summaries

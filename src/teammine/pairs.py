@@ -7,8 +7,9 @@ Pairs are stored canonically with the lexicographically smaller id first.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
+
+from teammine.csvio import read_csv, write_csv
 
 Pair = tuple[str, str]
 
@@ -40,18 +41,9 @@ def build_pair_timelines(pubs, author_cap: int | None = None) -> dict[Pair, list
 
 
 def write_pair_timelines_csv(timelines: dict[Pair, list[int]], path: str | Path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["author_a", "author_b", "years"])
-        for (a, b) in sorted(timelines):
-            writer.writerow([a, b, ";".join(str(y) for y in timelines[(a, b)])])
+    write_csv(path, ["author_a", "author_b", "years"],
+              ((a, b, ";".join(map(str, timelines[(a, b)]))) for a, b in sorted(timelines)))
 
 
 def read_pair_timelines_csv(path: str | Path) -> dict[Pair, list[int]]:
-    timelines: dict[Pair, list[int]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            timelines[(row[0], row[1])] = [int(y) for y in row[2].split(";")]
-    return timelines
+    return {(a, b): [int(y) for y in years.split(";")] for a, b, years in read_csv(path)}

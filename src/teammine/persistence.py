@@ -13,11 +13,11 @@ several disconnected periods.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from teammine.intervals import Interval, merge_union
+from teammine.csvio import read_csv, write_csv
+from teammine.intervals import Interval, format_intervals, merge_union, parse_intervals
 from teammine.pairs import Pair
 
 
@@ -66,23 +66,9 @@ def build_persistent_network(timelines: dict[Pair, list[int]],
 
 
 def write_persistent_edges_csv(network: dict[Pair, list[Interval]], path: str | Path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["author_a", "author_b", "periods"])
-        for (a, b) in sorted(network):
-            periods = ";".join(f"{s}-{e}" for s, e in network[(a, b)])
-            writer.writerow([a, b, periods])
+    write_csv(path, ["author_a", "author_b", "periods"],
+              ((a, b, format_intervals(network[(a, b)])) for a, b in sorted(network)))
 
 
 def read_persistent_edges_csv(path: str | Path) -> dict[Pair, list[Interval]]:
-    network: dict[Pair, list[Interval]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            periods = []
-            for chunk in row[2].split(";"):
-                s, e = chunk.split("-")
-                periods.append((int(s), int(e)))
-            network[(row[0], row[1])] = periods
-    return network
+    return {(a, b): parse_intervals(periods) for a, b, periods in read_csv(path)}

@@ -3,22 +3,24 @@
 Each stage reads its predecessor's artifacts, writes its own, and records a
 manifest entry holding the digests of everything it consumed and produced.
 A stage is skipped when its inputs, configuration, and outputs all match the
-manifest; a prerequisite whose artifact changed on disk is refused with an
-instruction to rerun it. All artifacts are plain text (JSONL / CSV) and byte
-deterministic for fixed inputs and configuration.
+manifest; a prerequisite whose artifact changed on disk, or that ran under
+other settings of its configuration keys, is refused with an instruction to
+rerun it. All artifacts are plain text (JSONL / CSV) and byte deterministic
+for fixed inputs and configuration.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import os
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 from teammine.analytics import compute_all_figures, filter_margin
 from teammine.cliques import (CliqueParams, enumerate_maximal_cliques,
                               read_cliques_csv, write_cliques_csv)
+from teammine.csvio import write_csv
 from teammine.errors import (ConfigError, MissingArtifactError, StaleCacheError,
                              TeammineError, UnknownTeamError)
 from teammine.ingest import (IngestConfig, corpus_stats, load_citations,
@@ -32,38 +34,75 @@ from teammine.pairs import (build_pair_timelines, canonical_pair,
 from teammine.persistence import (PersistenceParams, build_persistent_network,
                                   read_persistent_edges_csv,
                                   write_persistent_edges_csv)
-from teammine.success import (compute_tags, read_success_tags_csv,
+from teammine.success import (WINDOWS, compute_tags, read_success_tags_csv,
                               write_success_tags_csv, write_thresholds_csv)
 from teammine.teams import (assemble_teams, associate_all, compute_all_metrics,
                             read_teams_csv, write_team_pubs_csv, write_teams_csv)
 
-STAGES = ("ingest", "tag", "network", "persist", "mine", "teams", "overlaps", "stats")
-
-_PREREQS = {
-    "ingest": (),
-    "tag": ("ingest",),
-    "network": ("ingest",),
-    "persist": ("network",),
-    "mine": ("persist",),
-    "teams": ("mine", "ingest", "tag"),
-    "overlaps": ("teams", "ingest", "tag"),
-    "stats": ("ingest", "tag", "teams", "overlaps"),
-}
-
-_STAGE_CONFIG_KEYS = {
-    "ingest": ("year_min", "year_max"),
-    "tag": ("citation_window",),
-    "network": ("author_cap",),
-    "persist": ("window_len", "min_pubs"),
-    "mine": ("delta", "gamma", "min_size"),
-    "teams": (),
-    "overlaps": (),
-    "stats": ("margin_years", "year_min", "year_max"),
-}
-
 FIGURE_STEMS = ("fig1a", "fig1b", "fig2a", "fig2a_top10", "fig2b", "fig2b_top10",
                 "fig3", "fig3_top10", "fig5a", "fig5a_top10", "fig5b", "fig5b_top10",
                 "fig5c", "fig5c_top10", "fig5d", "fig5d_top10", "figs2add")
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage; its body is the ``Pipeline._stage_<name>`` method.
+
+    ``inputs`` are artifact names, or keys of ``EXTERNAL_INPUTS``; the stages
+    producing them are the stage's prerequisites, in order of first use.
+    """
+    name: str
+    config_keys: tuple[str, ...]
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+
+
+# input key -> the configuration key holding its path
+EXTERNAL_INPUTS = {"pubs_input": "pubs_path", "citations_input": "citations_path"}
+
+STAGE_TABLE = (
+    Stage("ingest", ("year_min", "year_max"),
+          ("pubs_input", "citations_input"),
+          ("canonical_publications.jsonl", "canonical_citations.csv",
+           "rejects.csv", "citation_drops.csv")),
+    Stage("tag", ("citation_window",),
+          ("canonical_publications.jsonl", "canonical_citations.csv"),
+          ("success_tags.csv", "thresholds.csv")),
+    Stage("network", ("author_cap",),
+          ("canonical_publications.jsonl",),
+          ("pair_timelines.csv",)),
+    Stage("persist", ("window_len", "min_pubs"),
+          ("pair_timelines.csv",),
+          ("persistent_edges.csv",)),
+    Stage("mine", ("min_size",),
+          ("persistent_edges.csv",),
+          ("cliques.csv",)),
+    Stage("teams", (),
+          ("cliques.csv", "canonical_publications.jsonl", "success_tags.csv"),
+          ("teams.csv", "team_pubs.csv")),
+    Stage("overlaps", (),
+          ("teams.csv", "team_pubs.csv", "canonical_publications.jsonl",
+           "success_tags.csv"),
+          ("overlaps.csv", "impulses.csv", "overlap_anomalies.csv")),
+    Stage("stats", ("margin_years", "year_min", "year_max"),
+          ("canonical_publications.jsonl", "success_tags.csv", "teams.csv",
+           "team_pubs.csv", "overlaps.csv", "impulses.csv"),
+          tuple(f"{stem}.csv" for stem in FIGURE_STEMS) + ("table_s1.csv",)),
+)
+
+STAGES = tuple(stage.name for stage in STAGE_TABLE)
+_BY_NAME = {stage.name: stage for stage in STAGE_TABLE}
+_PRODUCER = {name: stage.name for stage in STAGE_TABLE for name in stage.outputs}
+
+# artifacts `explain` reads, in pipeline order
+_EXPLAIN_INPUTS = ("canonical_publications.jsonl", "success_tags.csv", "pair_timelines.csv",
+                   "persistent_edges.csv", "teams.csv", "team_pubs.csv", "overlaps.csv",
+                   "impulses.csv")
+
+
+def producers(inputs) -> tuple[str, ...]:
+    """Stages producing the given artifacts, in order of first use."""
+    return tuple(dict.fromkeys(_PRODUCER[name] for name in inputs if name in _PRODUCER))
 
 
 @dataclass
@@ -75,15 +114,10 @@ class PipelineConfig:
     year_max: int = 2020
     window_len: int = 5
     min_pubs: int = 3
-    delta: int = 1
-    gamma: int = 1
     min_size: int = 2
     citation_window: str = "calendar_inclusive"
     author_cap: int = 0        # 0 = no cap
     margin_years: int = 4
-
-    _INT_KEYS = ("year_min", "year_max", "window_len", "min_pubs", "delta", "gamma",
-                 "min_size", "author_cap", "margin_years")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -100,10 +134,11 @@ class PipelineConfig:
         return config
 
     def set_option(self, key: str, value: str):
-        names = {f.name for f in dataclass_fields(self)}
-        if key not in names:
+        # field types are strings: this module postpones annotations
+        field_types = {f.name: f.type for f in dataclass_fields(self)}
+        if key not in field_types:
             raise ConfigError(f"unknown configuration key {key!r}")
-        if key in self._INT_KEYS:
+        if field_types[key] == "int":
             try:
                 setattr(self, key, int(value))
             except ValueError:
@@ -111,6 +146,17 @@ class PipelineConfig:
                                   f"got {value!r}") from None
         else:
             setattr(self, key, value)
+
+    def validate(self):
+        """Refuse values that a stage would reject only once it runs."""
+        try:
+            PersistenceParams(window_len=self.window_len, min_pubs=self.min_pubs)
+            CliqueParams(min_size=self.min_size)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.citation_window not in WINDOWS:
+            raise ConfigError(f"citation_window must be one of {', '.join(WINDOWS)}; "
+                              f"got {self.citation_window!r}")
 
 
 def _sha256(path: Path) -> str:
@@ -121,13 +167,30 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+# in-memory key -> how to load it from the out dir; the readers are looked up
+# when called, so a rebinding of the module-level names takes effect
+_LOADERS = {
+    "pubs": lambda p: load_publications(p._artifact("canonical_publications.jsonl"),
+                                        p._ingest_config()),
+    "citations": lambda p: load_citations(p._artifact("canonical_citations.csv"),
+                                          p._load("pubs")),
+    "tags": lambda p: read_success_tags_csv(p._artifact("success_tags.csv")),
+    "timelines": lambda p: read_pair_timelines_csv(p._artifact("pair_timelines.csv")),
+    "network": lambda p: read_persistent_edges_csv(p._artifact("persistent_edges.csv")),
+    "cliques": lambda p: read_cliques_csv(p._artifact("cliques.csv")),
+    "teams": lambda p: read_teams_csv(p._artifact("teams.csv"), p._artifact("team_pubs.csv")),
+    "relations": lambda p: read_overlaps_csv(p._artifact("overlaps.csv")),
+    "summaries": lambda p: read_impulses_csv(p._artifact("impulses.csv")),
+}
+
+
 class Pipeline:
     """Owns the artifact directory, the manifest, and in-memory caches."""
 
     def __init__(self, config: PipelineConfig):
+        config.validate()
         self.config = config
         self.out_dir = Path(config.out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.out_dir / "manifest.json"
         self.manifest: dict = {}
         if self.manifest_path.exists():
@@ -142,49 +205,37 @@ class Pipeline:
     # --- manifest plumbing ---
 
     def _save_manifest(self):
-        with open(self.manifest_path, "w", encoding="utf-8", newline="") as fh:
+        tmp = self.manifest_path.with_name("manifest.json.tmp")
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             json.dump(self.manifest, fh, sort_keys=True, indent=1)
             fh.write("\n")
+        os.replace(tmp, self.manifest_path)
 
     def _config_digest(self, stage: str) -> str:
-        pairs = [f"{key}={getattr(self.config, key)}" for key in _STAGE_CONFIG_KEYS[stage]]
+        pairs = [f"{key}={getattr(self.config, key)}" for key in _BY_NAME[stage].config_keys]
         return hashlib.sha256("\n".join(pairs).encode()).hexdigest()
 
     def _artifact(self, name: str) -> Path:
         return self.out_dir / name
 
-    def _stage_inputs(self, stage: str) -> dict[str, Path]:
-        art = self._artifact
-        table = {
-            "ingest": {"pubs_input": Path(self.config.pubs_path),
-                       "citations_input": Path(self.config.citations_path)},
-            "tag": {"canonical_publications.jsonl": art("canonical_publications.jsonl"),
-                    "canonical_citations.csv": art("canonical_citations.csv")},
-            "network": {"canonical_publications.jsonl": art("canonical_publications.jsonl")},
-            "persist": {"pair_timelines.csv": art("pair_timelines.csv")},
-            "mine": {"persistent_edges.csv": art("persistent_edges.csv")},
-            "teams": {"cliques.csv": art("cliques.csv"),
-                      "canonical_publications.jsonl": art("canonical_publications.jsonl"),
-                      "success_tags.csv": art("success_tags.csv")},
-            "overlaps": {"teams.csv": art("teams.csv"),
-                         "team_pubs.csv": art("team_pubs.csv"),
-                         "canonical_publications.jsonl": art("canonical_publications.jsonl"),
-                         "success_tags.csv": art("success_tags.csv")},
-            "stats": {"canonical_publications.jsonl": art("canonical_publications.jsonl"),
-                      "success_tags.csv": art("success_tags.csv"),
-                      "teams.csv": art("teams.csv"),
-                      "team_pubs.csv": art("team_pubs.csv"),
-                      "overlaps.csv": art("overlaps.csv"),
-                      "impulses.csv": art("impulses.csv")},
-        }
-        return table[stage]
+    def _input_path(self, name: str) -> Path:
+        if name in EXTERNAL_INPUTS:
+            return Path(getattr(self.config, EXTERNAL_INPUTS[name]))
+        return self._artifact(name)
 
-    def _check_prereq(self, stage: str):
-        for prereq in _PREREQS[stage]:
+    def _check_prereq(self, user: str, prereqs: tuple[str, ...]):
+        """Refuse unless each prerequisite stage ran under the current values of
+        its configuration keys and its outputs are on disk unchanged."""
+        for prereq in prereqs:
             entry = self.manifest.get(prereq)
             if entry is None:
                 raise MissingArtifactError(
-                    f"stage '{stage}' needs stage '{prereq}'; run '{prereq}' first")
+                    f"{user} needs stage '{prereq}'; run '{prereq}' first")
+            if entry["config"] != self._config_digest(prereq):
+                keys = ", ".join(_BY_NAME[prereq].config_keys)
+                raise StaleCacheError(
+                    f"stage '{prereq}' ran with other settings of {keys}; rerun "
+                    f"'{prereq}' with these settings, or use the ones it ran with")
             for name, digest in entry["outputs"].items():
                 path = self._artifact(name)
                 if not path.exists():
@@ -203,7 +254,7 @@ class Pipeline:
         if stage == "all":
             stages = STAGES
         elif stage in STAGES:
-            self._check_prereq(stage)
+            self._check_prereq(f"stage '{stage}'", producers(_BY_NAME[stage].inputs))
             stages = (stage,)
         else:
             raise ConfigError(f"unknown stage {stage!r}")
@@ -213,10 +264,11 @@ class Pipeline:
         return status
 
     def _run_stage(self, stage: str) -> str:
-        inputs = self._stage_inputs(stage)
+        spec = _BY_NAME[stage]
+        inputs = {name: self._input_path(name) for name in spec.inputs}
         for name, path in inputs.items():
             if not path.exists():
-                hint = ("" if stage == "ingest"
+                hint = ("" if name in EXTERNAL_INPUTS
                         else "; rerun the stage that produces it")
                 raise MissingArtifactError(f"stage '{stage}' input {path} is missing{hint}")
         input_digests = {name: _sha256(path) for name, path in sorted(inputs.items())}
@@ -228,9 +280,9 @@ class Pipeline:
                 and all(self._artifact(name).exists() and _sha256(self._artifact(name)) == digest
                         for name, digest in entry["outputs"].items())):
             return "cached"
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         counts = getattr(self, f"_stage_{stage}")()
-        outputs = {name: _sha256(self._artifact(name))
-                   for name in sorted(self._stage_outputs(stage))}
+        outputs = {name: _sha256(self._artifact(name)) for name in sorted(spec.outputs)}
         self.manifest[stage] = {
             "config": config_digest,
             "inputs": input_digests,
@@ -240,72 +292,15 @@ class Pipeline:
         self._save_manifest()
         return "ran"
 
-    def _stage_outputs(self, stage: str) -> tuple[str, ...]:
-        if stage == "stats":
-            return tuple(f"{stem}.csv" for stem in FIGURE_STEMS) + ("table_s1.csv",)
-        return {
-            "ingest": ("canonical_publications.jsonl", "canonical_citations.csv",
-                       "rejects.csv", "citation_drops.csv"),
-            "tag": ("success_tags.csv", "thresholds.csv"),
-            "network": ("pair_timelines.csv",),
-            "persist": ("persistent_edges.csv",),
-            "mine": ("cliques.csv",),
-            "teams": ("teams.csv", "team_pubs.csv"),
-            "overlaps": ("overlaps.csv", "impulses.csv", "overlap_anomalies.csv"),
-        }[stage]
-
     # --- lazy artifact loading ---
 
     def _ingest_config(self) -> IngestConfig:
         return IngestConfig(year_min=self.config.year_min, year_max=self.config.year_max)
 
-    def _pubs(self):
-        if "pubs" not in self._mem:
-            self._mem["pubs"] = load_publications(
-                self._artifact("canonical_publications.jsonl"), self._ingest_config())
-        return self._mem["pubs"]
-
-    def _citations(self):
-        if "citations" not in self._mem:
-            self._mem["citations"] = load_citations(
-                self._artifact("canonical_citations.csv"), self._pubs())
-        return self._mem["citations"]
-
-    def _tags(self):
-        if "tags" not in self._mem:
-            self._mem["tags"] = read_success_tags_csv(self._artifact("success_tags.csv"))
-        return self._mem["tags"]
-
-    def _timelines(self):
-        if "timelines" not in self._mem:
-            self._mem["timelines"] = read_pair_timelines_csv(self._artifact("pair_timelines.csv"))
-        return self._mem["timelines"]
-
-    def _network(self):
-        if "network" not in self._mem:
-            self._mem["network"] = read_persistent_edges_csv(self._artifact("persistent_edges.csv"))
-        return self._mem["network"]
-
-    def _cliques(self):
-        if "cliques" not in self._mem:
-            self._mem["cliques"] = read_cliques_csv(self._artifact("cliques.csv"))
-        return self._mem["cliques"]
-
-    def _teams(self):
-        if "teams" not in self._mem:
-            self._mem["teams"] = read_teams_csv(self._artifact("teams.csv"),
-                                                self._artifact("team_pubs.csv"))
-        return self._mem["teams"]
-
-    def _relations(self):
-        if "relations" not in self._mem:
-            self._mem["relations"] = read_overlaps_csv(self._artifact("overlaps.csv"))
-        return self._mem["relations"]
-
-    def _summaries(self):
-        if "summaries" not in self._mem:
-            self._mem["summaries"] = read_impulses_csv(self._artifact("impulses.csv"))
-        return self._mem["summaries"]
+    def _load(self, key: str):
+        if key not in self._mem:
+            self._mem[key] = _LOADERS[key](self)
+        return self._mem[key]
 
     # --- stage bodies ---
 
@@ -315,12 +310,8 @@ class Pipeline:
         write_publications_jsonl(pubs, self._artifact("canonical_publications.jsonl"))
         write_citations_csv(citations, self._artifact("canonical_citations.csv"))
         write_rejects_csv(pubs.rejects, self._artifact("rejects.csv"))
-        with open(self._artifact("citation_drops.csv"), "w", encoding="utf-8",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["reason", "count"])
-            for reason in sorted(citations.drop_counts):
-                writer.writerow([reason, citations.drop_counts[reason]])
+        write_csv(self._artifact("citation_drops.csv"), ["reason", "count"],
+                  sorted(citations.drop_counts.items()))
         self._mem["pubs"] = pubs
         self._mem["citations"] = citations
         counts = {"publications": len(pubs), "rejects": len(pubs.rejects),
@@ -330,7 +321,7 @@ class Pipeline:
         return counts
 
     def _stage_tag(self) -> dict:
-        tags, thresholds = compute_tags(self._pubs(), self._citations(),
+        tags, thresholds = compute_tags(self._load("pubs"), self._load("citations"),
                                         mode=self.config.citation_window)
         write_success_tags_csv(tags, self._artifact("success_tags.csv"))
         write_thresholds_csv(thresholds, self._artifact("thresholds.csv"))
@@ -341,7 +332,7 @@ class Pipeline:
 
     def _stage_network(self) -> dict:
         cap = self.config.author_cap if self.config.author_cap > 0 else None
-        timelines = build_pair_timelines(self._pubs(), author_cap=cap)
+        timelines = build_pair_timelines(self._load("pubs"), author_cap=cap)
         write_pair_timelines_csv(timelines, self._artifact("pair_timelines.csv"))
         self._mem["timelines"] = timelines
         return {"pairs": len(timelines)}
@@ -349,41 +340,36 @@ class Pipeline:
     def _stage_persist(self) -> dict:
         params = PersistenceParams(window_len=self.config.window_len,
                                    min_pubs=self.config.min_pubs)
-        network = build_persistent_network(self._timelines(), params)
+        network = build_persistent_network(self._load("timelines"), params)
         write_persistent_edges_csv(network, self._artifact("persistent_edges.csv"))
         self._mem["network"] = network
         return {"persistent_pairs": len(network)}
 
     def _stage_mine(self) -> dict:
-        params = CliqueParams(delta=self.config.delta, gamma=self.config.gamma,
-                              min_size=self.config.min_size)
-        cliques = enumerate_maximal_cliques(self._network(), params)
+        params = CliqueParams(min_size=self.config.min_size)
+        cliques = enumerate_maximal_cliques(self._load("network"), params)
         write_cliques_csv(cliques, self._artifact("cliques.csv"))
         self._mem["cliques"] = cliques
         return {"cliques": len(cliques)}
 
     def _stage_teams(self) -> dict:
-        teams = assemble_teams(self._cliques())
-        associate_all(teams, self._pubs())
-        compute_all_metrics(teams, self._pubs())
-        write_teams_csv(teams, self._tags(), self._artifact("teams.csv"))
+        teams = assemble_teams(self._load("cliques"))
+        associate_all(teams, self._load("pubs"))
+        compute_all_metrics(teams, self._load("pubs"))
+        write_teams_csv(teams, self._load("tags"), self._artifact("teams.csv"))
         write_team_pubs_csv(teams, self._artifact("team_pubs.csv"))
         self._mem["teams"] = teams
         return {"teams": len(teams),
                 "team_publications": sum(len(t.pubs) for t in teams)}
 
     def _stage_overlaps(self) -> dict:
-        teams = self._teams()
+        teams = self._load("teams")
         relations, anomalies = classify_all(teams)
-        summaries = summarize_all(teams, relations, self._pubs(), self._tags())
+        summaries = summarize_all(teams, relations, self._load("pubs"), self._load("tags"))
         write_overlaps_csv(relations, self._artifact("overlaps.csv"))
         write_impulses_csv(summaries, self._artifact("impulses.csv"))
-        with open(self._artifact("overlap_anomalies.csv"), "w", encoding="utf-8",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lemma", "count"])
-            for lemma in sorted(anomalies):
-                writer.writerow([lemma, anomalies[lemma]])
+        write_csv(self._artifact("overlap_anomalies.csv"), ["lemma", "count"],
+                  sorted(anomalies.items()))
         self._mem["relations"] = relations
         self._mem["summaries"] = summaries
         counts = {"relations": len(relations),
@@ -391,14 +377,14 @@ class Pipeline:
         return counts
 
     def _stage_stats(self) -> dict:
-        teams = filter_margin(list(self._teams()), self.config.year_min,
+        teams = filter_margin(list(self._load("teams")), self.config.year_min,
                               self.config.year_max, self.config.margin_years)
-        figures = compute_all_figures(self._pubs(), self._tags(), teams,
-                                      self._summaries(), self.config.year_min,
+        figures = compute_all_figures(self._load("pubs"), self._load("tags"), teams,
+                                      self._load("summaries"), self.config.year_min,
                                       self.config.year_max)
         for stem in FIGURE_STEMS:
             figures[stem].to_csv(self._artifact(f"{stem}.csv"))
-        stats = corpus_stats(self._pubs(), self._tags())
+        stats = corpus_stats(self._load("pubs"), self._load("tags"))
         write_corpus_stats_csv(stats, self._artifact("table_s1.csv"))
         return {"figure_tables": len(FIGURE_STEMS),
                 "teams_after_margin": len(teams)}
@@ -406,14 +392,15 @@ class Pipeline:
     # --- debugging aid ---
 
     def explain_team(self, team_id: int) -> str:
-        teams = self._teams()
+        self._check_prereq("explain", producers(_EXPLAIN_INPUTS))
+        teams = self._load("teams")
         team = teams.get(team_id)
         if team is None:
             raise UnknownTeamError(f"no team with id {team_id}")
-        pubs = self._pubs()
-        tags = self._tags()
-        timelines = self._timelines()
-        network = self._network()
+        pubs = self._load("pubs")
+        tags = self._load("tags")
+        timelines = self._load("timelines")
+        network = self._load("network")
         lines = [f"team {team.team_id}: {', '.join(team.members)}"]
         lines.append("  intervals: " + "; ".join(f"[{s},{e}]" for s, e in team.intervals))
         lines.append(f"  duration: [{team.duration_start},{team.duration_end}] "
@@ -443,14 +430,14 @@ class Pipeline:
                          f"cities/member={m.cities_per_member:.3f} "
                          f"countries/member={m.countries_per_member:.3f} "
                          f"city-distance/member={m.mean_city_distance_km:.1f} km")
-        relations = [rel for rel in self._relations() if rel.focal_team_id == team_id]
+        relations = [rel for rel in self._load("relations") if rel.focal_team_id == team_id]
         lines.append(f"  overlap relations ({len(relations)}):")
         for rel in relations:
             other = teams.get(rel.other_team_id)
             lines.append(f"    other team {rel.other_team_id} "
                          f"{{{', '.join(other.members)}}} kind={rel.kind.value} "
                          f"timing={rel.timing.value} impulse={rel.impulse.value}")
-        summary = self._summaries().get(team_id)
+        summary = self._load("summaries").get(team_id)
         if summary is not None:
             lines.append(f"  impulses: persistence={summary.persistence} "
                          f"(top10={summary.persistence_top10} top1={summary.persistence_top1} "

@@ -15,11 +15,11 @@ through any one of them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from teammine.csvio import read_csv, write_csv
 from teammine.errors import InternalInconsistencyError
 from teammine.ingest import CitationTable, PublicationTable
 
@@ -28,6 +28,7 @@ TOP10 = Fraction(1, 10)
 
 WINDOW_INCLUSIVE = "calendar_inclusive"  # [Y, Y+2]
 WINDOW_AFTER = "calendar_after"          # [Y+1, Y+3]
+WINDOWS = (WINDOW_INCLUSIVE, WINDOW_AFTER)
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,7 +66,7 @@ class SuccessTagTable:
 def three_year_citations(pubs: PublicationTable, citations: CitationTable,
                          mode: str = WINDOW_INCLUSIVE) -> dict[str, int]:
     """Citation count per pub_id inside its three-calendar-year window."""
-    if mode not in (WINDOW_INCLUSIVE, WINDOW_AFTER):
+    if mode not in WINDOWS:
         raise ValueError(f"unknown citation window mode {mode!r}")
     offset = 0 if mode == WINDOW_INCLUSIVE else 1
     counts = {rec.pub_id: 0 for rec in pubs}
@@ -128,28 +129,16 @@ def compute_tags(pubs: PublicationTable, citations: CitationTable,
 
 
 def write_success_tags_csv(tags: SuccessTagTable, path: str | Path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pub_id", "citations_3y", "top10", "top1"])
-        for tag in tags:
-            writer.writerow([tag.pub_id, tag.citations_3y, int(tag.top10), int(tag.top1)])
+    write_csv(path, ["pub_id", "citations_3y", "top10", "top1"],
+              ((t.pub_id, t.citations_3y, int(t.top10), int(t.top1)) for t in tags))
 
 
 def read_success_tags_csv(path: str | Path) -> SuccessTagTable:
-    tags = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            tags.append(SuccessTag(pub_id=row[0], citations_3y=int(row[1]),
-                                   top10=bool(int(row[2])), top1=bool(int(row[3]))))
-    return SuccessTagTable(tags)
+    return SuccessTagTable([SuccessTag(pub_id, int(citations), bool(int(top10)), bool(int(top1)))
+                            for pub_id, citations, top10, top1 in read_csv(path)])
 
 
 def write_thresholds_csv(thresholds: list[PercentileThreshold], path: str | Path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["field", "year", "q", "threshold", "population"])
-        for th in thresholds:
-            writer.writerow([th.field_id, th.year, f"{float(th.q):.2f}",
-                             th.threshold, th.population])
+    write_csv(path, ["field", "year", "q", "threshold", "population"],
+              ((th.field_id, th.year, f"{float(th.q):.2f}", th.threshold, th.population)
+               for th in thresholds))

@@ -9,13 +9,13 @@ authors.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from teammine.cliques import TemporalClique
+from teammine.csvio import read_csv, write_csv
 from teammine.geo import great_circle_km
-from teammine.intervals import Interval, contains_year
+from teammine.intervals import Interval, contains_year, format_intervals, parse_intervals
 from teammine.ingest import PublicationTable
 
 
@@ -183,76 +183,48 @@ def compute_all_metrics(teams: TeamTable, pubs: PublicationTable):
 
 # --- artifacts ----------------------------------------------------------------
 
-def _format_intervals(intervals: tuple[Interval, ...]) -> str:
-    return ";".join(f"{s}-{e}" for s, e in intervals)
-
-
-def _parse_intervals(raw: str) -> tuple[Interval, ...]:
-    out = []
-    for chunk in raw.split(";"):
-        s, e = chunk.split("-")
-        out.append((int(s), int(e)))
-    return tuple(out)
+def _team_row(team: Team, tags) -> list:
+    n10 = n1 = 0
+    for pub_id in team.pubs:
+        tag = tags.get(pub_id)
+        if tag is not None and tag.top10:
+            n10 += 1
+        if tag is not None and tag.top1:
+            n1 += 1
+    m = team.metrics
+    return [team.team_id, ";".join(team.members), format_intervals(team.intervals),
+            team.duration_start, team.duration_end, len(team.pubs), n10, n1,
+            repr(m.orgs_per_member), repr(m.cities_per_member),
+            repr(m.countries_per_member), repr(m.mean_city_distance_km)]
 
 
 def write_teams_csv(teams: TeamTable, tags, path: str | Path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["team_id", "members", "intervals", "duration_start",
-                         "duration_end", "n_pubs", "n_top10", "n_top1",
-                         "orgs_pm", "cities_pm", "countries_pm", "dist_pm"])
-        for team in teams:
-            n10 = n1 = 0
-            for pub_id in team.pubs:
-                tag = tags.get(pub_id)
-                if tag is not None and tag.top10:
-                    n10 += 1
-                if tag is not None and tag.top1:
-                    n1 += 1
-            m = team.metrics
-            writer.writerow([
-                team.team_id, ";".join(team.members), _format_intervals(team.intervals),
-                team.duration_start, team.duration_end, len(team.pubs), n10, n1,
-                repr(m.orgs_per_member), repr(m.cities_per_member),
-                repr(m.countries_per_member), repr(m.mean_city_distance_km),
-            ])
+    write_csv(path, ["team_id", "members", "intervals", "duration_start",
+                     "duration_end", "n_pubs", "n_top10", "n_top1",
+                     "orgs_pm", "cities_pm", "countries_pm", "dist_pm"],
+              (_team_row(team, tags) for team in teams))
 
 
 def write_team_pubs_csv(teams: TeamTable, path: str | Path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["team_id", "pub_id"])
-        for team in teams:
-            for pub_id in team.pubs:
-                writer.writerow([team.team_id, pub_id])
+    write_csv(path, ["team_id", "pub_id"],
+              ((team.team_id, pub_id) for team in teams for pub_id in team.pubs))
 
 
 def read_teams_csv(teams_path: str | Path, team_pubs_path: str | Path | None = None) -> TeamTable:
     pubs_by_team: dict[int, list[str]] = {}
     if team_pubs_path is not None:
-        with open(team_pubs_path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                pubs_by_team.setdefault(int(row[0]), []).append(row[1])
+        for team_id, pub_id in read_csv(team_pubs_path):
+            pubs_by_team.setdefault(int(team_id), []).append(pub_id)
     teams = []
-    with open(teams_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            team_id = int(row[0])
-            teams.append(Team(
-                team_id=team_id,
-                members=tuple(row[1].split(";")),
-                intervals=_parse_intervals(row[2]),
-                duration_start=int(row[3]),
-                duration_end=int(row[4]),
-                pubs=tuple(pubs_by_team.get(team_id, ())),
-                metrics=CompositionMetrics(
-                    orgs_per_member=float(row[8]),
-                    cities_per_member=float(row[9]),
-                    countries_per_member=float(row[10]),
-                    mean_city_distance_km=float(row[11]),
-                ),
-            ))
+    for row in read_csv(teams_path):
+        team_id = int(row[0])
+        teams.append(Team(
+            team_id=team_id,
+            members=tuple(row[1].split(";")),
+            intervals=tuple(parse_intervals(row[2])),
+            duration_start=int(row[3]),
+            duration_end=int(row[4]),
+            pubs=tuple(pubs_by_team.get(team_id, ())),
+            metrics=CompositionMetrics(*map(float, row[8:12])),
+        ))
     return TeamTable(teams)

@@ -36,10 +36,10 @@ def test_criterion_1_worked_example_golden(tmp_path):
     corpus = tmp_path / "corpus"
     fig_s1_corpus(corpus)
     pipeline = run_pipeline(corpus, tmp_path / "out", 1, 8)
-    network = pipeline._network()
+    network = pipeline._load("network")
     assert network[("A", "B")] == [(2, 6)]
     assert ("C", "D") not in network
-    teams = {t.members: t.intervals for t in pipeline._teams()}
+    teams = {t.members: t.intervals for t in pipeline._load("teams")}
     assert teams[("A", "B", "C")] == ((2, 5),)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -109,7 +109,7 @@ def test_criterion_4_taxonomy_exhaustiveness(tmp_path):
         generate_corpus(config, corpus)
         pipeline = run_pipeline(corpus, tmp_path / f"{name}_out",
                                 config.year_min, config.year_max)
-        teams = pipeline._teams()
+        teams = pipeline._load("teams")
         candidates = find_overlap_candidates(teams)
         relations, anomalies = classify_all(teams)
         assert anomalies == {}, f"{name}: anomalies {anomalies}"
@@ -166,8 +166,8 @@ def test_criterion_6_planted_team_recovery(tmp_path):
     corpus = tmp_path / "corpus"
     truth = generate_corpus(config, corpus)
     pipeline = run_pipeline(corpus, tmp_path / "out", config.year_min, config.year_max)
-    report = verify_against_truth(pipeline._teams(), pipeline._relations(),
-                                  pipeline._tags(), truth)
+    report = verify_against_truth(pipeline._load("teams"), pipeline._load("relations"),
+                                  pipeline._load("tags"), truth)
     assert report.n_planted == 100
     assert report.team_recall == 1.0
     elapsed = time.perf_counter() - start

@@ -87,10 +87,6 @@ def test_min_size_filters_pairs():
 
 def test_params_fixed():
     with pytest.raises(ValueError):
-        CliqueParams(delta=2)
-    with pytest.raises(ValueError):
-        CliqueParams(gamma=3)
-    with pytest.raises(ValueError):
         CliqueParams(min_size=1)
 
 

@@ -1,0 +1,70 @@
+"""The CSV codec: every artifact reader and writer round-trips byte for byte."""
+
+import pytest
+
+from teammine.cliques import read_cliques_csv, write_cliques_csv
+from teammine.csvio import read_csv, write_csv
+from teammine.intervals import format_intervals, parse_intervals
+from teammine.overlaps import (read_impulses_csv, read_overlaps_csv, write_impulses_csv,
+                               write_overlaps_csv)
+from teammine.pairs import read_pair_timelines_csv, write_pair_timelines_csv
+from teammine.persistence import read_persistent_edges_csv, write_persistent_edges_csv
+from teammine.presets import wired_overlap_config
+from teammine.success import read_success_tags_csv, write_success_tags_csv
+from teammine.synthgen import generate_corpus
+from teammine.teams import read_teams_csv, write_team_pubs_csv, write_teams_csv
+
+from helpers import run_pipeline
+
+
+@pytest.fixture(scope="module")
+def wired_run(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("wired")
+    config = wired_overlap_config()
+    generate_corpus(config, corpus)
+    out = tmp_path_factory.mktemp("wired_out")
+    run_pipeline(corpus, out, config.year_min, config.year_max)
+    return out
+
+
+SINGLE_FILE = {
+    "pair_timelines.csv": (read_pair_timelines_csv, write_pair_timelines_csv),
+    "persistent_edges.csv": (read_persistent_edges_csv, write_persistent_edges_csv),
+    "cliques.csv": (read_cliques_csv, write_cliques_csv),
+    "overlaps.csv": (read_overlaps_csv, write_overlaps_csv),
+    "impulses.csv": (read_impulses_csv, write_impulses_csv),
+    "success_tags.csv": (read_success_tags_csv, write_success_tags_csv),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_FILE))
+def test_artifact_round_trip(wired_run, tmp_path, name):
+    read, write = SINGLE_FILE[name]
+    original = (wired_run / name).read_bytes()
+    assert original.count(b"\r\n") > 1  # header plus at least one row
+    write(read(wired_run / name), tmp_path / name)
+    assert (tmp_path / name).read_bytes() == original
+
+
+def test_teams_round_trip(wired_run, tmp_path):
+    teams = read_teams_csv(wired_run / "teams.csv", wired_run / "team_pubs.csv")
+    tags = read_success_tags_csv(wired_run / "success_tags.csv")
+    assert len(teams) > 0
+    write_teams_csv(teams, tags, tmp_path / "teams.csv")
+    write_team_pubs_csv(teams, tmp_path / "team_pubs.csv")
+    for name in ("teams.csv", "team_pubs.csv"):
+        assert (tmp_path / name).read_bytes() == (wired_run / name).read_bytes(), name
+
+
+def test_codec_dialect_and_header_only(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], [("x,y", 1), ("", 2.5)])
+    assert path.read_bytes() == b'a,b\r\n"x,y",1\r\n,2.5\r\n'
+    assert list(read_csv(path)) == [["x,y", "1"], ["", "2.5"]]
+    write_csv(path, ["a", "b"], [])
+    assert list(read_csv(path)) == []
+
+
+def test_interval_encoding():
+    assert format_intervals([(2, 5), (7, 7)]) == "2-5;7-7"
+    assert parse_intervals("2-5;7-7") == [(2, 5), (7, 7)]

@@ -6,7 +6,8 @@ import pytest
 from teammine.cli import main
 from teammine.errors import (ConfigError, MissingArtifactError, StaleCacheError,
                              UnknownTeamError)
-from teammine.pipeline import FIGURE_STEMS, Pipeline, PipelineConfig, STAGES
+from teammine.pipeline import (EXTERNAL_INPUTS, FIGURE_STEMS, STAGE_TABLE, STAGES, Pipeline,
+                               PipelineConfig, producers)
 from teammine.synthgen import fig_s1_corpus
 
 from helpers import run_pipeline
@@ -109,7 +110,7 @@ def test_deterministic_across_directories(s1_corpus, tmp_path):
 
 def test_explain_team(s1_corpus, tmp_path):
     pipeline = run_pipeline(s1_corpus, tmp_path / "out", 1, 8)
-    teams = pipeline._teams()
+    teams = pipeline._load("teams")
     abc = next(t for t in teams if t.members == ("A", "B", "C"))
     report = pipeline.explain_team(abc.team_id)
     assert "A, B, C" in report
@@ -123,7 +124,7 @@ def test_explain_team(s1_corpus, tmp_path):
 
 def test_closed_team_explain_shows_zero_relations(s1_corpus, tmp_path):
     pipeline = run_pipeline(s1_corpus, tmp_path / "out", 1, 8)
-    teams = pipeline._teams()
+    teams = pipeline._load("teams")
     ef = next(t for t in teams if t.members == ("E", "F"))
     report = pipeline.explain_team(ef.team_id)
     assert "overlap relations (0):" in report
@@ -227,3 +228,108 @@ def test_manifest_records_input_digests(s1_corpus, tmp_path):
     for entry in manifest.values():
         for digest in list(entry["inputs"].values()) + list(entry["outputs"].values()):
             assert len(digest) == 64
+
+
+def test_stage_inputs_come_from_earlier_stages():
+    available = set(EXTERNAL_INPUTS)
+    for stage in STAGE_TABLE:
+        assert set(stage.inputs) <= available, stage.name
+        assert not available & set(stage.outputs), stage.name
+        available |= set(stage.outputs)
+    assert STAGES == tuple(stage.name for stage in STAGE_TABLE)
+    prereqs = {stage.name: producers(stage.inputs) for stage in STAGE_TABLE}
+    assert prereqs == {
+        "ingest": (),
+        "tag": ("ingest",),
+        "network": ("ingest",),
+        "persist": ("network",),
+        "mine": ("persist",),
+        "teams": ("mine", "ingest", "tag"),
+        "overlaps": ("teams", "ingest", "tag"),
+        "stats": ("ingest", "tag", "teams", "overlaps"),
+    }
+
+
+def test_single_stage_refuses_prereq_run_under_other_config(s1_corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    run_pipeline(s1_corpus, out, 1, 8)
+    before = artifact_bytes(out)
+    config = PipelineConfig(pubs_path=str(s1_corpus / "publications.jsonl"),
+                            citations_path=str(s1_corpus / "citations.csv"),
+                            out_dir=str(out), year_min=3, year_max=8, margin_years=0)
+    with pytest.raises(StaleCacheError, match="stage 'ingest' .*year_min, year_max"):
+        Pipeline(config).run("stats")
+    assert main(["stats", "--out", str(out), "--set", "year_min=3",
+                 "--set", "year_max=8"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'ingest'" in err[0]
+    assert artifact_bytes(out) == before
+    # the stage's own keys may differ: they make it rerun, not refuse
+    config.year_min, config.margin_years = 1, 1
+    assert Pipeline(config).run("stats") == {"stats": "ran"}
+
+
+def test_cli_explain_checks_prereqs(s1_corpus, tmp_path, capsys):
+    empty = tmp_path / "empty"
+    assert main(["explain", "--out", str(empty), "--team-id", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "run 'ingest'" in err[0]
+    assert not empty.exists()
+    out = tmp_path / "out"
+    run_pipeline(s1_corpus, out, 1, 8)
+    assert main(["explain", "--out", str(out), "--team-id", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "'ingest'" in err[0] and "year_min" in err[0]
+
+
+@pytest.mark.parametrize("setting", ["window_len=0", "min_pubs=0", "min_size=1",
+                                     "citation_window=bogus"])
+def test_cli_config_rejected_before_any_stage(s1_corpus, tmp_path, capsys, setting):
+    out = tmp_path / "out"
+    assert main(["all", "--out", str(out),
+                 "--pubs", str(s1_corpus / "publications.jsonl"),
+                 "--citations", str(s1_corpus / "citations.csv"),
+                 "--set", "year_min=1", "--set", "year_max=8", "--set", setting]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert setting.partition("=")[0] in err[0]
+    assert not out.exists()
+    config = PipelineConfig(out_dir=str(out))
+    config.set_option(*setting.split("="))
+    with pytest.raises(ConfigError):
+        Pipeline(config)
+
+
+def test_cli_failed_run_leaves_no_out_dir(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["all", "--out", str(out), "--pubs", str(tmp_path / "none.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["delta", "gamma"])
+def test_cli_removed_clique_keys(tmp_path, capsys, key):
+    assert main(["all", "--out", str(tmp_path / "out"), "--set", f"{key}=1"]) == 2
+    assert f"unknown configuration key '{key}'" in capsys.readouterr().err
+
+
+def test_manifest_write_is_atomic(s1_corpus, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    run_pipeline(s1_corpus, out, 1, 8)
+    manifest = out / "manifest.json"
+    old = manifest.read_bytes()
+
+    def crash(obj, fh, **kwargs):
+        fh.write('{"ingest": {"con')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", crash)
+    with pytest.raises(OSError, match="disk full"):
+        run_pipeline(s1_corpus, out, 1, 8, margin_years=1)
+    monkeypatch.undo()
+    assert manifest.read_bytes() == old
+    config = PipelineConfig(pubs_path=str(s1_corpus / "publications.jsonl"),
+                            citations_path=str(s1_corpus / "citations.csv"),
+                            out_dir=str(out), year_min=1, year_max=8, margin_years=0)
+    assert Pipeline(config).manifest == json.loads(old)
