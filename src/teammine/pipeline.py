@@ -11,6 +11,7 @@ for fixed inputs and configuration.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -24,9 +25,9 @@ from teammine.csvio import write_csv
 from teammine.errors import (ConfigError, MissingArtifactError, StaleCacheError,
                              TeammineError, UnknownTeamError)
 from teammine.ingest import (IngestConfig, corpus_stats, load_citations,
-                             load_publications, write_citations_csv,
-                             write_corpus_stats_csv, write_publications_jsonl,
-                             write_rejects_csv)
+                             load_publications, read_publications_jsonl,
+                             write_citations_csv, write_corpus_stats_csv,
+                             write_publications_jsonl, write_rejects_csv)
 from teammine.overlaps import (classify_all, read_impulses_csv, read_overlaps_csv,
                                summarize_all, write_impulses_csv, write_overlaps_csv)
 from teammine.pairs import (build_pair_timelines, canonical_pair,
@@ -168,10 +169,11 @@ def _sha256(path: Path) -> str:
 
 
 # in-memory key -> how to load it from the out dir; the readers are looked up
-# when called, so a rebinding of the module-level names takes effect
+# when called, so a rebinding of the module-level names takes effect. Every
+# load follows a digest check of the artifact against the manifest, which is
+# why the canonical corpus is read back without validation.
 _LOADERS = {
-    "pubs": lambda p: load_publications(p._artifact("canonical_publications.jsonl"),
-                                        p._ingest_config()),
+    "pubs": lambda p: read_publications_jsonl(p._artifact("canonical_publications.jsonl")),
     "citations": lambda p: load_citations(p._artifact("canonical_citations.csv"),
                                           p._load("pubs")),
     "tags": lambda p: read_success_tags_csv(p._artifact("success_tags.csv")),
@@ -259,8 +261,14 @@ class Pipeline:
         else:
             raise ConfigError(f"unknown stage {stage!r}")
         status = {}
-        for name in stages:
-            status[name] = self._run_stage(name)
+        gc_was_enabled = gc.isenabled()
+        gc.disable()  # the records are acyclic: collecting would only rescan a growing heap
+        try:
+            for name in stages:
+                status[name] = self._run_stage(name)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         return status
 
     def _run_stage(self, stage: str) -> str:
@@ -294,9 +302,6 @@ class Pipeline:
 
     # --- lazy artifact loading ---
 
-    def _ingest_config(self) -> IngestConfig:
-        return IngestConfig(year_min=self.config.year_min, year_max=self.config.year_max)
-
     def _load(self, key: str):
         if key not in self._mem:
             self._mem[key] = _LOADERS[key](self)
@@ -305,7 +310,9 @@ class Pipeline:
     # --- stage bodies ---
 
     def _stage_ingest(self) -> dict:
-        pubs = load_publications(self.config.pubs_path, self._ingest_config())
+        pubs = load_publications(self.config.pubs_path,
+                                 IngestConfig(year_min=self.config.year_min,
+                                              year_max=self.config.year_max))
         citations = load_citations(self.config.citations_path, pubs)
         write_publications_jsonl(pubs, self._artifact("canonical_publications.jsonl"))
         write_citations_csv(citations, self._artifact("canonical_citations.csv"))

@@ -225,13 +225,27 @@ def validate_config(config: SynthConfig) -> dict[tuple[str, str], list[Interval]
 # --- ground-truth derivation ------------------------------------------------------
 
 def derive_truth_overlaps(teams: list[tuple[frozenset[str], list[Interval]]]) -> list[dict]:
-    """Overlap relations implied by a team list, by direct rule arithmetic."""
+    """Overlap relations implied by a team list, by direct rule arithmetic.
+
+    Half of the larger team's members must be shared, so with non-empty teams
+    every related team, and every shared core, shares a member with the focal
+    team: candidates come from a member -> team index map, in list order.
+    """
+    teams_of: dict[str, list[int]] = {}
+    for index, (members, _) in enumerate(teams):
+        for member in members:
+            teams_of.setdefault(member, []).append(index)
+
+    def sharing(members: frozenset[str]) -> list[int]:
+        return sorted({index for member in members for index in teams_of[member]})
+
     relations = []
     for fi, (members_f, intervals_f) in enumerate(teams):
         x_f = intervals_f[0][0]
-        for oi, (members_o, intervals_o) in enumerate(teams):
+        for oi in sharing(members_f):
             if fi == oi:
                 continue
+            members_o, intervals_o = teams[oi]
             shared = len(members_f & members_o)
             if 2 * shared < max(len(members_f), len(members_o)):
                 continue
@@ -249,7 +263,8 @@ def derive_truth_overlaps(teams: list[tuple[frozenset[str], list[Interval]]]) ->
                     and members_c <= overlap
                     and 2 * len(members_c) >= len(members_f)
                     and intervals_c[0][0] < x_f
-                    for ci, (members_c, intervals_c) in enumerate(teams)
+                    for ci in sharing(overlap)
+                    for members_c, intervals_c in [teams[ci]]
                 )
                 kind = "offshoot_shared_core" if shared_core else "offshoot_no_shared_core"
             impulse = {

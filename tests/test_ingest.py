@@ -1,10 +1,16 @@
+import csv
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from teammine.errors import IngestError
 from teammine.ingest import (DocType, IngestConfig, corpus_stats, load_citations,
-                             load_publications, write_publications_jsonl)
+                             load_publications, publication_to_dict,
+                             read_publications_jsonl, write_publications_jsonl)
+from teammine.pipeline import Pipeline, PipelineConfig
+from teammine.presets import random_planted_config, wired_overlap_config
 from teammine.synthgen import SynthConfig, generate_corpus
 
 from helpers import pub_json, tag_table, write_citations, write_jsonl
@@ -139,6 +145,114 @@ def test_stored_records_satisfy_invariants(tmp_path):
                     assert -90 <= aff.lat <= 90 and -180 <= aff.lon <= 180
 
 
+def test_crlf_lines_load_like_lf(tmp_path):
+    records = [pub_json("p1", 2010, ["a1"]), pub_json("p2", 1999, ["a1"]),
+               pub_json("p3", 2011, ["a2"])]
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    write_jsonl(lf, records)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    a, b = load_publications(lf, CONFIG), load_publications(crlf, CONFIG)
+    assert a.records == b.records
+    assert a.rejects == b.rejects == [(2, "year_window")]
+
+
+def _with_bad_second_line(path, line: bytes):
+    path.write_bytes(json.dumps(pub_json("p1", 2010, ["a1"])).encode() + b"\n" + line + b"\n")
+
+
+def test_invalid_utf8_line_is_ingest_error(tmp_path):
+    path = tmp_path / "pubs.jsonl"
+    _with_bad_second_line(path, b'{"pub_id": "\xff"}')
+    with pytest.raises(IngestError, match="line 2: invalid UTF-8"):
+        load_publications(path, CONFIG)
+
+
+def test_deeply_nested_line_is_ingest_error(tmp_path):
+    path = tmp_path / "pubs.jsonl"
+    _with_bad_second_line(path, b"[" * 200_000)
+    with pytest.raises(IngestError, match="line 2: invalid JSON"):
+        load_publications(path, CONFIG)
+
+
+def test_integer_over_digit_limit_is_ingest_error(tmp_path):
+    path = tmp_path / "pubs.jsonl"
+    record = json.dumps(pub_json("p2", 2010, ["a1"])).replace("2010", "9" * 5000)
+    _with_bad_second_line(path, record.encode())
+    with pytest.raises(IngestError, match="line 2: invalid JSON"):
+        load_publications(path, CONFIG)
+
+
+@pytest.mark.parametrize("escape", ["\\ud800", "\\uDFFFx", "\\ude00\\ud83d"])
+def test_unpaired_surrogate_escape_is_ingest_error(tmp_path, escape):
+    path = tmp_path / "pubs.jsonl"
+    record = json.dumps(pub_json("p2", 2010, ["a1"], affs=[{"org_id": "o1"}]))
+    _with_bad_second_line(path, record.replace('"o1"', f'"o{escape}"').encode())
+    with pytest.raises(IngestError, match="line 2: unpaired surrogate escape"):
+        load_publications(path, CONFIG)
+
+
+def test_paired_surrogate_escape_is_a_character(tmp_path):
+    path = tmp_path / "pubs.jsonl"
+    write_jsonl(path, [pub_json("p\U0001F600", 2010, ["a1"])])  # written as \ud83d\ude00
+    assert "\\ud83d\\ude00" in path.read_text()
+    assert [r.pub_id for r in load_publications(path, CONFIG)] == ["p\U0001F600"]
+
+
+@pytest.mark.parametrize("key,sign", [("lat", ""), ("lon", "-")])
+def test_integer_coordinate_too_large_for_float_rejected(tmp_path, key, sign):
+    path = tmp_path / "pubs.jsonl"
+    record = pub_json("p2", 2010, ["a1"], affs=[{"lat": 0, "lon": 0}])
+    line = json.dumps(record).replace(f'"{key}": 0', f'"{key}": {sign}{"4" * 400}')
+    _with_bad_second_line(path, line.encode())
+    pubs = load_publications(path, CONFIG)
+    assert [r.pub_id for r in pubs] == ["p1"]
+    assert pubs.rejects == [(2, "coordinates")]
+
+
+# --- the canonical reader ---
+
+def _assert_reader_matches_loader(canonical):
+    loaded = load_publications(canonical, IngestConfig(year_min=-10**6, year_max=10**6))
+    read = read_publications_jsonl(canonical)
+    assert read.records == loaded.records
+    assert read.rejects == [] and read.input_lines == len(read)
+    assert all(a.author_id is b.author_id
+               for x, y in zip(read, loaded) for a, b in zip(x.authors, y.authors))
+
+
+@pytest.mark.parametrize("preset", [wired_overlap_config, random_planted_config])
+def test_reader_matches_loader_on_run_corpus(tmp_path, preset):
+    config = preset()
+    generate_corpus(config, tmp_path / "corpus")
+    out = tmp_path / "out"
+    Pipeline(PipelineConfig(pubs_path=str(tmp_path / "corpus" / "publications.jsonl"),
+                            citations_path=str(tmp_path / "corpus" / "citations.csv"),
+                            out_dir=str(out), year_min=config.year_min,
+                            year_max=config.year_max)).run("ingest")
+    _assert_reader_matches_loader(out / "canonical_publications.jsonl")
+
+
+def test_reader_matches_loader_on_every_affiliation_shape(tmp_path):
+    geo_only = {"lat": 1, "lon": -2}
+    org_only = {"org_id": "o9"}
+    full = {"org_id": "o1", "city_id": "c1", "country": "NL", "lat": 52.5, "lon": 4}
+    records = [
+        pub_json("p1", 2010, ["a1", "a2"], affs=[geo_only]),
+        pub_json("p2", 2011, ["a1"], affs=[org_only]),
+        pub_json("p3", 2012, ["a3", "a1"], affs=[full, org_only, geo_only]),
+        pub_json("p4", 2013, ["a2"], doc_type="Proceeding Paper", fields=("F2", "F1", "F2")),
+    ]
+    raw = tmp_path / "pubs.jsonl"
+    write_jsonl(raw, records)
+    canonical = tmp_path / "canonical.jsonl"
+    write_publications_jsonl(load_publications(raw, CONFIG), canonical)
+    _assert_reader_matches_loader(canonical)
+    p3 = read_publications_jsonl(canonical).get("p3")
+    assert [len(a.affiliations) for a in p3.authors] == [3, 3]
+    assert p3.authors[0].affiliations[2].lat == 1.0
+    assert isinstance(p3.authors[0].affiliations[0].lon, float)
+
+
 # --- citations ---
 
 def _pubs_for_citations(tmp_path):
@@ -204,6 +318,133 @@ def test_malformed_citation_line_fatal(tmp_path):
         fh.write("citing_pub_id,cited_pub_id,citing_year\nx1,p1,notayear\n")
     with pytest.raises(IngestError, match="line 2"):
         load_citations(path, pubs)
+
+
+def test_invalid_utf8_citation_line_is_ingest_error(tmp_path):
+    pubs = _pubs_for_citations(tmp_path)
+    path = tmp_path / "cites.csv"
+    path.write_bytes(b"citing_pub_id,cited_pub_id,citing_year\nx1,p1,2010\nx2,\xff,2011\n")
+    with pytest.raises(IngestError, match="line 3: invalid UTF-8"):
+        load_citations(path, pubs)
+
+
+def test_oversized_citation_field_is_ingest_error(tmp_path):
+    pubs = _pubs_for_citations(tmp_path)
+    path = tmp_path / "cites.csv"
+    path.write_text("citing_pub_id,cited_pub_id,citing_year\nx0,p1,2010\n"
+                    f"x1,{'p' * 140_000},2011\n")
+    with pytest.raises(IngestError, match="line 3: malformed CSV"):
+        load_citations(path, pubs)
+
+
+def test_crlf_citation_lines(tmp_path):
+    pubs = _pubs_for_citations(tmp_path)
+    path = tmp_path / "cites.csv"
+    path.write_bytes(b"citing_pub_id,cited_pub_id,citing_year\r\nx1,p1,2010\r\nx2,p2,\r\n")
+    cites = load_citations(path, pubs)
+    assert [(e.citing_pub_id, e.citing_year) for e in cites] == [("x1", 2010)]
+    assert cites.drop_counts == {"missing_year": 1}
+
+
+# --- fuzzing: a record, a counted reject, or an IngestError naming the line ---
+
+# lone surrogates too: json.dumps writes them as unpaired \uD800-\uDFFF escapes
+_texts = st.text(max_size=8) | st.text(st.characters(categories=["Cs", "Ll"]), max_size=3)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _texts,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+_DELETE = object()
+_PATHS = [("pub_id",), ("year",), ("doc_type",), ("fields",), ("authors",),
+          ("authors", 0), ("authors", 0, "author_id"), ("authors", 0, "affiliations"),
+          ("authors", 0, "affiliations", 0), ("authors", 0, "affiliations", 0, "lat"),
+          ("authors", 0, "affiliations", 0, "lon"), ("authors", 0, "affiliations", 0, "org_id")]
+
+
+@st.composite
+def _pub_lines(draw) -> bytes:
+    """Arbitrary bytes, an arbitrary JSON value, or a valid record with one
+    value at any depth replaced by an arbitrary one or deleted."""
+    kind = draw(st.sampled_from(["bytes", "value", "record"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    if kind == "value":
+        return json.dumps(draw(_json_values)).encode()
+    record = pub_json(draw(st.sampled_from(["p1", "p2", "p3"])), 2010, ["a1", "a2"])
+    *parents, key = draw(st.sampled_from(_PATHS))
+    target = record
+    for step in parents:
+        target = target[step]
+    new = draw(_texts | _json_values | st.just(_DELETE))
+    if new is _DELETE:
+        del target[key]
+    else:
+        target[key] = new
+    return json.dumps(record).encode()
+
+
+def _line_bound(data: bytes) -> int:
+    return data.count(b"\n") + data.count(b"\r") + 1
+
+
+def _assert_names_line(exc: IngestError, data: bytes):
+    assert exc.line is not None and 1 <= exc.line <= _line_bound(data)
+    assert str(exc).startswith(f"line {exc.line}: ")
+
+
+_FUZZ = settings(max_examples=300, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(lines=st.lists(_pub_lines(), max_size=4))
+def test_fuzz_load_publications(tmp_path, lines):
+    data = b"\n".join(lines)
+    path = tmp_path / "pubs.jsonl"
+    path.write_bytes(data)
+    try:
+        pubs = load_publications(path, CONFIG)
+    except IngestError as exc:
+        _assert_names_line(exc, data)
+        return
+    assert len(pubs) + len(pubs.rejects) == pubs.input_lines
+    for rec in pubs:  # every string can go into a UTF-8 artifact
+        json.dumps(publication_to_dict(rec), ensure_ascii=False).encode()
+    canonical = tmp_path / "canonical.jsonl"
+    write_publications_jsonl(pubs, canonical)
+    assert read_publications_jsonl(canonical).records == pubs.records
+
+
+def _csv_line(fields) -> bytes:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="").writerow(fields)
+    return buffer.getvalue().encode()
+
+
+_citation_fields = (st.sampled_from(["p1", "p2", "ghost", "", "2011", "2009", "x"])
+                    | st.text(max_size=6))
+
+
+@_FUZZ
+@given(lines=st.lists(st.binary(max_size=30)
+                      | st.lists(_citation_fields, max_size=4).map(_csv_line),
+                      max_size=4))
+def test_fuzz_load_citations(tmp_path, lines):
+    pubs = _pubs_for_citations(tmp_path)
+    data = b"\n".join([b"citing_pub_id,cited_pub_id,citing_year", *lines])
+    path = tmp_path / "cites.csv"
+    path.write_bytes(data)
+    try:
+        cites = load_citations(path, pubs)
+    except IngestError as exc:
+        _assert_names_line(exc, data)
+        return
+    for event in cites:
+        assert event.cited_pub_id in pubs
+        assert event.citing_year >= pubs.get(event.cited_pub_id).year
 
 
 # --- document type prevalence ---

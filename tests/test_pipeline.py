@@ -1,11 +1,12 @@
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
 from teammine.cli import main
-from teammine.errors import (ConfigError, MissingArtifactError, StaleCacheError,
-                             UnknownTeamError)
+from teammine.errors import (ConfigError, IngestError, MissingArtifactError,
+                             StaleCacheError, UnknownTeamError)
 from teammine.pipeline import (EXTERNAL_INPUTS, FIGURE_STEMS, STAGE_TABLE, STAGES, Pipeline,
                                PipelineConfig, producers)
 from teammine.synthgen import fig_s1_corpus
@@ -59,16 +60,28 @@ def test_single_stage_without_prereq_errors(s1_corpus, tmp_path):
         Pipeline(config).run("mine")
 
 
-def test_stale_prereq_artifact_refused(s1_corpus, tmp_path):
+def _first_line_again(text: str) -> str:
+    # a duplicate pub_id, which only ingest's validation would catch
+    return text + text.splitlines(keepends=True)[0]
+
+
+@pytest.mark.parametrize("artifact,edit,stage,prereq", [
+    ("persistent_edges.csv", lambda text: text + "Z,Q,1-2\n", "mine", "persist"),
+    ("canonical_publications.jsonl", _first_line_again, "stats", "ingest"),
+], ids=["persistent_edges.csv", "canonical_publications.jsonl"])
+def test_stale_prereq_artifact_refused(s1_corpus, tmp_path, artifact, edit, stage, prereq):
     out = tmp_path / "out"
     run_pipeline(s1_corpus, out, 1, 8)
-    edges = out / "persistent_edges.csv"
-    edges.write_text(edges.read_text() + "Z,Q,1-2\n")
+    path = out / artifact
+    original = path.read_bytes()
+    path.write_text(edit(path.read_text()))
     config = PipelineConfig(pubs_path=str(s1_corpus / "publications.jsonl"),
                             citations_path=str(s1_corpus / "citations.csv"),
                             out_dir=str(out), year_min=1, year_max=8, margin_years=0)
-    with pytest.raises(StaleCacheError, match="rerun 'persist'"):
-        Pipeline(config).run("mine")
+    with pytest.raises(StaleCacheError, match=f"rerun '{prereq}'"):
+        Pipeline(config).run(stage)
+    assert Pipeline(config).run("all")[prereq] == "ran"
+    assert path.read_bytes() == original
 
 
 def test_changed_config_reruns_stage(s1_corpus, tmp_path):
@@ -333,3 +346,22 @@ def test_manifest_write_is_atomic(s1_corpus, tmp_path, monkeypatch):
                             citations_path=str(s1_corpus / "citations.csv"),
                             out_dir=str(out), year_min=1, year_max=8, margin_years=0)
     assert Pipeline(config).manifest == json.loads(old)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_gc_state(s1_corpus, tmp_path, enabled):
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("{not json\n")
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        run_pipeline(s1_corpus, tmp_path / "out", 1, 8)
+        assert gc.isenabled() is enabled
+        config = PipelineConfig(pubs_path=str(broken),
+                                citations_path=str(s1_corpus / "citations.csv"),
+                                out_dir=str(tmp_path / "broken_out"))
+        with pytest.raises(IngestError, match="line 1"):
+            Pipeline(config).run("all")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

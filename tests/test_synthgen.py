@@ -5,10 +5,11 @@ from teammine.ingest import IngestConfig, load_publications
 from teammine.intervals import merge_union
 from teammine.pairs import build_pair_timelines
 from teammine.persistence import build_persistent_network, persistent_periods
-from teammine.presets import (hazard_config, random_planted_config, shift_config,
-                              wired_overlap_config)
+from teammine.presets import (hazard_config, random_planted_config, scale_config,
+                              shift_config, wired_overlap_config)
 from teammine.synthgen import (GroundTruth, PlantedTeam, SynthConfig,
-                               _pair_interval_map, fig_s1_corpus, generate_corpus,
+                               _pair_interval_map, derive_truth_overlaps,
+                               fig_s1_corpus, generate_corpus,
                                validate_config, verify_against_truth)
 from teammine.teams import TeamTable
 
@@ -160,3 +161,64 @@ def test_planted_success_years_recorded(tmp_path):
     with open(tmp_path / "citations.csv") as fh:
         lines = fh.read().splitlines()
     assert len(lines) > 1  # header plus the planted citation events
+
+
+_IMPULSE = {
+    ("core", "preceding"): "persistence", ("core", "simultaneous"): "none",
+    ("extension", "simultaneous"): "synchronous", ("extension", "succeeding"): "freshness",
+    ("offshoot_shared_core", "preceding"): "none",
+    ("offshoot_shared_core", "simultaneous"): "synchronous",
+    ("offshoot_shared_core", "succeeding"): "freshness",
+    ("offshoot_no_shared_core", "preceding"): "persistence",
+    ("offshoot_no_shared_core", "simultaneous"): "synchronous",
+    ("offshoot_no_shared_core", "succeeding"): "freshness",
+}
+
+
+def all_pairs_truth_overlaps(teams):
+    """The rules applied to every ordered pair of teams and every third team."""
+    relations = []
+    for fi, (members_f, intervals_f) in enumerate(teams):
+        x_f = intervals_f[0][0]
+        for oi, (members_o, intervals_o) in enumerate(teams):
+            if fi == oi or 2 * len(members_f & members_o) < max(len(members_f),
+                                                                len(members_o)):
+                continue
+            x_o = intervals_o[0][0]
+            timing = ("preceding" if x_o < x_f
+                      else "simultaneous" if x_o == x_f else "succeeding")
+            if members_o < members_f:
+                kind = "core"
+            elif members_f < members_o:
+                kind = "extension"
+            elif any(ci not in (fi, oi) and members_c <= members_f & members_o
+                     and 2 * len(members_c) >= len(members_f) and intervals_c[0][0] < x_f
+                     for ci, (members_c, intervals_c) in enumerate(teams)):
+                kind = "offshoot_shared_core"
+            else:
+                kind = "offshoot_no_shared_core"
+            relations.append({"focal": sorted(members_f), "other": sorted(members_o),
+                              "kind": kind, "timing": timing,
+                              "impulse": _IMPULSE[(kind, timing)]})
+    return relations
+
+
+def _teams_of(config):
+    return [(frozenset(t.members), sorted(t.intervals)) for t in config.teams]
+
+
+# related teams and a shared core that miss the focal team's first member
+_CHAIN = [(frozenset(members), [interval]) for members, interval in [
+    ("ab", (3, 5)), ("bc", (3, 5)), ("cdef", (4, 8)), ("defg", (4, 8)), ("ef", (2, 9))]]
+
+
+@pytest.mark.parametrize("teams", [
+    *(_teams_of(wired_overlap_config(seed=seed)) for seed in (11, 12, 13)),
+    _teams_of(scale_config(seed=5, n_teams=600, background_pubs=0, n_background_authors=0)),
+    _teams_of(shift_config()),
+    _CHAIN,
+], ids=["wired11", "wired12", "wired13", "scale600", "shift", "chain"])
+def test_truth_overlaps_match_all_pairs(teams):
+    expected = all_pairs_truth_overlaps(teams)
+    assert expected
+    assert derive_truth_overlaps(teams) == expected
