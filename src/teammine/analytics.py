@@ -36,13 +36,12 @@ class SeriesTable:
     key_names: tuple[str, ...]
     rows: list[SeriesRow] = field(default_factory=list)
 
-    def add_fraction(self, keys: tuple, count: int, n: int, percent: bool = False,
-                     flag: str = ""):
+    def add_fraction(self, keys: tuple, count: int, n: int, percent: bool = False):
         if n == 0:
-            self.rows.append(SeriesRow(keys, None, 0, None, flag or "no_population"))
+            self.rows.append(SeriesRow(keys, None, 0, None, "no_population"))
             return
         scale = 100 if percent else 1
-        self.rows.append(SeriesRow(keys, scale * count / n, n, count, flag))
+        self.rows.append(SeriesRow(keys, scale * count / n, n, count))
 
     def to_csv(self, path: str | Path):
         write_csv(path, [*self.key_names, "value", "n", "flag"],
@@ -134,17 +133,13 @@ def team_prevalence_by_country(pubs: PublicationTable, teams: list[Team]) -> Ser
 # --- freshness -----------------------------------------------------------------
 
 def success_prob_by_age(teams: list[Team], pubs: PublicationTable,
-                        tags: SuccessTagTable, which: str,
-                        duration_bin_width: int | None = None) -> SeriesTable:
+                        tags: SuccessTagTable, which: str) -> SeriesTable:
     """P(publication is highly cited) by team duration cohort and team age."""
     cells: dict[tuple[int, int], list[int]] = {}
     for team in teams:
-        cohort = team.duration
-        if duration_bin_width is not None:
-            cohort = (cohort - 1) // duration_bin_width * duration_bin_width + 1
         for pub_id in team.pubs:
             age = pubs.get(pub_id).year - team.duration_start + 1
-            cell = cells.setdefault((cohort, age), [0, 0])
+            cell = cells.setdefault((team.duration, age), [0, 0])
             cell[0] += 1
             cell[1] += _is_top(tags.get(pub_id), which)
     table = SeriesTable("fig2a", ("duration", "age"))

@@ -92,7 +92,7 @@ def _cmd_verify(args) -> int:
     except FileNotFoundError:
         raise TeammineError(f"truth file {args.truth} not found; write it with "
                             f"'teammine synth'") from None
-    except ValueError:  # truncated or not JSON
+    except (ValueError, KeyError, TypeError, AttributeError):  # not a truth object
         raise TeammineError(f"truth file {args.truth} is not a truth.json written "
                             f"by 'teammine synth'") from None
     for name in ("teams.csv", "team_pubs.csv", "overlaps.csv", "success_tags.csv"):
@@ -151,7 +151,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TeammineError as exc:
+    except (TeammineError, OSError) as exc:  # OSError: an unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,11 +11,11 @@ Publications arrive as line-delimited JSON, one record per line::
 
 Citations arrive as CSV with header ``citing_pub_id,cited_pub_id,citing_year``.
 
-Structurally broken lines (invalid UTF-8 or JSON, missing keys, wrong types)
-abort the load with the offending line number. Records that parse but violate
-a domain rule (filtered document type, year outside the window, author
-without a usable affiliation, ...) are rejected and counted per reason, never
-stored.
+Structurally broken lines (invalid UTF-8 or JSON, missing keys, wrong types,
+an author id containing the member separator ``;``) abort the load with the
+offending line number. Records that parse but violate a domain rule (filtered
+document type, year outside the window, author without a usable affiliation,
+...) are rejected and counted per reason, never stored.
 """
 
 from __future__ import annotations
@@ -86,12 +86,6 @@ class CitationEvent:
     citing_pub_id: str
     cited_pub_id: str
     citing_year: int
-
-
-@dataclass
-class IngestConfig:
-    year_min: int = 2008
-    year_max: int = 2020
 
 
 @dataclass
@@ -212,6 +206,8 @@ def _parse_record(raw: object, line: int) -> tuple[str, int, str, tuple[str, ...
         _require(isinstance(entry, dict), "author entry is not an object", line)
         _require(isinstance(entry.get("author_id"), str) and entry["author_id"] != "",
                  "author_id must be a non-empty string", line)
+        # ';' separates the members in cliques.csv and teams.csv
+        _require(";" not in entry["author_id"], "author_id must not contain ';'", line)
         affs = entry.get("affiliations")
         _require(isinstance(affs, list), "affiliations must be a list", line)
         authors.append(AuthorEntry(
@@ -223,11 +219,12 @@ def _parse_record(raw: object, line: int) -> tuple[str, int, str, tuple[str, ...
 
 
 def _domain_reject_reason(year: int, doc_type_raw: str, fields: tuple[str, ...],
-                          authors: tuple[AuthorEntry, ...], config: IngestConfig) -> str | None:
+                          authors: tuple[AuthorEntry, ...], year_min: int,
+                          year_max: int) -> str | None:
     """First violated domain rule, or None when the record is acceptable."""
     if doc_type_raw not in _DOC_TYPE_ALIASES:
         return "doc_type"
-    if not (config.year_min <= year <= config.year_max):
+    if not (year_min <= year <= year_max):
         return "year_window"
     if not fields:
         return "fields"
@@ -250,8 +247,9 @@ def _domain_reject_reason(year: int, doc_type_raw: str, fields: tuple[str, ...],
     return None
 
 
-def load_publications(path: str | Path, config: IngestConfig) -> PublicationTable:
-    """Read a publications file, keeping only records that pass every rule.
+def load_publications(path: str | Path, year_min: int, year_max: int) -> PublicationTable:
+    """Read a publications file, keeping only records that pass every rule;
+    a record outside the years ``year_min..year_max`` is a ``year_window`` reject.
 
     Raises IngestError (with the line number) for structurally malformed lines
     and for duplicate pub_ids; domain violations become reject rows instead.
@@ -281,7 +279,8 @@ def load_publications(path: str | Path, config: IngestConfig) -> PublicationTabl
             if pub_id in seen_ids:
                 raise IngestError(f"duplicate pub_id {pub_id!r}", line=line_no)
             seen_ids.add(pub_id)
-            reason = _domain_reject_reason(year, doc_type_raw, fields, authors, config)
+            reason = _domain_reject_reason(year, doc_type_raw, fields, authors,
+                                           year_min, year_max)
             if reason is not None:
                 rejects.append((line_no, reason))
                 continue

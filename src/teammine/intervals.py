@@ -58,6 +58,6 @@ def format_intervals(intervals) -> str:
 def parse_intervals(raw: str) -> list[Interval]:
     out = []
     for chunk in raw.split(";"):
-        s, e = chunk.split("-")
-        out.append((int(s), int(e)))
+        cut = chunk.index("-", 1)  # past a start year's own minus sign
+        out.append((int(chunk[:cut]), int(chunk[cut + 1:])))
     return out

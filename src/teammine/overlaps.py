@@ -213,27 +213,20 @@ class TeamSuccessProfile:
     has_top1: bool
     first_top10_year: int | None
     first_top1_year: int | None
-    n_top10: int
-    n_top1: int
 
 
 def team_success_profile(team: Team, pubs, tags) -> TeamSuccessProfile:
     first10 = first1 = None
-    n10 = n1 = 0
     for pub_id in team.pubs:  # sorted by (year, pub_id)
         tag = tags.get(pub_id)
         if tag is None:
             continue
         year = pubs.get(pub_id).year
-        if tag.top10:
-            n10 += 1
-            if first10 is None:
-                first10 = year
-        if tag.top1:
-            n1 += 1
-            if first1 is None:
-                first1 = year
-    return TeamSuccessProfile(n10 > 0, n1 > 0, first10, first1, n10, n1)
+        if tag.top10 and first10 is None:
+            first10 = year
+        if tag.top1 and first1 is None:
+            first1 = year
+    return TeamSuccessProfile(first10 is not None, first1 is not None, first10, first1)
 
 
 @dataclass

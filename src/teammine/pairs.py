@@ -18,10 +18,10 @@ def canonical_pair(a: str, b: str) -> Pair:
     return (a, b) if a < b else (b, a)
 
 
-def build_pair_timelines(pubs, author_cap: int | None = None) -> dict[Pair, list[int]]:
+def build_pair_timelines(pubs, author_cap: int = 0) -> dict[Pair, list[int]]:
     """Year multiset per co-authoring pair, sorted ascending.
 
-    author_cap, when set, excludes publications with more than that many
+    author_cap, when above 0, excludes publications with more than that many
     authors from pair generation (hyper-authorship escape hatch); the
     publications themselves stay in the corpus for association and statistics.
     """
@@ -30,7 +30,7 @@ def build_pair_timelines(pubs, author_cap: int | None = None) -> dict[Pair, list
         ids = rec.author_ids()
         if len(ids) < 2:
             continue
-        if author_cap is not None and len(ids) > author_cap:
+        if 0 < author_cap < len(ids):
             continue
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):

@@ -24,10 +24,10 @@ from teammine.cliques import (CliqueParams, enumerate_maximal_cliques,
 from teammine.csvio import write_csv
 from teammine.errors import (ConfigError, MissingArtifactError, StaleCacheError,
                              TeammineError, UnknownTeamError)
-from teammine.ingest import (IngestConfig, corpus_stats, load_citations,
-                             load_publications, read_publications_jsonl,
-                             write_citations_csv, write_corpus_stats_csv,
-                             write_publications_jsonl, write_rejects_csv)
+from teammine.ingest import (corpus_stats, load_citations, load_publications,
+                             read_publications_jsonl, write_citations_csv,
+                             write_corpus_stats_csv, write_publications_jsonl,
+                             write_rejects_csv)
 from teammine.overlaps import (classify_all, read_impulses_csv, read_overlaps_csv,
                                summarize_all, write_impulses_csv, write_overlaps_csv)
 from teammine.pairs import (build_pair_timelines, canonical_pair,
@@ -123,15 +123,18 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         config = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{line_no}: expected key = value")
-                key, _, value = line.partition("=")
-                config.set_option(key.strip(), value.strip())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                for line_no, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    if "=" not in line:
+                        raise ConfigError(f"{path}:{line_no}: expected key = value")
+                    key, _, value = line.partition("=")
+                    config.set_option(key.strip(), value.strip())
+        except UnicodeDecodeError:
+            raise ConfigError(f"configuration file {path} is not UTF-8") from None
         return config
 
     def set_option(self, key: str, value: str):
@@ -193,6 +196,8 @@ class Pipeline:
         config.validate()
         self.config = config
         self.out_dir = Path(config.out_dir)
+        if self.out_dir.exists() and not self.out_dir.is_dir():
+            raise ConfigError(f"out dir {self.out_dir} exists and is not a directory")
         self.manifest_path = self.out_dir / "manifest.json"
         self.manifest: dict = {}
         if self.manifest_path.exists():
@@ -310,9 +315,8 @@ class Pipeline:
     # --- stage bodies ---
 
     def _stage_ingest(self) -> dict:
-        pubs = load_publications(self.config.pubs_path,
-                                 IngestConfig(year_min=self.config.year_min,
-                                              year_max=self.config.year_max))
+        pubs = load_publications(self.config.pubs_path, self.config.year_min,
+                                 self.config.year_max)
         citations = load_citations(self.config.citations_path, pubs)
         write_publications_jsonl(pubs, self._artifact("canonical_publications.jsonl"))
         write_citations_csv(citations, self._artifact("canonical_citations.csv"))
@@ -338,8 +342,7 @@ class Pipeline:
         return {"tagged_top10": top10, "tagged_top1": top1, "cells": len(thresholds) // 2}
 
     def _stage_network(self) -> dict:
-        cap = self.config.author_cap if self.config.author_cap > 0 else None
-        timelines = build_pair_timelines(self._load("pubs"), author_cap=cap)
+        timelines = build_pair_timelines(self._load("pubs"), self.config.author_cap)
         write_pair_timelines_csv(timelines, self._artifact("pair_timelines.csv"))
         self._mem["timelines"] = timelines
         return {"pairs": len(timelines)}

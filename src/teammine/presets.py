@@ -166,9 +166,10 @@ def shift_config(seed: int = 31, per_group: int = 40, duration: int = 6) -> Synt
 
 
 def scale_config(seed: int = 47, n_teams: int = 60_000,
-                 background_pubs: int = 625_000,
-                 n_background_authors: int = 120_000) -> SynthConfig:
-    """Roughly one million publications and three hundred thousand authors."""
+                 background_pubs: int = 702_000,
+                 n_background_authors: int = 121_000) -> SynthConfig:
+    """At its defaults, one million publications and over three hundred
+    thousand authors: the size of acceptance criterion 9."""
     rng = random.Random(seed * 15485863)
     year_min, year_max = 1, 13
     sizes = (2, 3, 4)

@@ -18,10 +18,12 @@ Construction guarantees (checked up front, violations raise):
 * background pairs stay below the persistence minimum, so with a disjoint
   background author pool the planted teams are the only teams.
 
-Success planting controls citation counts per (field, year) cell: intended
-successes receive distinct counts descending from the top, everything else
-zero, and single-author filler publications pad each cell so the intended set
-is exactly what the percentile rule tags. All randomness flows from one seed
+Every generated publication, planted rejects aside, is an Article in field
+``F0``, so a (field, year) cell of the percentile rule is one publication
+year. Success planting controls citation counts per cell: intended successes
+receive distinct counts descending from the top, everything else zero, and
+single-author filler publications pad each cell so the intended set is
+exactly what the percentile rule tags. All randomness flows from one seed
 through a Mersenne Twister (``random.Random``), so corpora are byte-for-byte
 reproducible.
 """
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +42,7 @@ from teammine.pairs import canonical_pair
 from teammine.persistence import PersistenceParams
 
 _COUNTRIES = ("US", "CN", "NL", "DE", "GB", "FR", "JP", "BR", "IN", "AU")
+_FIELD = "F0"
 
 
 @dataclass(frozen=True)
@@ -60,15 +63,9 @@ class SynthConfig:
     background_pubs: int = 0
     background_multi_frac: float = 0.5
     background_max_authors: int = 3
-    background_doc_weights: tuple[tuple[str, float], ...] = (("Article", 1.0),)
-    noise_pair_max_pubs: int = 2
     success_hazard: float | None = None  # per-age success draw for teams without a plan
     success_q: str = "0.10"              # percentile the planted successes target
-    fields: tuple[str, ...] = ("F0",)
     reject_fraction: float = 0.0         # fraction of input lines planted as rejects
-    author_profiles: dict[str, dict] = field(default_factory=dict)
-    persistence: PersistenceParams = field(default_factory=PersistenceParams)
-    pad_cells: bool = True
 
 
 @dataclass
@@ -125,9 +122,9 @@ def _pair_interval_map(teams: tuple[PlantedTeam, ...]) -> dict[tuple[str, str], 
     return pair_intervals
 
 
-def validate_config(config: SynthConfig) -> dict[tuple[str, str], list[Interval]]:
-    """Check the construction guarantees; returns the merged pair periods."""
-    params = config.persistence
+def validate_config(config: SynthConfig):
+    """Check the construction guarantees; raise InfeasibleConfigError if one fails."""
+    params = PersistenceParams()
 
     def fail(rule: str, detail: str):
         raise InfeasibleConfigError(f"{rule}: {detail}")
@@ -206,20 +203,13 @@ def validate_config(config: SynthConfig) -> dict[tuple[str, str], list[Interval]
                         fail("team_maximality", f"author {v} is connected to all of "
                                                 f"team {idx} across {interval}")
 
-    from teammine.ingest import _DOC_TYPE_ALIASES
-    for name, _ in config.background_doc_weights:
-        if name not in _DOC_TYPE_ALIASES:
-            fail("doc_type", f"unknown background document type {name!r}")
     if config.background_pubs and config.n_background_authors < config.background_max_authors:
         fail("background_pool", "background author pool smaller than the largest "
                                 "background publication")
-    if config.noise_pair_max_pubs >= params.min_pubs:
-        fail("noise_cap", "noise pairs allowed enough publications to become persistent")
     if not 0.0 <= config.reject_fraction < 1.0:
         fail("reject_fraction", "must lie in [0, 1)")
     if config.success_q not in ("0.01", "0.10"):
         fail("success_q", "must be '0.01' or '0.10'")
-    return pair_periods
 
 
 # --- ground-truth derivation ------------------------------------------------------
@@ -304,32 +294,27 @@ def _cell_truth_tags(cell: list[tuple[str, int]], q: Fraction) -> set[str]:
 class _Pub:
     pub_id: str
     year: int
-    field_id: str
     authors: tuple[str, ...]
-    doc_type: str = "Article"
 
 
 class _AuthorBook:
     """Deterministic affiliation per author, assigned at first sight."""
 
-    def __init__(self, profiles: dict[str, dict]):
-        self.profiles = dict(profiles)
-        self._order: dict[str, int] = {}
+    def __init__(self):
+        self.profiles: dict[str, dict] = {}
 
     def affiliation(self, author_id: str) -> dict:
-        if author_id in self.profiles:
-            return self.profiles[author_id]
-        if author_id not in self._order:
-            self._order[author_id] = len(self._order)
-        i = self._order[author_id]
-        profile = {
-            "org_id": f"o{i}",
-            "city_id": f"c{i}",
-            "country": _COUNTRIES[i % len(_COUNTRIES)],
-            "lat": float(((i * 37) % 140) - 70) + 0.25,
-            "lon": float(((i * 73) % 340) - 170) + 0.25,
-        }
-        self.profiles[author_id] = profile
+        profile = self.profiles.get(author_id)
+        if profile is None:
+            i = len(self.profiles)
+            profile = {
+                "org_id": f"o{i}",
+                "city_id": f"c{i}",
+                "country": _COUNTRIES[i % len(_COUNTRIES)],
+                "lat": float(((i * 37) % 140) - 70) + 0.25,
+                "lon": float(((i * 73) % 340) - 170) + 0.25,
+            }
+            self.profiles[author_id] = profile
         return profile
 
 
@@ -339,14 +324,13 @@ def generate_corpus(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
     out_dir.mkdir(parents=True, exist_ok=True)
     validate_config(config)
     rng = random.Random(config.seed)
-    book = _AuthorBook(config.author_profiles)
+    book = _AuthorBook()
     pubs: list[_Pub] = []
     intended: set[str] = set()  # pub ids planted as successes for success_q
     team_rows: list[dict] = []
 
     # planted teams publish with all members in every interval year
     for idx, team in enumerate(config.teams):
-        field_id = config.fields[idx % len(config.fields)]
         duration_start = team.intervals[0][0]
         success_years: set[int] = set()
         if team.success_ages:
@@ -360,7 +344,7 @@ def generate_corpus(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
             for year in range(start, end + 1):
                 for k in range(team.pubs_per_year):
                     pub_id = f"t{idx}_y{year}_{k}"
-                    pubs.append(_Pub(pub_id, year, field_id, team.members))
+                    pubs.append(_Pub(pub_id, year, team.members))
                     if k == 0 and year in success_years:
                         intended.add(pub_id)
         team_rows.append({
@@ -370,13 +354,12 @@ def generate_corpus(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
         })
 
     # background noise, capped so no background pair can turn persistent
-    doc_names = [name for name, _ in config.background_doc_weights]
-    doc_weights = [w for _, w in config.background_doc_weights]
+    pair_cap = PersistenceParams().min_pubs - 1
     pool = [f"bg{i}" for i in range(config.n_background_authors)]
     pair_budget: dict[tuple[str, str], int] = {}
     for bi in range(config.background_pubs):
         year = rng.randrange(config.year_min, config.year_max + 1)
-        doc_type = rng.choices(doc_names, weights=doc_weights)[0]
+        rng.random()  # unused draw, kept: every seeded corpus depends on the stream
         size = 1
         if pool and rng.random() < config.background_multi_frac:
             size = rng.randint(2, config.background_max_authors)
@@ -388,39 +371,37 @@ def generate_corpus(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
                 chosen = tuple(sorted(rng.sample(pool, size)))
                 pairs = [canonical_pair(a, b)
                          for i, a in enumerate(chosen) for b in chosen[i + 1:]]
-                if all(pair_budget.get(p, 0) < config.noise_pair_max_pubs for p in pairs):
+                if all(pair_budget.get(p, 0) < pair_cap for p in pairs):
                     for p in pairs:
                         pair_budget[p] = pair_budget.get(p, 0) + 1
                     authors = chosen
                     break
             else:
                 authors = (pool[rng.randrange(len(pool))],)
-        pubs.append(_Pub(f"b{bi}", year, config.fields[bi % len(config.fields)],
-                         authors, doc_type))
+        pubs.append(_Pub(f"b{bi}", year, authors))
 
-    # pad cells so the intended successes are exactly what the percentile tags
+    # pad year cells so the intended successes are exactly what the percentile tags
     q_target = Fraction(config.success_q)
-    if config.pad_cells and intended:
-        cells: dict[tuple[str, int], int] = {}
-        success_per_cell: dict[tuple[str, int], int] = {}
+    if intended:
+        cells: dict[int, int] = {}
+        success_per_cell: dict[int, int] = {}
         for pub in pubs:
-            key = (pub.field_id, pub.year)
-            cells[key] = cells.get(key, 0) + 1
+            cells[pub.year] = cells.get(pub.year, 0) + 1
             if pub.pub_id in intended:
-                success_per_cell[key] = success_per_cell.get(key, 0) + 1
+                success_per_cell[pub.year] = success_per_cell.get(pub.year, 0) + 1
         filler = 0
-        for key in sorted(success_per_cell):
-            s = success_per_cell[key]
+        for year in sorted(success_per_cell):
+            s = success_per_cell[year]
             need = (s - 1) * q_target.denominator // q_target.numerator + 1
-            for _ in range(max(0, need - cells[key])):
+            for _ in range(max(0, need - cells[year])):
                 pub_id = f"f{filler}"
                 filler += 1
-                pubs.append(_Pub(pub_id, key[1], key[0], (f"fill{filler % 97}",)))
+                pubs.append(_Pub(pub_id, year, (f"fill{filler % 97}",)))
 
     # citation counts: distinct descending for intended successes, zero elsewhere
-    by_cell: dict[tuple[str, int], list[str]] = {}
+    by_cell: dict[int, list[str]] = {}
     for pub in pubs:
-        by_cell.setdefault((pub.field_id, pub.year), []).append(pub.pub_id)
+        by_cell.setdefault(pub.year, []).append(pub.pub_id)
     counts: dict[str, int] = {}
     for key in sorted(by_cell):
         rank = 0
@@ -445,7 +426,7 @@ def generate_corpus(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
     if config.reject_fraction > 0.0:
         n_reject = round(len(lines) * config.reject_fraction / (1.0 - config.reject_fraction))
         for ri in range(n_reject):
-            lines.append(_reject_line(ri, config))
+            lines.append(_reject_line(ri, config.year_min))
     rng.shuffle(lines)
     with open(out_dir / "publications.jsonl", "w", encoding="utf-8", newline="") as fh:
         fh.writelines(lines)
@@ -479,8 +460,8 @@ def _pub_line(pub: _Pub, book: _AuthorBook) -> str:
     record = {
         "pub_id": pub.pub_id,
         "year": pub.year,
-        "doc_type": pub.doc_type,
-        "fields": [pub.field_id],
+        "doc_type": "Article",
+        "fields": [_FIELD],
         "authors": [{"author_id": a, "affiliations": [book.affiliation(a)]}
                     for a in pub.authors],
     }
@@ -596,12 +577,12 @@ def fig_s1_corpus(out_dir: str | Path) -> GroundTruth:
     [2,5] once mined."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    book = _AuthorBook({})
+    book = _AuthorBook()
     pubs = []
     i = 0
     for (a, b), years in FIG_S1_PAIR_YEARS.items():
         for year in years:
-            pubs.append(_Pub(f"s{i}", year, "F0", (a, b)))
+            pubs.append(_Pub(f"s{i}", year, (a, b)))
             i += 1
     with open(out_dir / "publications.jsonl", "w", encoding="utf-8", newline="") as fh:
         fh.writelines(_pub_line(pub, book) for pub in pubs)
@@ -621,18 +602,18 @@ def fig_s1_corpus(out_dir: str | Path) -> GroundTruth:
     return truth
 
 
-def _reject_line(ri: int, config: SynthConfig) -> str:
+def _reject_line(ri: int, year: int) -> str:
     if ri % 2 == 0:
         record = {
-            "pub_id": f"r{ri}", "year": config.year_min, "doc_type": "Editorial",
-            "fields": [config.fields[0]],
+            "pub_id": f"r{ri}", "year": year, "doc_type": "Editorial",
+            "fields": [_FIELD],
             "authors": [{"author_id": f"rej{ri}",
                          "affiliations": [{"org_id": "oR"}]}],
         }
     else:
         record = {
-            "pub_id": f"r{ri}", "year": config.year_min, "doc_type": "Article",
-            "fields": [config.fields[0]],
+            "pub_id": f"r{ri}", "year": year, "doc_type": "Article",
+            "fields": [_FIELD],
             "authors": [{"author_id": f"rej{ri}", "affiliations": [{}]}],
         }
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"

@@ -210,11 +210,10 @@ def write_team_pubs_csv(teams: TeamTable, path: str | Path):
               ((team.team_id, pub_id) for team in teams for pub_id in team.pubs))
 
 
-def read_teams_csv(teams_path: str | Path, team_pubs_path: str | Path | None = None) -> TeamTable:
+def read_teams_csv(teams_path: str | Path, team_pubs_path: str | Path) -> TeamTable:
     pubs_by_team: dict[int, list[str]] = {}
-    if team_pubs_path is not None:
-        for team_id, pub_id in read_csv(team_pubs_path):
-            pubs_by_team.setdefault(int(team_id), []).append(pub_id)
+    for team_id, pub_id in read_csv(team_pubs_path):
+        pubs_by_team.setdefault(int(team_id), []).append(pub_id)
     teams = []
     for row in read_csv(teams_path):
         team_id = int(row[0])

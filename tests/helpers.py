@@ -75,7 +75,7 @@ def write_citations(path: Path, rows):
 
 
 def run_pipeline(corpus_dir: Path, out_dir: Path, year_min: int, year_max: int,
-                 **overrides) -> Pipeline:
+                 stage: str = "all", **overrides) -> Pipeline:
     config = PipelineConfig(
         pubs_path=str(Path(corpus_dir) / "publications.jsonl"),
         citations_path=str(Path(corpus_dir) / "citations.csv"),
@@ -87,5 +87,5 @@ def run_pipeline(corpus_dir: Path, out_dir: Path, year_min: int, year_max: int,
     for key, value in overrides.items():
         setattr(config, key, value)
     pipeline = Pipeline(config)
-    pipeline.run("all")
+    pipeline.run(stage)
     return pipeline

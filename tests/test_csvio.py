@@ -68,3 +68,7 @@ def test_codec_dialect_and_header_only(tmp_path):
 def test_interval_encoding():
     assert format_intervals([(2, 5), (7, 7)]) == "2-5;7-7"
     assert parse_intervals("2-5;7-7") == [(2, 5), (7, 7)]
+    negative = [(-9, -7), (-4, 0), (2, 3)]
+    assert format_intervals(negative) == "-9--7;-4-0;2-3"
+    assert parse_intervals("-9--7;-4-0;2-3") == negative
+    assert parse_intervals("-1-2") == [(-1, 2)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from teammine.errors import IngestError
-from teammine.ingest import (DocType, IngestConfig, corpus_stats, load_citations,
+from teammine.ingest import (DocType, corpus_stats, load_citations,
                              load_publications, publication_to_dict,
                              read_publications_jsonl, write_publications_jsonl)
 from teammine.pipeline import Pipeline, PipelineConfig
@@ -15,14 +15,14 @@ from teammine.synthgen import SynthConfig, generate_corpus
 
 from helpers import pub_json, tag_table, write_citations, write_jsonl
 
-CONFIG = IngestConfig(year_min=2008, year_max=2020)
+YEARS = (2008, 2020)
 
 
 def test_hundred_valid_articles(tmp_path):
     records = [pub_json(f"p{i}", 2010, ["a1", "a2"]) for i in range(100)]
     path = tmp_path / "pubs.jsonl"
     write_jsonl(path, records)
-    pubs = load_publications(path, CONFIG)
+    pubs = load_publications(path, *YEARS)
     assert len(pubs) == 100
     assert pubs.rejects == []
     assert pubs.input_lines == 100
@@ -31,7 +31,7 @@ def test_hundred_valid_articles(tmp_path):
 def test_editorial_rejected(tmp_path):
     path = tmp_path / "pubs.jsonl"
     write_jsonl(path, [pub_json("p1", 2010, ["a1"], doc_type="Editorial")])
-    pubs = load_publications(path, CONFIG)
+    pubs = load_publications(path, *YEARS)
     assert len(pubs) == 0
     assert pubs.rejects == [(1, "doc_type")]
 
@@ -49,7 +49,7 @@ def test_reject_reasons(tmp_path):
     ]
     path = tmp_path / "pubs.jsonl"
     write_jsonl(path, records)
-    pubs = load_publications(path, CONFIG)
+    pubs = load_publications(path, *YEARS)
     assert len(pubs) == 1
     reasons = [reason for _, reason in pubs.rejects]
     assert reasons == ["year_window", "no_authors", "duplicate_author", "fields",
@@ -60,7 +60,7 @@ def test_reject_reasons(tmp_path):
 def test_affiliation_org_only_is_fine(tmp_path):
     path = tmp_path / "pubs.jsonl"
     write_jsonl(path, [pub_json("p1", 2010, ["a1"], affs=[{"org_id": "o1"}])])
-    pubs = load_publications(path, CONFIG)
+    pubs = load_publications(path, *YEARS)
     assert len(pubs) == 1
     aff = pubs.get("p1").authors[0].affiliations[0]
     assert aff.city_id is None and not aff.has_geo()
@@ -69,14 +69,14 @@ def test_affiliation_org_only_is_fine(tmp_path):
 def test_geo_only_is_fine(tmp_path):
     path = tmp_path / "pubs.jsonl"
     write_jsonl(path, [pub_json("p1", 2010, ["a1"], affs=[{"lat": 1.0, "lon": 2.0}])])
-    assert len(load_publications(path, CONFIG)) == 1
+    assert len(load_publications(path, *YEARS)) == 1
 
 
 def test_duplicate_pub_id_fatal(tmp_path):
     path = tmp_path / "pubs.jsonl"
     write_jsonl(path, [pub_json("p1", 2010, ["a1"]), pub_json("p1", 2011, ["a2"])])
     with pytest.raises(IngestError, match="line 2.*duplicate"):
-        load_publications(path, CONFIG)
+        load_publications(path, *YEARS)
 
 
 def test_malformed_line_reports_number(tmp_path):
@@ -85,7 +85,7 @@ def test_malformed_line_reports_number(tmp_path):
         fh.write(json.dumps(pub_json("p1", 2010, ["a1"])) + "\n")
         fh.write("{not json\n")
     with pytest.raises(IngestError, match="line 2"):
-        load_publications(path, CONFIG)
+        load_publications(path, *YEARS)
 
 
 def test_missing_key_is_malformed(tmp_path):
@@ -94,7 +94,14 @@ def test_missing_key_is_malformed(tmp_path):
     del record["year"]
     write_jsonl(path, [record])
     with pytest.raises(IngestError, match="missing key 'year'"):
-        load_publications(path, CONFIG)
+        load_publications(path, *YEARS)
+
+
+def test_author_id_with_member_separator_is_malformed(tmp_path):
+    path = tmp_path / "pubs.jsonl"
+    write_jsonl(path, [pub_json("p1", 2010, ["a1", "a2"]), pub_json("p2", 2010, ["x;y", "z"])])
+    with pytest.raises(IngestError, match="line 2: author_id must not contain ';'"):
+        load_publications(path, *YEARS)
 
 
 def test_planted_reject_rate(tmp_path):
@@ -103,8 +110,7 @@ def test_planted_reject_rate(tmp_path):
                          teams=(), n_background_authors=30, background_pubs=867,
                          reject_fraction=0.133)
     generate_corpus(config, tmp_path)
-    pubs = load_publications(tmp_path / "publications.jsonl",
-                             IngestConfig(year_min=1, year_max=5))
+    pubs = load_publications(tmp_path / "publications.jsonl", 1, 5)
     assert pubs.input_lines == 1000
     assert len(pubs.rejects) == 133
     assert len(pubs) / pubs.input_lines == pytest.approx(0.867, abs=0.0005)
@@ -114,11 +120,11 @@ def test_idempotent_canonical_roundtrip(tmp_path):
     records = [pub_json(f"p{i}", 2010 + i % 3, ["a1", "a2", "a3"]) for i in range(20)]
     raw = tmp_path / "pubs.jsonl"
     write_jsonl(raw, records)
-    pubs = load_publications(raw, CONFIG)
+    pubs = load_publications(raw, *YEARS)
     first = tmp_path / "canonical1.jsonl"
     second = tmp_path / "canonical2.jsonl"
     write_publications_jsonl(pubs, first)
-    write_publications_jsonl(load_publications(first, CONFIG), second)
+    write_publications_jsonl(load_publications(first, *YEARS), second)
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -126,8 +132,7 @@ def test_stored_records_satisfy_invariants(tmp_path):
     config = SynthConfig(seed=1, year_min=1, year_max=8, teams=(),
                          n_background_authors=40, background_pubs=300)
     generate_corpus(config, tmp_path)
-    pubs = load_publications(tmp_path / "publications.jsonl",
-                             IngestConfig(year_min=1, year_max=8))
+    pubs = load_publications(tmp_path / "publications.jsonl", 1, 8)
     seen = set()
     for rec in pubs:
         assert rec.pub_id not in seen
@@ -151,7 +156,7 @@ def test_crlf_lines_load_like_lf(tmp_path):
     lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
     write_jsonl(lf, records)
     crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-    a, b = load_publications(lf, CONFIG), load_publications(crlf, CONFIG)
+    a, b = load_publications(lf, *YEARS), load_publications(crlf, *YEARS)
     assert a.records == b.records
     assert a.rejects == b.rejects == [(2, "year_window")]
 
@@ -164,14 +169,14 @@ def test_invalid_utf8_line_is_ingest_error(tmp_path):
     path = tmp_path / "pubs.jsonl"
     _with_bad_second_line(path, b'{"pub_id": "\xff"}')
     with pytest.raises(IngestError, match="line 2: invalid UTF-8"):
-        load_publications(path, CONFIG)
+        load_publications(path, *YEARS)
 
 
 def test_deeply_nested_line_is_ingest_error(tmp_path):
     path = tmp_path / "pubs.jsonl"
     _with_bad_second_line(path, b"[" * 200_000)
     with pytest.raises(IngestError, match="line 2: invalid JSON"):
-        load_publications(path, CONFIG)
+        load_publications(path, *YEARS)
 
 
 def test_integer_over_digit_limit_is_ingest_error(tmp_path):
@@ -179,7 +184,7 @@ def test_integer_over_digit_limit_is_ingest_error(tmp_path):
     record = json.dumps(pub_json("p2", 2010, ["a1"])).replace("2010", "9" * 5000)
     _with_bad_second_line(path, record.encode())
     with pytest.raises(IngestError, match="line 2: invalid JSON"):
-        load_publications(path, CONFIG)
+        load_publications(path, *YEARS)
 
 
 @pytest.mark.parametrize("escape", ["\\ud800", "\\uDFFFx", "\\ude00\\ud83d"])
@@ -188,14 +193,14 @@ def test_unpaired_surrogate_escape_is_ingest_error(tmp_path, escape):
     record = json.dumps(pub_json("p2", 2010, ["a1"], affs=[{"org_id": "o1"}]))
     _with_bad_second_line(path, record.replace('"o1"', f'"o{escape}"').encode())
     with pytest.raises(IngestError, match="line 2: unpaired surrogate escape"):
-        load_publications(path, CONFIG)
+        load_publications(path, *YEARS)
 
 
 def test_paired_surrogate_escape_is_a_character(tmp_path):
     path = tmp_path / "pubs.jsonl"
     write_jsonl(path, [pub_json("p\U0001F600", 2010, ["a1"])])  # written as \ud83d\ude00
     assert "\\ud83d\\ude00" in path.read_text()
-    assert [r.pub_id for r in load_publications(path, CONFIG)] == ["p\U0001F600"]
+    assert [r.pub_id for r in load_publications(path, *YEARS)] == ["p\U0001F600"]
 
 
 @pytest.mark.parametrize("key,sign", [("lat", ""), ("lon", "-")])
@@ -204,7 +209,7 @@ def test_integer_coordinate_too_large_for_float_rejected(tmp_path, key, sign):
     record = pub_json("p2", 2010, ["a1"], affs=[{"lat": 0, "lon": 0}])
     line = json.dumps(record).replace(f'"{key}": 0', f'"{key}": {sign}{"4" * 400}')
     _with_bad_second_line(path, line.encode())
-    pubs = load_publications(path, CONFIG)
+    pubs = load_publications(path, *YEARS)
     assert [r.pub_id for r in pubs] == ["p1"]
     assert pubs.rejects == [(2, "coordinates")]
 
@@ -212,7 +217,7 @@ def test_integer_coordinate_too_large_for_float_rejected(tmp_path, key, sign):
 # --- the canonical reader ---
 
 def _assert_reader_matches_loader(canonical):
-    loaded = load_publications(canonical, IngestConfig(year_min=-10**6, year_max=10**6))
+    loaded = load_publications(canonical, -10**6, 10**6)
     read = read_publications_jsonl(canonical)
     assert read.records == loaded.records
     assert read.rejects == [] and read.input_lines == len(read)
@@ -245,7 +250,7 @@ def test_reader_matches_loader_on_every_affiliation_shape(tmp_path):
     raw = tmp_path / "pubs.jsonl"
     write_jsonl(raw, records)
     canonical = tmp_path / "canonical.jsonl"
-    write_publications_jsonl(load_publications(raw, CONFIG), canonical)
+    write_publications_jsonl(load_publications(raw, *YEARS), canonical)
     _assert_reader_matches_loader(canonical)
     p3 = read_publications_jsonl(canonical).get("p3")
     assert [len(a.affiliations) for a in p3.authors] == [3, 3]
@@ -258,7 +263,7 @@ def test_reader_matches_loader_on_every_affiliation_shape(tmp_path):
 def _pubs_for_citations(tmp_path):
     path = tmp_path / "pubs.jsonl"
     write_jsonl(path, [pub_json("p1", 2010, ["a1"]), pub_json("p2", 2012, ["a2"])])
-    return load_publications(path, CONFIG)
+    return load_publications(path, *YEARS)
 
 
 def test_empty_citation_file(tmp_path):
@@ -406,7 +411,7 @@ def test_fuzz_load_publications(tmp_path, lines):
     path = tmp_path / "pubs.jsonl"
     path.write_bytes(data)
     try:
-        pubs = load_publications(path, CONFIG)
+        pubs = load_publications(path, *YEARS)
     except IngestError as exc:
         _assert_names_line(exc, data)
         return
@@ -452,7 +457,7 @@ def test_fuzz_load_citations(tmp_path, lines):
 def test_corpus_stats_all_articles(tmp_path):
     path = tmp_path / "pubs.jsonl"
     write_jsonl(path, [pub_json(f"p{i}", 2010, ["a1"]) for i in range(5)])
-    pubs = load_publications(path, CONFIG)
+    pubs = load_publications(path, *YEARS)
     tags = tag_table({f"p{i}": (0, False, False) for i in range(5)})
     stats = corpus_stats(pubs, tags)
     by_type = {row[0]: row for row in stats.rows}
@@ -466,7 +471,7 @@ def test_corpus_stats_review_overrepresented_in_top1(tmp_path):
     records += [pub_json(f"r{i}", 2010, ["a1"], doc_type="Review") for i in range(10)]
     path = tmp_path / "pubs.jsonl"
     write_jsonl(path, records)
-    pubs = load_publications(path, CONFIG)
+    pubs = load_publications(path, *YEARS)
     # plant: every Review is top1, only 10 of 90 Articles are
     tags = {f"a{i}": (1, True, i < 10) for i in range(90)}
     tags.update({f"r{i}": (9, True, True) for i in range(10)})
@@ -482,7 +487,7 @@ def test_corpus_stats_percentages_sum_to_100(tmp_path):
                for i in range(37)]
     path = tmp_path / "pubs.jsonl"
     write_jsonl(path, records)
-    pubs = load_publications(path, CONFIG)
+    pubs = load_publications(path, *YEARS)
     tags = tag_table({f"p{i}": (1, True, i % 3 == 0) for i in range(37)})
     stats = corpus_stats(pubs, tags)
     for col in (2, 4, 6):
@@ -492,7 +497,7 @@ def test_corpus_stats_percentages_sum_to_100(tmp_path):
 def test_corpus_stats_empty_corpus(tmp_path):
     path = tmp_path / "pubs.jsonl"
     write_jsonl(path, [])
-    pubs = load_publications(path, CONFIG)
+    pubs = load_publications(path, *YEARS)
     stats = corpus_stats(pubs, tag_table({}))
     assert stats.empty
     assert all(row[1] == 0 and row[2] == 0.0 for row in stats.rows)
@@ -502,5 +507,5 @@ def test_proceedings_paper_aliases(tmp_path):
     path = tmp_path / "pubs.jsonl"
     write_jsonl(path, [pub_json("p1", 2010, ["a1"], doc_type="Proceeding Paper"),
                        pub_json("p2", 2010, ["a1"], doc_type="Proceedings Paper")])
-    pubs = load_publications(path, CONFIG)
+    pubs = load_publications(path, *YEARS)
     assert all(rec.doc_type is DocType.PROCEEDINGS_PAPER for rec in pubs)

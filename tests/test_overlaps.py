@@ -184,7 +184,7 @@ def test_profile_first_years():
     profile = team_success_profile(squad, pubs, tags)
     assert profile.first_top10_year == 2
     assert profile.first_top1_year == 4
-    assert profile.n_top10 == 2 and profile.n_top1 == 1
+    assert profile.has_top10 and profile.has_top1
 
 
 def test_classification_deterministic():

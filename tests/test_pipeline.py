@@ -4,14 +4,16 @@ from pathlib import Path
 
 import pytest
 
+from teammine import pipeline as pipeline_module
 from teammine.cli import main
 from teammine.errors import (ConfigError, IngestError, MissingArtifactError,
                              StaleCacheError, UnknownTeamError)
 from teammine.pipeline import (EXTERNAL_INPUTS, FIGURE_STEMS, STAGE_TABLE, STAGES, Pipeline,
                                PipelineConfig, producers)
-from teammine.synthgen import fig_s1_corpus
+from teammine.presets import wired_overlap_config
+from teammine.synthgen import fig_s1_corpus, generate_corpus
 
-from helpers import run_pipeline
+from helpers import pub_json, run_pipeline, write_citations, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -184,11 +186,40 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert "team 1" in capsys.readouterr().out
 
 
-def test_cli_error_paths(tmp_path, capsys):
+def test_cli_error_paths(s1_corpus, tmp_path, capsys):
+    def one_line_error(argv) -> str:
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        return err[0]
+
     assert main(["mine", "--out", str(tmp_path / "nowhere"),
                  "--pubs", "missing.jsonl", "--citations", "missing.csv"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+    missing = tmp_path / "missing.conf"
+    assert str(missing) in one_line_error(["all", "--out", str(tmp_path / "o"),
+                                           "--config", str(missing)])
+    latin1 = tmp_path / "latin1.conf"
+    latin1.write_bytes("# r\u00e9sum\u00e9\nyear_min = 1\n".encode("latin-1"))
+    assert "not UTF-8" in one_line_error(["all", "--out", str(tmp_path / "o"),
+                                          "--config", str(latin1)])
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_file(latin1)
+
+    keyless = tmp_path / "keyless.json"
+    keyless.write_text('{"teams": []}\n')
+    assert "not a truth.json" in one_line_error(["verify", "--out", str(tmp_path / "o"),
+                                                 "--truth", str(keyless)])
+
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    assert "not a directory" in one_line_error(
+        ["all", "--out", str(taken), "--pubs", str(s1_corpus / "publications.jsonl"),
+         "--citations", str(s1_corpus / "citations.csv")])
+    assert taken.read_text() == "a file, not a directory\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_corrupt_manifest(s1_corpus, tmp_path, capsys):
@@ -365,3 +396,80 @@ def test_run_restores_gc_state(s1_corpus, tmp_path, enabled):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def _negative_year_corpus(corpus: Path) -> tuple[int, int]:
+    """Three authors publishing twice a year over the years -4..-1."""
+    corpus.mkdir()
+    write_jsonl(corpus / "publications.jsonl",
+                [pub_json(f"p{year}_{k}", year, ["a", "b", "c"])
+                 for year in range(-4, 0) for k in range(2)])
+    write_citations(corpus / "citations.csv", [("x0", "p-4_0", -3)])
+    return -4, -1
+
+
+def _corpus(kind: str, corpus: Path) -> tuple[int, int]:
+    if kind == "negative_years":
+        return _negative_year_corpus(corpus)
+    config = wired_overlap_config()
+    generate_corpus(config, corpus)
+    return config.year_min, config.year_max
+
+
+@pytest.mark.parametrize("kind", ["wired", "negative_years"])
+def test_stage_by_stage_equals_all(tmp_path, kind):
+    corpus = tmp_path / "corpus"
+    years = _corpus(kind, corpus)
+    run_pipeline(corpus, tmp_path / "all", *years)
+    for stage in STAGES:  # a fresh Pipeline per stage, as separate processes would
+        run_pipeline(corpus, tmp_path / "staged", *years, stage=stage)
+    whole = artifact_bytes(tmp_path / "all")
+    assert whole == artifact_bytes(tmp_path / "staged")
+    assert ((tmp_path / "all" / "manifest.json").read_bytes()
+            == (tmp_path / "staged" / "manifest.json").read_bytes())
+    if kind == "negative_years":
+        assert b"a;b;c,-4--1," in whole["teams.csv"]
+
+
+@pytest.mark.parametrize("writer,stage", [
+    ("write_citations_csv", "ingest"),
+    ("write_team_pubs_csv", "teams"),
+    ("write_impulses_csv", "overlaps"),
+    ("write_corpus_stats_csv", "stats"),
+])
+def test_crash_after_partial_write_reruns_stage(tmp_path, monkeypatch, writer, stage):
+    """A crash under settings B, after a run under settings A, leaves the
+    stage's manifest entry from A next to half-written outputs from B. Back
+    under A, its config and inputs match that entry again: only the output
+    digests tell the stage to rerun."""
+    corpus = tmp_path / "corpus"
+    year_min, year_max = _corpus("wired", corpus)
+    settings_a = dict(year_min=year_min + 1, year_max=year_max, min_pubs=4)
+    settings_b = dict(year_min=year_min, year_max=year_max)
+
+    def run_all(out: Path, settings: dict) -> dict[str, str]:
+        config = PipelineConfig(pubs_path=str(corpus / "publications.jsonl"),
+                                citations_path=str(corpus / "citations.csv"),
+                                out_dir=str(out), margin_years=0, **settings)
+        return Pipeline(config).run("all")
+
+    crashed = tmp_path / "crashed"
+    run_all(crashed, settings_a)
+    real = getattr(pipeline_module, writer)
+
+    def write_half(data, path):
+        real(data, path)
+        content = Path(path).read_bytes()
+        Path(path).write_bytes(content[:len(content) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pipeline_module, writer, write_half)
+    with pytest.raises(OSError, match="disk full"):
+        run_all(crashed, settings_b)
+    monkeypatch.undo()
+    for name, settings in (("clean_a", settings_a), ("clean_b", settings_b)):
+        assert run_all(crashed, settings)[stage] == "ran"
+        run_all(tmp_path / name, settings)
+        assert artifact_bytes(crashed) == artifact_bytes(tmp_path / name)
+        assert ((crashed / "manifest.json").read_bytes()
+                == (tmp_path / name / "manifest.json").read_bytes())

@@ -1,7 +1,7 @@
 import pytest
 
 from teammine.errors import InfeasibleConfigError
-from teammine.ingest import IngestConfig, load_publications
+from teammine.ingest import load_publications
 from teammine.intervals import merge_union
 from teammine.pairs import build_pair_timelines
 from teammine.persistence import build_persistent_network, persistent_periods
@@ -38,16 +38,14 @@ def test_deterministic_output(tmp_path):
 
 def test_zero_rejects_by_default(tmp_path):
     generate_corpus(small_config(), tmp_path)
-    pubs = load_publications(tmp_path / "publications.jsonl",
-                             IngestConfig(year_min=1, year_max=13))
+    pubs = load_publications(tmp_path / "publications.jsonl", 1, 13)
     assert pubs.rejects == []
 
 
 def test_truth_closed_under_persistence_rule(tmp_path):
     config = wired_overlap_config(seed=2, n_groups=3)
     generate_corpus(config, tmp_path)
-    pubs = load_publications(tmp_path / "publications.jsonl",
-                             IngestConfig(year_min=1, year_max=16))
+    pubs = load_publications(tmp_path / "publications.jsonl", 1, 16)
     network = build_persistent_network(build_pair_timelines(pubs))
     expected = {pair: merge_union(intervals)
                 for pair, intervals in _pair_interval_map(config.teams).items()}
@@ -102,8 +100,7 @@ def test_fig_s1_corpus(tmp_path):
     truth = fig_s1_corpus(tmp_path)
     assert truth.n_publications == 18
     assert truth.n_authors == 6
-    pubs = load_publications(tmp_path / "publications.jsonl",
-                             IngestConfig(year_min=1, year_max=8))
+    pubs = load_publications(tmp_path / "publications.jsonl", 1, 8)
     assert len(pubs) == 18
     timelines = build_pair_timelines(pubs)
     assert persistent_periods(timelines[("A", "B")]) == [(2, 6)]
