@@ -27,6 +27,8 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -218,10 +220,10 @@ def _parse_record(raw: object, line: int) -> tuple[str, int, str, tuple[str, ...
     return raw["pub_id"], raw["year"], raw["doc_type"], fields, tuple(authors)
 
 
-def _domain_reject_reason(year: int, doc_type_raw: str, fields: tuple[str, ...],
+def _record_reject_reason(year: int, doc_type_raw: str, fields: tuple[str, ...],
                           authors: tuple[AuthorEntry, ...], year_min: int,
                           year_max: int) -> str | None:
-    """First violated domain rule, or None when the record is acceptable."""
+    """First violated rule that is not about one author's affiliations."""
     if doc_type_raw not in _DOC_TYPE_ALIASES:
         return "doc_type"
     if not (year_min <= year <= year_max):
@@ -233,18 +235,144 @@ def _domain_reject_reason(year: int, doc_type_raw: str, fields: tuple[str, ...],
     ids = [a.author_id for a in authors]
     if len(set(ids)) != len(ids):
         return "duplicate_author"
-    for author in authors:
-        if not author.affiliations:
-            return "affiliation"
-        for aff in author.affiliations:
-            # exactly one of lat/lon present is treated as no geolocation at all
-            if (aff.lat is None) != (aff.lon is None):
-                return "coordinates"
-            if aff.has_geo() and not (-90.0 <= aff.lat <= 90.0 and -180.0 <= aff.lon <= 180.0):
-                return "coordinates"
-            if aff.org_id is None and not aff.has_geo():
-                return "affiliation"
     return None
+
+
+def _affiliations_reject_reason(affiliations: tuple[Affiliation, ...]) -> str | None:
+    """First rule one author's affiliations violate, or None."""
+    if not affiliations:
+        return "affiliation"
+    for aff in affiliations:
+        # exactly one of lat/lon present is treated as no geolocation at all
+        if (aff.lat is None) != (aff.lon is None):
+            return "coordinates"
+        if aff.has_geo() and not (-90.0 <= aff.lat <= 90.0 and -180.0 <= aff.lon <= 180.0):
+            return "coordinates"
+        if aff.org_id is None and not aff.has_geo():
+            return "affiliation"
+    return None
+
+
+def _domain_reject_reason(year: int, doc_type_raw: str, fields: tuple[str, ...],
+                          authors: tuple[AuthorEntry, ...], year_min: int,
+                          year_max: int) -> str | None:
+    """First violated domain rule, or None when the record is acceptable."""
+    reason = _record_reject_reason(year, doc_type_raw, fields, authors, year_min, year_max)
+    if reason is None:
+        for author in authors:
+            reason = _affiliations_reject_reason(author.affiliations)
+            if reason is not None:
+                break
+    return reason
+
+
+# a coordinate equal to one of these also equals a bool or a zero of the other sign
+_AMBIGUOUS_COORDINATES = (0, 1)
+_AFFILIATION_KEYS = ("org_id", "city_id", "country", "lat", "lon")
+
+
+def _affiliation_key(raw: object) -> tuple | None:
+    """The values ``Affiliation`` takes from an affiliation object, absent
+    keys as None; None for a non-object, which no memoized key equals."""
+    if type(raw) is not dict:
+        return None
+    return tuple([raw.get(key) for key in _AFFILIATION_KEYS])
+
+
+def _record_parser():
+    """``parse(raw, line)`` for records of the common shape, building one
+    object per distinct affiliation, author entry and field list.
+
+    It returns ``(pub_id, year, doc_type, fields, authors, reason)``, where
+    ``reason`` is the first rule the authors' affiliations break, or None when
+    any check fails: ``_parse_record`` then decides the record alone. The
+    memos live in this closure, so two loads share no objects.
+
+    A memo hit stands for raw values equal to ones parsed before. An entry
+    whose coordinate equals 0 or 1 is built but not memoized, as a bool or a
+    zero of the other sign would compare equal to it; any other number equal
+    to a memoized coordinate converts to the same float.
+    """
+    affiliations: dict[tuple, Affiliation] = {}
+    entries: dict[tuple, tuple[AuthorEntry, str | None]] = {}
+    field_lists: dict[tuple, tuple[str, ...]] = {}
+    record_values = itemgetter("pub_id", "year", "doc_type", "fields", "authors")
+    entry_values = itemgetter("author_id", "affiliations")
+    affiliation_values = itemgetter(*_AFFILIATION_KEYS)
+
+    def new_entry(key: tuple, raw_affs: list, line: int):
+        author_id = key[0]
+        if type(author_id) is not str or not author_id or ";" in author_id:
+            return None
+        affs = []
+        memoize = True
+        for aff_key, raw in zip(key[1:], raw_affs):
+            aff = affiliations.get(aff_key)
+            if aff is None:
+                aff = _parse_affiliation(raw, line)
+                lat, lon = aff_key[3:]
+                if lat in _AMBIGUOUS_COORDINATES or lon in _AMBIGUOUS_COORDINATES:
+                    memoize = False
+                else:
+                    affiliations[aff_key] = aff
+            affs.append(aff)
+        affs = tuple(affs)
+        parsed = AuthorEntry(sys.intern(author_id), affs), _affiliations_reject_reason(affs)
+        if memoize:
+            entries[key] = parsed
+        return parsed
+
+    def parse(raw: object, line: int):
+        try:  # a missing key, a non-object, or a list or object as a memo key
+            pub_id, year, doc_type, raw_fields, raw_authors = record_values(raw)
+            if (type(pub_id) is not str or not pub_id or type(year) is not int
+                    or type(doc_type) is not str or type(raw_fields) is not list
+                    or type(raw_authors) is not list):
+                return None
+            fields = field_lists.get(tuple(raw_fields))
+            if fields is None:
+                for value in raw_fields:
+                    if type(value) is not str:
+                        return None
+                fields = tuple(sorted(set(raw_fields)))
+                fields = field_lists[tuple(raw_fields)] = field_lists.setdefault(fields, fields)
+            authors = []
+            reason = None
+            for raw_entry in raw_authors:
+                author_id, raw_affs = entry_values(raw_entry)
+                if type(raw_affs) is not list:
+                    return None
+                try:
+                    key = (author_id, *map(affiliation_values, raw_affs))
+                except KeyError:  # an affiliation without all five keys
+                    key = (author_id, *map(_affiliation_key, raw_affs))
+                parsed = entries.get(key) or new_entry(key, raw_affs, line)
+                if parsed is None:
+                    return None
+                authors.append(parsed[0])
+                if reason is None:
+                    reason = parsed[1]
+        except (KeyError, TypeError, IngestError):
+            return None
+        return pub_id, year, doc_type, fields, tuple(authors), reason
+
+    return parse
+
+
+_scan_value = json.JSONDecoder().scan_once
+
+
+def _decode_line(line: str):
+    """``json.loads(line)``, without its Python-level wrapper for a line that
+    is one JSON value and its newline; any other line goes to ``json.loads``,
+    which also raises the errors."""
+    try:
+        raw, end = _scan_value(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return json.loads(line)
+    if end != len(line) and line[end:] != "\n":
+        return json.loads(line)
+    return raw
 
 
 def load_publications(path: str | Path, year_min: int, year_max: int) -> PublicationTable:
@@ -253,18 +381,22 @@ def load_publications(path: str | Path, year_min: int, year_max: int) -> Publica
 
     Raises IngestError (with the line number) for structurally malformed lines
     and for duplicate pub_ids; domain violations become reject rows instead.
+    A record of the common shape takes ``_record_parser``'s pass, which builds
+    one object per distinct affiliation, author entry and field list; any
+    other record goes through ``_parse_record``, which raises the errors.
     """
     records: list[PublicationRecord] = []
     rejects: list[tuple[int, str]] = []
     seen_ids: set[str] = set()
     lines = 0
+    parse = _record_parser()
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(_utf8_lines(fh), start=1):
             if not line.strip():
                 continue
             lines += 1
             try:
-                raw = json.loads(line)
+                raw = _decode_line(line)
                 if "\\ud" in line or "\\uD" in line:
                     # a \uD800-\uDFFF escape without its pair decodes to a
                     # string that no UTF-8 artifact can hold
@@ -275,12 +407,18 @@ def load_publications(path: str | Path, year_min: int, year_max: int) -> Publica
                 raise IngestError("unpaired surrogate escape", line=line_no) from None
             except (ValueError, RecursionError) as exc:  # too many digits, too deep
                 raise IngestError(f"invalid JSON ({exc})", line=line_no) from None
-            pub_id, year, doc_type_raw, fields, authors = _parse_record(raw, line_no)
+            parsed = parse(raw, line_no)
+            if parsed is None:
+                pub_id, year, doc_type_raw, fields, authors = _parse_record(raw, line_no)
+                reason = _domain_reject_reason(year, doc_type_raw, fields, authors,
+                                               year_min, year_max)
+            else:
+                pub_id, year, doc_type_raw, fields, authors, reason = parsed
+                reason = _record_reject_reason(year, doc_type_raw, fields, authors,
+                                               year_min, year_max) or reason
             if pub_id in seen_ids:
                 raise IngestError(f"duplicate pub_id {pub_id!r}", line=line_no)
             seen_ids.add(pub_id)
-            reason = _domain_reject_reason(year, doc_type_raw, fields, authors,
-                                           year_min, year_max)
             if reason is not None:
                 rejects.append((line_no, reason))
                 continue
@@ -357,57 +495,59 @@ def _affiliation_dict(aff: Affiliation) -> dict:
     return out
 
 
-def publication_to_dict(rec: PublicationRecord) -> dict:
-    return {
-        "pub_id": rec.pub_id,
-        "year": rec.year,
-        "doc_type": rec.doc_type.value,
-        "fields": list(rec.fields),
-        "authors": [
-            {"author_id": a.author_id,
-             "affiliations": [_affiliation_dict(aff) for aff in a.affiliations]}
-            for a in rec.authors
-        ],
-    }
-
-
 def write_publications_jsonl(pubs: Iterable[PublicationRecord], path: str | Path):
+    """Write one line per record: the bytes of ``json.dumps(record_dict,
+    sort_keys=True, separators=(",", ":"))``, spliced from fragments encoded
+    once per distinct author entry and (doc_type, fields) pair."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    entry_texts: dict[int, str] = {}  # id(entry) -> its JSON object
+    kept: list[AuthorEntry] = []      # keeps each id() above from being reused
+    # (id(doc_type), fields) -> the text from the authors' "]" to "pub_id":
+    middles: dict[tuple, str] = {}
+
+    def entry_text(entry: AuthorEntry) -> str:
+        kept.append(entry)
+        entry_texts[id(entry)] = encode(
+            {"affiliations": [_affiliation_dict(aff) for aff in entry.affiliations],
+             "author_id": entry.author_id})
+        return entry_texts[id(entry)]
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
+        write = fh.write
         for rec in pubs:
-            fh.write(json.dumps(publication_to_dict(rec), sort_keys=True,
-                                separators=(",", ":")))
-            fh.write("\n")
+            authors = ",".join([entry_texts.get(id(entry)) or entry_text(entry)
+                                for entry in rec.authors])
+            middle = middles.get((id(rec.doc_type), rec.fields))
+            if middle is None:
+                middle = middles[id(rec.doc_type), rec.fields] = (
+                    f'],"doc_type":{encode(rec.doc_type.value)},'
+                    f'"fields":{encode(list(rec.fields))},"pub_id":')
+            write(f'{{"authors":[{authors}{middle}{encode_basestring_ascii(rec.pub_id)},'
+                  f'"year":{rec.year}}}\n')
 
 
 def read_publications_jsonl(path: str | Path) -> PublicationTable:
     """Read back a canonical corpus written by ``write_publications_jsonl``.
 
     The records equal those ``load_publications`` builds from the same file,
-    author ids interned alike, but nothing is checked: no structure, no domain
-    rule, no year window, no duplicate ids. The pipeline calls this only on
-    ``canonical_publications.jsonl`` after matching its digest with the
-    manifest in the same process: ``all`` keeps a cached ingest only when its
-    output digests match, and a single stage or ``explain`` passes
-    ``Pipeline._check_prereq`` first. External input goes through
-    ``load_publications``.
+    with the same sharing of affiliations, author entries, field lists and
+    author ids, but no domain rule, year window or duplicate id is checked.
+    The pipeline calls this only on ``canonical_publications.jsonl`` after
+    matching its digest with the manifest in the same process: ``all`` keeps
+    a cached ingest only when its output digests match, and a single stage or
+    ``explain`` passes ``Pipeline._check_prereq`` first. External input goes
+    through ``load_publications``.
     """
     doc_types = _DOC_TYPE_ALIASES
-    intern = sys.intern
-    loads = json.loads
+    parse = _record_parser()
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            raw = loads(line)
-            records.append(PublicationRecord(
-                pub_id=raw["pub_id"],
-                year=raw["year"],
-                doc_type=doc_types[raw["doc_type"]],
-                fields=tuple(raw["fields"]),
-                authors=tuple(
-                    AuthorEntry(intern(a["author_id"]),
-                                tuple(Affiliation(**aff) for aff in a["affiliations"]))
-                    for a in raw["authors"]),
-            ))
+        for line_no, line in enumerate(fh, start=1):
+            raw = _decode_line(line)
+            pub_id, year, doc_type, fields, authors, _ = (
+                parse(raw, line_no) or (*_parse_record(raw, line_no), None))
+            records.append(PublicationRecord(pub_id, year, doc_types[doc_type], fields,
+                                             authors))
     return PublicationTable(records=records, input_lines=len(records))
 
 

@@ -161,6 +161,12 @@ class PipelineConfig:
         if self.citation_window not in WINDOWS:
             raise ConfigError(f"citation_window must be one of {', '.join(WINDOWS)}; "
                               f"got {self.citation_window!r}")
+        if self.year_min > self.year_max:
+            raise ConfigError(f"year_min ({self.year_min}) must not exceed "
+                              f"year_max ({self.year_max})")
+        for key in ("author_cap", "margin_years"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0; got {getattr(self, key)}")
 
 
 def _sha256(path: Path) -> str:

@@ -5,9 +5,9 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from teammine import ingest
 from teammine.errors import IngestError
-from teammine.ingest import (DocType, corpus_stats, load_citations,
-                             load_publications, publication_to_dict,
+from teammine.ingest import (DocType, corpus_stats, load_citations, load_publications,
                              read_publications_jsonl, write_publications_jsonl)
 from teammine.pipeline import Pipeline, PipelineConfig
 from teammine.presets import random_planted_config, wired_overlap_config
@@ -16,6 +16,33 @@ from teammine.synthgen import SynthConfig, generate_corpus
 from helpers import pub_json, tag_table, write_citations, write_jsonl
 
 YEARS = (2008, 2020)
+
+
+def publication_to_dict(rec) -> dict:
+    """The reference dict form of a record; the canonical line is its
+    ``json.dumps(..., sort_keys=True, separators=(",", ":"))``."""
+    def affiliation(aff):
+        out = {key: value for key, value in (("org_id", aff.org_id), ("city_id", aff.city_id),
+                                             ("country", aff.country)) if value is not None}
+        if aff.lat is not None:
+            out["lat"] = aff.lat
+            out["lon"] = aff.lon
+        return out
+
+    return {
+        "pub_id": rec.pub_id,
+        "year": rec.year,
+        "doc_type": rec.doc_type.value,
+        "fields": list(rec.fields),
+        "authors": [{"author_id": a.author_id,
+                     "affiliations": [affiliation(aff) for aff in a.affiliations]}
+                    for a in rec.authors],
+    }
+
+
+def reference_canonical(records) -> bytes:
+    return "".join(json.dumps(publication_to_dict(rec), sort_keys=True, separators=(",", ":"))
+                   + "\n" for rec in records).encode()
 
 
 def test_hundred_valid_articles(tmp_path):
@@ -421,6 +448,142 @@ def test_fuzz_load_publications(tmp_path, lines):
     canonical = tmp_path / "canonical.jsonl"
     write_publications_jsonl(pubs, canonical)
     assert read_publications_jsonl(canonical).records == pubs.records
+
+
+# --- the fast pass against the reference path ---
+
+def _load_outcome(path):
+    """What a load of ``path`` gives, in a form that tells -0.0 from 0.0 and
+    an int from a float: records, rejects and line count, or the error."""
+    try:
+        pubs = load_publications(path, *YEARS)
+    except IngestError as exc:
+        return "error", str(exc)
+    return repr(pubs.records), pubs.rejects, pubs.input_lines
+
+
+def _reference_outcome(path):
+    """The same load with every record decoded by ``json.loads`` and left to
+    ``_parse_record`` and ``_domain_reject_reason``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_record_parser", lambda: lambda raw, line: None)
+        patch.setattr(ingest, "_decode_line", json.loads)
+        return _load_outcome(path)
+
+
+def _assert_fast_matches_reference(tmp_path, data: bytes):
+    path = tmp_path / "pubs.jsonl"
+    path.write_bytes(data)
+    assert _load_outcome(path) == _reference_outcome(path)
+    try:
+        pubs = load_publications(path, *YEARS)
+    except IngestError:
+        return
+    canonical = tmp_path / "canonical.jsonl"
+    write_publications_jsonl(pubs, canonical)
+    assert canonical.read_bytes() == reference_canonical(pubs)
+    assert repr(read_publications_jsonl(canonical).records) == repr(pubs.records)
+
+
+@_FUZZ
+@given(lines=st.lists(_pub_lines(), min_size=2, max_size=6))
+def test_fuzz_fast_pass_matches_reference(tmp_path, lines):
+    _assert_fast_matches_reference(tmp_path, b"\n".join(lines))
+
+
+# JSON number texts that compare equal to others, or are no finite float
+_COORDINATES = ["1", "1.0", "true", "-0.0", "0.0", "0", "NaN", "1e400", "-1e400"]
+
+
+@pytest.mark.parametrize("first", _COORDINATES)
+@pytest.mark.parametrize("second", _COORDINATES)
+def test_coordinate_values_that_compare_equal(tmp_path, first, second):
+    def line(pub_id, author_id, lat):
+        record = pub_json(pub_id, 2010, [author_id],
+                          affs=[{"org_id": "o1", "lat": 7.5, "lon": 7.5}])
+        return json.dumps(record).replace('"lat": 7.5', f'"lat": {lat}')
+
+    lines = [line("p1", "a1", first), line("p2", "a1", second), line("p3", "a2", second),
+             line("p4", "a2", first), line("p5", "a1", first)]
+    _assert_fast_matches_reference(tmp_path, "\n".join(lines).encode())
+
+
+def test_negative_zero_keeps_its_sign(tmp_path):
+    lines = [pub_json(f"p{i}", 2010, ["a1"], affs=[{"org_id": "o1", "lat": lat, "lon": lat}])
+             for i, lat in enumerate([0.0, -0.0, 0.0, -0.0])]
+    raw = tmp_path / "raw.jsonl"
+    write_jsonl(raw, lines)
+    pubs = load_publications(raw, *YEARS)
+    assert [repr(r.authors[0].affiliations[0].lat) for r in pubs] == ["0.0", "-0.0"] * 2
+    _assert_fast_matches_reference(tmp_path, raw.read_bytes())
+    assert (tmp_path / "canonical.jsonl").read_bytes().count(b'"lat":-0.0') == 2
+
+
+def test_extra_affiliation_keys_are_ignored(tmp_path):
+    extra = {"org_id": "o1", "city_id": "c1", "country": "NL", "lat": 5.5, "lon": 6.5,
+             "rank": [1, {"x": None}], "note": "kept nowhere"}
+    plain = {key: extra[key] for key in ("org_id", "city_id", "country", "lat", "lon")}
+    records = [pub_json("p1", 2010, ["a1", "a2"], affs=[extra]),
+               pub_json("p2", 2011, ["a1"], affs=[plain]),
+               pub_json("p3", 2012, ["a2"], affs=[extra, plain])]
+    raw = tmp_path / "raw.jsonl"
+    write_jsonl(raw, records)
+    _assert_fast_matches_reference(tmp_path, raw.read_bytes())
+    pubs = load_publications(raw, *YEARS)
+    assert pubs.get("p1").authors[0] is pubs.get("p2").authors[0]
+    assert b"rank" not in reference_canonical(pubs)
+
+
+# --- interning ---
+
+def _shared_affiliation_corpus(path):
+    shared = {"org_id": "o1", "city_id": "c1", "country": "NL", "lat": 52.5, "lon": 4.5}
+    own = {"org_id": "o2", "lat": -3.25, "lon": 100.75}
+    write_jsonl(path, [pub_json("p1", 2010, ["a1", "a2"], affs=[shared]),
+                       pub_json("p2", 2011, ["a1", "a3"], affs=[shared]),
+                       pub_json("p3", 2012, ["a3"], affs=[own, shared], fields=("F1", "F0")),
+                       pub_json("p4", 2013, ["a2"], affs=[shared], fields=("F0", "F1"))])
+
+
+def _assert_shares_repeated_values(pubs):
+    p1, p2, p3, p4 = (pubs.get(f"p{i}") for i in range(1, 5))
+    aff = p1.authors[0].affiliations[0]
+    assert all(a.affiliations[0] is aff for rec in (p1, p2, p4) for a in rec.authors)
+    assert p3.authors[0].affiliations[1] is aff
+    assert p2.authors[0] is p1.authors[0]   # a1 with the shared affiliation
+    assert p4.authors[0] is p1.authors[1]   # a2 likewise
+    assert p3.authors[0] is not p2.authors[1]
+    assert p1.fields is p2.fields and p3.fields is p4.fields == ("F0", "F1")
+
+
+def test_loader_and_reader_share_repeated_values(tmp_path):
+    raw = tmp_path / "raw.jsonl"
+    _shared_affiliation_corpus(raw)
+    loaded = load_publications(raw, *YEARS)
+    _assert_shares_repeated_values(loaded)
+    canonical = tmp_path / "canonical.jsonl"
+    write_publications_jsonl(loaded, canonical)
+    _assert_shares_repeated_values(read_publications_jsonl(canonical))
+    assert canonical.read_bytes() == reference_canonical(loaded)
+
+
+def _interned_ids(pubs) -> set[int]:
+    return {id(obj) for rec in pubs for entry in rec.authors
+            for obj in (rec.fields, entry, *entry.affiliations)}
+
+
+def test_two_loads_share_no_objects(tmp_path):
+    raw = tmp_path / "raw.jsonl"
+    _shared_affiliation_corpus(raw)
+    canonical = tmp_path / "canonical.jsonl"
+    write_publications_jsonl(load_publications(raw, *YEARS), canonical)
+    loads = [load_publications(raw, *YEARS), load_publications(raw, *YEARS),
+             read_publications_jsonl(canonical), read_publications_jsonl(canonical)]
+    seen: set[int] = set()
+    for pubs in loads:  # so no memo outlives the load that made it
+        ids = _interned_ids(pubs)
+        assert not seen & ids
+        seen |= ids
 
 
 def _csv_line(fields) -> bytes:

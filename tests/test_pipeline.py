@@ -328,7 +328,8 @@ def test_cli_explain_checks_prereqs(s1_corpus, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("setting", ["window_len=0", "min_pubs=0", "min_size=1",
-                                     "citation_window=bogus"])
+                                     "citation_window=bogus", "year_min=9", "author_cap=-1",
+                                     "margin_years=-1"])
 def test_cli_config_rejected_before_any_stage(s1_corpus, tmp_path, capsys, setting):
     out = tmp_path / "out"
     assert main(["all", "--out", str(out),
@@ -339,7 +340,7 @@ def test_cli_config_rejected_before_any_stage(s1_corpus, tmp_path, capsys, setti
     assert len(err) == 1 and err[0].startswith("error: ")
     assert setting.partition("=")[0] in err[0]
     assert not out.exists()
-    config = PipelineConfig(out_dir=str(out))
+    config = PipelineConfig(out_dir=str(out), year_min=1, year_max=8)
     config.set_option(*setting.split("="))
     with pytest.raises(ConfigError):
         Pipeline(config)
