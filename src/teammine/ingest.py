@@ -30,7 +30,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from teammine.csvio import write_csv
 from teammine.errors import IngestError
@@ -53,8 +53,10 @@ _DOC_TYPE_ALIASES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Affiliation:
+# Affiliation and AuthorEntry are tuples, so the tuple of raw values one was
+# built from compares equal to it and finds it in a memo (see _record_parser).
+
+class Affiliation(NamedTuple):
     org_id: str | None = None
     city_id: str | None = None
     country: str | None = None
@@ -65,8 +67,7 @@ class Affiliation:
         return self.lat is not None and self.lon is not None
 
 
-@dataclass(frozen=True, slots=True)
-class AuthorEntry:
+class AuthorEntry(NamedTuple):
     author_id: str
     affiliations: tuple[Affiliation, ...]
 
@@ -269,11 +270,13 @@ def _domain_reject_reason(year: int, doc_type_raw: str, fields: tuple[str, ...],
 # a coordinate equal to one of these also equals a bool or a zero of the other sign
 _AMBIGUOUS_COORDINATES = (0, 1)
 _AFFILIATION_KEYS = ("org_id", "city_id", "country", "lat", "lon")
+_TEXT = frozenset({str, type(None)})
+_FLOAT = frozenset({float, type(None)})
 
 
 def _affiliation_key(raw: object) -> tuple | None:
     """The values ``Affiliation`` takes from an affiliation object, absent
-    keys as None; None for a non-object, which no memoized key equals."""
+    keys as None; None for a non-object."""
     if type(raw) is not dict:
         return None
     return tuple([raw.get(key) for key in _AFFILIATION_KEYS])
@@ -288,39 +291,48 @@ def _record_parser():
     any check fails: ``_parse_record`` then decides the record alone. The
     memos live in this closure, so two loads share no objects.
 
-    A memo hit stands for raw values equal to ones parsed before. An entry
-    whose coordinate equals 0 or 1 is built but not memoized, as a bool or a
-    zero of the other sign would compare equal to it; any other number equal
-    to a memoized coordinate converts to the same float.
+    An affiliation is looked up by the tuple of its raw values, an author
+    entry by its author id and that tuple per affiliation; each memo holds
+    the objects themselves, which equal those tuples. Only entries that break
+    no rule are memoized. Neither is an object with a coordinate equal to 0 or
+    1, as a bool or a zero of the other sign would find it; any other number
+    equal to a memoized coordinate converts to the same float.
     """
-    affiliations: dict[tuple, Affiliation] = {}
-    entries: dict[tuple, tuple[AuthorEntry, str | None]] = {}
+    affiliations: dict[Affiliation, Affiliation] = {}
+    entries: dict[AuthorEntry, AuthorEntry] = {}
     field_lists: dict[tuple, tuple[str, ...]] = {}
     record_values = itemgetter("pub_id", "year", "doc_type", "fields", "authors")
     entry_values = itemgetter("author_id", "affiliations")
     affiliation_values = itemgetter(*_AFFILIATION_KEYS)
 
-    def new_entry(key: tuple, raw_affs: list, line: int):
-        author_id = key[0]
+    def new_entry(author_id: object, keys: tuple, raw_affs: list, line: int):
+        """The entry and its reason for values no memoized entry equals."""
         if type(author_id) is not str or not author_id or ";" in author_id:
             return None
         affs = []
         memoize = True
-        for aff_key, raw in zip(key[1:], raw_affs):
-            aff = affiliations.get(aff_key)
+        for key, raw in zip(keys, raw_affs):
+            aff = affiliations.get(key)
             if aff is None:
-                aff = _parse_affiliation(raw, line)
-                lat, lon = aff_key[3:]
-                if lat in _AMBIGUOUS_COORDINATES or lon in _AMBIGUOUS_COORDINATES:
+                if key is None:
+                    return None
+                org_id, city_id, country, lat, lon = key
+                if (type(org_id) in _TEXT and type(city_id) in _TEXT
+                        and type(country) in _TEXT and type(lat) in _FLOAT
+                        and type(lon) in _FLOAT):
+                    aff = Affiliation._make(key)
+                else:  # an integer coordinate, or an error
+                    aff = _parse_affiliation(raw, line)
+                if aff.lat in _AMBIGUOUS_COORDINATES or aff.lon in _AMBIGUOUS_COORDINATES:
                     memoize = False
                 else:
-                    affiliations[aff_key] = aff
+                    affiliations[aff] = aff
             affs.append(aff)
-        affs = tuple(affs)
-        parsed = AuthorEntry(sys.intern(author_id), affs), _affiliations_reject_reason(affs)
-        if memoize:
-            entries[key] = parsed
-        return parsed
+        entry = AuthorEntry(sys.intern(author_id), tuple(affs))
+        reason = _affiliations_reject_reason(entry.affiliations)
+        if memoize and reason is None:
+            entries[entry] = entry
+        return entry, reason
 
     def parse(raw: object, line: int):
         try:  # a missing key, a non-object, or a list or object as a memo key
@@ -343,36 +355,22 @@ def _record_parser():
                 if type(raw_affs) is not list:
                     return None
                 try:
-                    key = (author_id, *map(affiliation_values, raw_affs))
+                    keys = tuple(map(affiliation_values, raw_affs))
                 except KeyError:  # an affiliation without all five keys
-                    key = (author_id, *map(_affiliation_key, raw_affs))
-                parsed = entries.get(key) or new_entry(key, raw_affs, line)
-                if parsed is None:
-                    return None
-                authors.append(parsed[0])
-                if reason is None:
-                    reason = parsed[1]
+                    keys = tuple(map(_affiliation_key, raw_affs))
+                entry = entries.get((author_id, keys))
+                if entry is None:
+                    parsed = new_entry(author_id, keys, raw_affs, line)
+                    if parsed is None:
+                        return None
+                    entry, entry_reason = parsed
+                    reason = reason or entry_reason
+                authors.append(entry)
         except (KeyError, TypeError, IngestError):
             return None
         return pub_id, year, doc_type, fields, tuple(authors), reason
 
     return parse
-
-
-_scan_value = json.JSONDecoder().scan_once
-
-
-def _decode_line(line: str):
-    """``json.loads(line)``, without its Python-level wrapper for a line that
-    is one JSON value and its newline; any other line goes to ``json.loads``,
-    which also raises the errors."""
-    try:
-        raw, end = _scan_value(line, 0)
-    except (StopIteration, ValueError, RecursionError):
-        return json.loads(line)
-    if end != len(line) and line[end:] != "\n":
-        return json.loads(line)
-    return raw
 
 
 def load_publications(path: str | Path, year_min: int, year_max: int) -> PublicationTable:
@@ -396,7 +394,7 @@ def load_publications(path: str | Path, year_min: int, year_max: int) -> Publica
                 continue
             lines += 1
             try:
-                raw = _decode_line(line)
+                raw = json.loads(line)
                 if "\\ud" in line or "\\uD" in line:
                     # a \uD800-\uDFFF escape without its pair decodes to a
                     # string that no UTF-8 artifact can hold
@@ -543,7 +541,7 @@ def read_publications_jsonl(path: str | Path) -> PublicationTable:
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            raw = _decode_line(line)
+            raw = json.loads(line)
             pub_id, year, doc_type, fields, authors, _ = (
                 parse(raw, line_no) or (*_parse_record(raw, line_no), None))
             records.append(PublicationRecord(pub_id, year, doc_types[doc_type], fields,

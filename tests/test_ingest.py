@@ -463,11 +463,10 @@ def _load_outcome(path):
 
 
 def _reference_outcome(path):
-    """The same load with every record decoded by ``json.loads`` and left to
-    ``_parse_record`` and ``_domain_reject_reason``."""
+    """The same load with every record left to ``_parse_record`` and
+    ``_domain_reject_reason``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_record_parser", lambda: lambda raw, line: None)
-        patch.setattr(ingest, "_decode_line", json.loads)
         return _load_outcome(path)
 
 
@@ -517,6 +516,18 @@ def test_negative_zero_keeps_its_sign(tmp_path):
     assert [repr(r.authors[0].affiliations[0].lat) for r in pubs] == ["0.0", "-0.0"] * 2
     _assert_fast_matches_reference(tmp_path, raw.read_bytes())
     assert (tmp_path / "canonical.jsonl").read_bytes().count(b'"lat":-0.0') == 2
+
+
+@pytest.mark.parametrize("key", ingest._AFFILIATION_KEYS)
+@pytest.mark.parametrize("value", [5, 2.5, True, "x", None])
+def test_each_affiliation_value_type(tmp_path, key, value):
+    aff = {"org_id": "o1", "city_id": "c1", "country": "NL", "lat": 5.5, "lon": 6.5}
+    records = [pub_json("p1", 2010, ["a1"], affs=[aff]),
+               pub_json("p2", 2011, ["a1"], affs=[{**aff, key: value}]),
+               pub_json("p3", 2012, ["a2"], affs=[{**aff, key: value}])]
+    raw = tmp_path / "raw.jsonl"
+    write_jsonl(raw, records)
+    _assert_fast_matches_reference(tmp_path, raw.read_bytes())
 
 
 def test_extra_affiliation_keys_are_ignored(tmp_path):
