@@ -4,6 +4,7 @@ rows in the csv module's default dialect (minimal quoting, CRLF line ends)."""
 from __future__ import annotations
 
 import csv
+import io
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -13,6 +14,14 @@ def write_csv(path: str | Path, header: Iterable, rows: Iterable[Iterable]):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def encode_field(value) -> str:
+    """``value`` as write_csv writes it in a row of two or more fields: quoted
+    only where the dialect needs it, with no delimiter or line end around it."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((value, ""))
+    return buf.getvalue()[:-len(",\r\n")]
 
 
 def read_csv(path: str | Path) -> Iterator[list[str]]:

@@ -80,9 +80,6 @@ class PublicationRecord:
     fields: tuple[str, ...]
     authors: tuple[AuthorEntry, ...]
 
-    def author_ids(self) -> tuple[str, ...]:
-        return tuple(a.author_id for a in self.authors)
-
 
 @dataclass(frozen=True, slots=True)
 class CitationEvent:

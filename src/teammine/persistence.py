@@ -56,9 +56,16 @@ def persistent_periods(years: list[int], params: PersistenceParams = Persistence
 
 def build_persistent_network(timelines: dict[Pair, list[int]],
                              params: PersistenceParams = PersistenceParams()) -> dict[Pair, list[Interval]]:
-    """Persistent collaboration network: pairs that have at least one period."""
+    """Persistent collaboration network: pairs that have at least one period.
+
+    A pair with fewer than ``min_pubs`` years fills no window, so it is skipped
+    without a sweep.
+    """
+    min_pubs = params.min_pubs
     network: dict[Pair, list[Interval]] = {}
     for pair, years in timelines.items():
+        if len(years) < min_pubs:
+            continue
         periods = persistent_periods(years, params)
         if periods:
             network[pair] = periods

@@ -84,8 +84,8 @@ def assemble_teams(cliques: list[TemporalClique]) -> TeamTable:
 def build_author_pub_index(pubs: PublicationTable) -> dict[str, list[str]]:
     index: dict[str, list[str]] = {}
     for rec in pubs:
-        for author_id in rec.author_ids():
-            index.setdefault(author_id, []).append(rec.pub_id)
+        for entry in rec.authors:
+            index.setdefault(entry.author_id, []).append(rec.pub_id)
     return index
 
 

@@ -9,6 +9,7 @@ import math
 import os
 import random
 import resource
+import shutil
 import time
 
 import pytest
@@ -237,22 +238,28 @@ def test_criterion_8_determinism(tmp_path):
 def test_criterion_9_scale_smoke(tmp_path):
     config = scale_config()
     corpus = tmp_path / "corpus"
-    gen_start = time.perf_counter()
-    truth = generate_corpus(config, corpus)
-    gen_elapsed = time.perf_counter() - gen_start
-    assert truth.n_publications >= 1_000_000
-    assert truth.n_authors >= 300_000
+    out = tmp_path / "out"
+    # about 0.8 GB that pytest would keep in its base temp for two more runs
+    try:
+        gen_start = time.perf_counter()
+        truth = generate_corpus(config, corpus)
+        gen_elapsed = time.perf_counter() - gen_start
+        assert truth.n_publications >= 1_000_000
+        assert truth.n_authors >= 300_000
 
-    start = time.perf_counter()
-    pipeline = run_pipeline(corpus, tmp_path / "out",
-                            config.year_min, config.year_max)
-    elapsed = time.perf_counter() - start
-    peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 / 1024
-    counts = {stage: entry["counts"] for stage, entry in pipeline.manifest.items()}
-    print(f"\nscale smoke: generation {gen_elapsed:.0f}s, run all {elapsed:.0f}s, "
-          f"peak RSS {peak_gb:.2f} GB")
-    print(f"stage counts: {counts}")
-    assert elapsed < 600.0, f"run all took {elapsed:.0f}s"
-    assert peak_gb < 8.0, f"peak RSS {peak_gb:.2f} GB"
-    passed(9, f"{truth.n_publications} publications / {truth.n_authors} authors: "
-              f"run all in {elapsed:.0f}s, peak {peak_gb:.2f} GB")
+        start = time.perf_counter()
+        pipeline = run_pipeline(corpus, out,
+                                config.year_min, config.year_max)
+        elapsed = time.perf_counter() - start
+        peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 / 1024
+        counts = {stage: entry["counts"] for stage, entry in pipeline.manifest.items()}
+        print(f"\nscale smoke: generation {gen_elapsed:.0f}s, run all {elapsed:.0f}s, "
+              f"peak RSS {peak_gb:.2f} GB")
+        print(f"stage counts: {counts}")
+        assert elapsed < 600.0, f"run all took {elapsed:.0f}s"
+        assert peak_gb < 8.0, f"peak RSS {peak_gb:.2f} GB"
+        passed(9, f"{truth.n_publications} publications / {truth.n_authors} authors: "
+                  f"run all in {elapsed:.0f}s, peak {peak_gb:.2f} GB")
+    finally:
+        shutil.rmtree(corpus, ignore_errors=True)
+        shutil.rmtree(out, ignore_errors=True)

@@ -1,9 +1,11 @@
 """The CSV codec: every artifact reader and writer round-trips byte for byte."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teammine.cliques import read_cliques_csv, write_cliques_csv
-from teammine.csvio import read_csv, write_csv
+from teammine.csvio import encode_field, read_csv, write_csv
 from teammine.intervals import format_intervals, parse_intervals
 from teammine.overlaps import (read_impulses_csv, read_overlaps_csv, write_impulses_csv,
                                write_overlaps_csv)
@@ -72,3 +74,18 @@ def test_interval_encoding():
     assert format_intervals(negative) == "-9--7;-4-0;2-3"
     assert parse_intervals("-9--7;-4-0;2-3") == negative
     assert parse_intervals("-1-2") == [(-1, 2)]
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fields")
+
+
+@given(st.lists(st.one_of(st.text(), st.sampled_from(["", " ", ",", '"', "\r", "\n", "é"]),
+                          st.integers(), st.floats(allow_nan=False), st.none()),
+                min_size=2, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_encode_field_matches_write_csv(csv_dir, row):
+    write_csv(csv_dir / "row.csv", row, [])
+    expected = (csv_dir / "row.csv").read_bytes()
+    assert (",".join(map(encode_field, row)) + "\r\n").encode("utf-8") == expected

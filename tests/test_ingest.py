@@ -167,7 +167,7 @@ def test_stored_records_satisfy_invariants(tmp_path):
         assert 1 <= rec.year <= 8
         assert rec.fields
         assert rec.authors
-        ids = rec.author_ids()
+        ids = [a.author_id for a in rec.authors]
         assert len(set(ids)) == len(ids)
         for entry in rec.authors:
             assert entry.affiliations

@@ -1,8 +1,10 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teammine.csvio import write_csv
 from teammine.ingest import PublicationRecord
-from teammine.pairs import build_pair_timelines, canonical_pair
+from teammine.pairs import build_pair_timelines, canonical_pair, write_pair_timelines_csv
 
 from helpers import pub, table
 
@@ -63,3 +65,55 @@ def test_author_order_irrelevant(records, rng):
 
 def test_canonical_pair_ordering():
     assert canonical_pair("b", "a") == ("a", "b") == canonical_pair("a", "b")
+
+
+def nested_loop_timelines(records, author_cap=0):
+    """Reference: every pair of author positions, made canonical one by one."""
+    timelines = {}
+    for rec in records:
+        ids = [a.author_id for a in rec.authors]
+        if len(ids) < 2 or 0 < author_cap < len(ids):
+            continue
+        for i in range(len(ids)):
+            for j in range(i + 1, len(ids)):
+                timelines.setdefault(canonical_pair(ids[i], ids[j]), []).append(rec.year)
+    for years in timelines.values():
+        years.sort()
+    return timelines
+
+
+# ids that need quoting, sort before and after letters, or are not ASCII
+odd_ids = st.text(st.sampled_from(["a", "b", "Z", "0", ",", '"', "\r", "\n", " ", "é"]),
+                  min_size=1, max_size=3)
+
+
+@st.composite
+def odd_corpora(draw):
+    records = []
+    for i in range(draw(st.integers(0, 15))):
+        ids = draw(st.lists(odd_ids, min_size=1, max_size=6, unique=True))
+        records.append(pub(f"p{i}", draw(st.integers(-3, 4)), ids))
+    return records
+
+
+@given(odd_corpora(), st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_matches_nested_loop_reference(records, author_cap):
+    assert (build_pair_timelines(table(records), author_cap)
+            == nested_loop_timelines(records, author_cap))
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("pair_timelines")
+
+
+@given(st.dictionaries(st.tuples(odd_ids, odd_ids),
+                       st.lists(st.integers(-5, 5), min_size=1, max_size=5).map(sorted),
+                       max_size=25))
+@settings(max_examples=150, deadline=None)
+def test_writer_matches_write_csv_of_sorted_rows(csv_dir, timelines):
+    write_pair_timelines_csv(timelines, csv_dir / "grouped.csv")
+    write_csv(csv_dir / "sorted.csv", ["author_a", "author_b", "years"],
+              [(a, b, ";".join(map(str, timelines[a, b]))) for a, b in sorted(timelines)])
+    assert (csv_dir / "grouped.csv").read_bytes() == (csv_dir / "sorted.csv").read_bytes()

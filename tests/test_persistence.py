@@ -114,3 +114,14 @@ def test_periods_disjoint_with_gaps(years):
     for (s1, e1), (s2, e2) in zip(periods, periods[1:]):
         assert s1 <= e1 and s2 <= e2
         assert s2 > e1 + 1
+
+
+@given(st.dictionaries(st.tuples(st.sampled_from("abc"), st.sampled_from("xyz")),
+                       year_multisets, max_size=9),
+       st.integers(1, 6), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_network_matches_periods_of_every_pair(timelines, window_len, min_pubs):
+    params = PersistenceParams(window_len=window_len, min_pubs=min_pubs)
+    expected = {pair: periods for pair, years in timelines.items()
+                if (periods := persistent_periods(years, params))}
+    assert build_persistent_network(timelines, params) == expected
