@@ -18,7 +18,7 @@ from teammine.csvio import write_csv
 from teammine.ingest import PublicationTable
 from teammine.overlaps import ImpulseSummary
 from teammine.success import SuccessTagTable
-from teammine.teams import Team
+from teammine.teams import SuccessProfile, Team, success_profiles
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,90 +58,56 @@ def filter_margin(teams: list[Team], year_min: int, year_max: int, margin: int) 
             and t.duration_end < year_max - margin + 1]
 
 
-def _is_top(tag, which: str) -> bool:
-    if tag is None:
-        return False
-    return tag.top1 if which == "top1" else tag.top10
-
-
-def _first_success_age(team: Team, pubs: PublicationTable, tags: SuccessTagTable,
-                       which: str) -> int | None:
-    for pub_id in team.pubs:  # sorted by (year, pub_id)
-        if _is_top(tags.get(pub_id), which):
-            return pubs.get(pub_id).year - team.duration_start + 1
-    return None
-
-
-def _success_count(team: Team, tags: SuccessTagTable, which: str) -> int:
-    return sum(1 for pub_id in team.pubs if _is_top(tags.get(pub_id), which))
-
-
 # --- prevalence ----------------------------------------------------------------
 
-def team_prevalence_by_year(pubs: PublicationTable, teams: list[Team],
-                            tags: SuccessTagTable, year_min: int, year_max: int) -> SeriesTable:
-    """Share of multi-author publications carried by at least one team, per
-    year, for the whole corpus and its top cited subsets."""
-    team_pubs: set[str] = set()
-    for team in teams:
-        team_pubs.update(team.pubs)
-    num: dict[tuple[str, int], int] = {}
-    denom: dict[tuple[str, int], int] = {}
+def team_prevalence(pubs: PublicationTable, teams: list[Team], tags: SuccessTagTable,
+                    year_min: int, year_max: int) -> tuple[SeriesTable, SeriesTable]:
+    """Share of multi-author publications carried by at least one team: per
+    year for the whole corpus and its top cited subsets (first table), and per
+    country, where a publication counts toward every country present in any
+    author affiliation (second table)."""
+    team_pubs = {pub_id for team in teams for pub_id in team.pubs}
+    by_year: dict[tuple[str, int], list[int]] = {}
+    by_country: dict[str, list[int]] = {}
     for rec in pubs:
         if len(rec.authors) < 2:
             continue
-        tag = tags.get(rec.pub_id)
         in_team = rec.pub_id in team_pubs
-        for name in ("all", "top10", "top1"):
-            if name != "all" and not _is_top(tag, name):
-                continue
-            key = (name, rec.year)
-            denom[key] = denom.get(key, 0) + 1
-            if in_team:
-                num[key] = num.get(key, 0) + 1
-    table = SeriesTable("fig1a", ("population", "year"))
+        top10, top1 = tags.flags(rec.pub_id)
+        for name, member in (("all", True), ("top10", top10), ("top1", top1)):
+            if member:
+                cell = by_year.setdefault((name, rec.year), [0, 0])
+                cell[0] += 1
+                cell[1] += in_team
+        for country in {aff.country for a in rec.authors for aff in a.affiliations
+                        if aff.country is not None}:
+            cell = by_country.setdefault(country, [0, 0])
+            cell[0] += 1
+            cell[1] += in_team
+    by_year_table = SeriesTable("fig1a", ("population", "year"))
     for name in ("all", "top10", "top1"):
         for year in range(year_min, year_max + 1):
-            key = (name, year)
-            table.add_fraction(key, num.get(key, 0), denom.get(key, 0), percent=True)
-    return table
-
-
-def team_prevalence_by_country(pubs: PublicationTable, teams: list[Team]) -> SeriesTable:
-    """Team-publication share per country; a publication counts toward every
-    country present in any author affiliation."""
-    team_pubs: set[str] = set()
-    for team in teams:
-        team_pubs.update(team.pubs)
-    num: dict[str, int] = {}
-    denom: dict[str, int] = {}
-    for rec in pubs:
-        if len(rec.authors) < 2:
-            continue
-        countries = {aff.country for a in rec.authors for aff in a.affiliations
-                     if aff.country is not None}
-        for country in countries:
-            denom[country] = denom.get(country, 0) + 1
-            if rec.pub_id in team_pubs:
-                num[country] = num.get(country, 0) + 1
-    table = SeriesTable("fig1b", ("country",))
-    for country in sorted(denom):
-        table.add_fraction((country,), num.get(country, 0), denom[country], percent=True)
-    return table
+            n, count = by_year.get((name, year), (0, 0))
+            by_year_table.add_fraction((name, year), count, n, percent=True)
+    by_country_table = SeriesTable("fig1b", ("country",))
+    for country in sorted(by_country):
+        n, count = by_country[country]
+        by_country_table.add_fraction((country,), count, n, percent=True)
+    return by_year_table, by_country_table
 
 
 # --- freshness -----------------------------------------------------------------
 
-def success_prob_by_age(teams: list[Team], pubs: PublicationTable,
-                        tags: SuccessTagTable, which: str) -> SeriesTable:
+def success_prob_by_age(teams: list[Team], profiles: dict[int, SuccessProfile],
+                        which: str) -> SeriesTable:
     """P(publication is highly cited) by team duration cohort and team age."""
     cells: dict[tuple[int, int], list[int]] = {}
     for team in teams:
-        for pub_id in team.pubs:
-            age = pubs.get(pub_id).year - team.duration_start + 1
-            cell = cells.setdefault((team.duration, age), [0, 0])
+        profile = profiles[team.team_id]
+        for year, hit in zip(profile.years, getattr(profile, which).flags):
+            cell = cells.setdefault((team.duration, year - team.duration_start + 1), [0, 0])
             cell[0] += 1
-            cell[1] += _is_top(tags.get(pub_id), which)
+            cell[1] += hit
     table = SeriesTable("fig2a", ("duration", "age"))
     for cohort, age in sorted(cells):
         n, count = cells[(cohort, age)]
@@ -149,15 +115,16 @@ def success_prob_by_age(teams: list[Team], pubs: PublicationTable,
     return table
 
 
-def first_success_distribution(teams: list[Team], pubs: PublicationTable,
-                               tags: SuccessTagTable, which: str) -> SeriesTable:
+def first_success_distribution(teams: list[Team], profiles: dict[int, SuccessProfile],
+                               which: str) -> SeriesTable:
     """Among successful teams of each duration: % with first success per age."""
     cohorts: dict[int, dict[int, int]] = {}
     totals: dict[int, int] = {}
     for team in teams:
-        age = _first_success_age(team, pubs, tags, which)
-        if age is None:
+        first = getattr(profiles[team.team_id], which).first_year
+        if first is None:
             continue
+        age = first - team.duration_start + 1
         cohorts.setdefault(team.duration, {})
         cohorts[team.duration][age] = cohorts[team.duration].get(age, 0) + 1
         totals[team.duration] = totals.get(team.duration, 0) + 1
@@ -169,15 +136,19 @@ def first_success_distribution(teams: list[Team], pubs: PublicationTable,
     return table
 
 
-def newly_successful_rate(teams: list[Team], pubs: PublicationTable,
-                          tags: SuccessTagTable, which: str) -> SeriesTable:
+def newly_successful_rate(teams: list[Team], profiles: dict[int, SuccessProfile],
+                          which: str) -> SeriesTable:
     """Per age: % of not yet successful teams whose first success lands there.
 
     The population at age a holds teams of duration >= a without success
     before a; ages whose population is empty yield a flagged row.
     """
     max_duration = max((t.duration for t in teams), default=0)
-    first_ages = [(_first_success_age(t, pubs, tags, which), t.duration) for t in teams]
+    first_ages = []
+    for team in teams:
+        first = getattr(profiles[team.team_id], which).first_year
+        first_ages.append((None if first is None else first - team.duration_start + 1,
+                           team.duration))
     table = SeriesTable("figs2add", ("q", "age"))
     label = "0.01" if which == "top1" else "0.10"
     for age in range(1, max_duration + 1):
@@ -194,7 +165,7 @@ def _quarter_bin(value: float) -> float:
     return math.floor(value * 4) / 4
 
 
-def success_by_composition(teams: list[Team], tags: SuccessTagTable,
+def success_by_composition(teams: list[Team], profiles: dict[int, SuccessProfile],
                            which: str) -> SeriesTable:
     """P(publication is highly cited) by binned composition metrics.
 
@@ -205,7 +176,7 @@ def success_by_composition(teams: list[Team], tags: SuccessTagTable,
     for team in teams:
         if not team.pubs or team.metrics is None:
             continue
-        n_top = sum(1 for pub_id in team.pubs if _is_top(tags.get(pub_id), which))
+        n_top = getattr(profiles[team.team_id], which).count
         metric_bins = (
             ("orgs_pm", _quarter_bin(team.metrics.orgs_per_member)),
             ("cities_pm", _quarter_bin(team.metrics.cities_per_member)),
@@ -239,7 +210,7 @@ _IMPULSE_FIELDS = {
 
 
 def success_by_impulse_count(teams: list[Team], summaries: dict[int, ImpulseSummary],
-                             pubs: PublicationTable, tags: SuccessTagTable,
+                             profiles: dict[int, SuccessProfile],
                              which: str) -> tuple[SeriesTable, SeriesTable]:
     """Success odds by impulse count: per team (first table) and per
     publication (second table), with a closed-team baseline row."""
@@ -256,7 +227,7 @@ def success_by_impulse_count(teams: list[Team], summaries: dict[int, ImpulseSumm
 
     for team in teams:
         summary = summaries[team.team_id]
-        n_top = _success_count(team, tags, which)
+        n_top = getattr(profiles[team.team_id], which).count
         successful = n_top > 0
         if summary.total == 0:
             tally(("closed", "any", 0), team, successful, n_top)
@@ -276,7 +247,7 @@ def success_by_impulse_count(teams: list[Team], summaries: dict[int, ImpulseSumm
 
 
 def success_by_impulse_rate(teams: list[Team], summaries: dict[int, ImpulseSummary],
-                            tags: SuccessTagTable, which: str) -> SeriesTable:
+                            profiles: dict[int, SuccessProfile], which: str) -> SeriesTable:
     """P(at least one / at least two highly cited publications) by the average
     number of new impulses per year, closed teams kept as their own group."""
     cells: dict[tuple[str, float], list[int]] = {}
@@ -287,7 +258,7 @@ def success_by_impulse_rate(teams: list[Team], summaries: dict[int, ImpulseSumma
         else:
             key = ("open", _quarter_bin(summary.impulses_per_year))
         cell = cells.setdefault(key, [0, 0, 0])
-        n_top = _success_count(team, tags, which)
+        n_top = getattr(profiles[team.team_id], which).count
         cell[0] += 1
         cell[1] += n_top >= 1
         cell[2] += n_top >= 2
@@ -300,8 +271,7 @@ def success_by_impulse_rate(teams: list[Team], summaries: dict[int, ImpulseSumma
 
 
 def first_success_shift(teams: list[Team], summaries: dict[int, ImpulseSummary],
-                        pubs: PublicationTable, tags: SuccessTagTable,
-                        which: str) -> SeriesTable:
+                        profiles: dict[int, SuccessProfile], which: str) -> SeriesTable:
     """Mean decrease in first-success age versus closed teams, per duration
     cohort, for teams holding persistence / freshness / early-success
     persistence impulses. Synchronous impulses carry no timing information and
@@ -309,9 +279,10 @@ def first_success_shift(teams: list[Team], summaries: dict[int, ImpulseSummary],
     early_attr = "persistence_early_top1" if which == "top1" else "persistence_early_top10"
     cohort_ages: dict[int, dict[str, list[int]]] = {}
     for team in teams:
-        age = _first_success_age(team, pubs, tags, which)
-        if age is None:
+        first = getattr(profiles[team.team_id], which).first_year
+        if first is None:
             continue
+        age = first - team.duration_start + 1
         summary = summaries[team.team_id]
         conditions = []
         if summary.total == 0:
@@ -352,18 +323,18 @@ def compute_all_figures(pubs: PublicationTable, tags: SuccessTagTable,
                         year_min: int, year_max: int) -> dict[str, SeriesTable]:
     """Every figure table, keyed by output file stem."""
     out: dict[str, SeriesTable] = {}
-    out["fig1a"] = team_prevalence_by_year(pubs, teams, tags, year_min, year_max)
-    out["fig1b"] = team_prevalence_by_country(pubs, teams)
+    out["fig1a"], out["fig1b"] = team_prevalence(pubs, teams, tags, year_min, year_max)
+    profiles = success_profiles(teams, pubs, tags)
     for which, suffix in (("top1", ""), ("top10", "_top10")):
-        out["fig2a" + suffix] = success_prob_by_age(teams, pubs, tags, which)
-        out["fig2b" + suffix] = first_success_distribution(teams, pubs, tags, which)
-        out["fig3" + suffix] = success_by_composition(teams, tags, which)
-        fig5a, fig5b = success_by_impulse_count(teams, summaries, pubs, tags, which)
+        out["fig2a" + suffix] = success_prob_by_age(teams, profiles, which)
+        out["fig2b" + suffix] = first_success_distribution(teams, profiles, which)
+        out["fig3" + suffix] = success_by_composition(teams, profiles, which)
+        fig5a, fig5b = success_by_impulse_count(teams, summaries, profiles, which)
         out["fig5a" + suffix] = fig5a
         out["fig5b" + suffix] = fig5b
-        out["fig5c" + suffix] = success_by_impulse_rate(teams, summaries, tags, which)
-        out["fig5d" + suffix] = first_success_shift(teams, summaries, pubs, tags, which)
-    add = newly_successful_rate(teams, pubs, tags, "top10")
-    add.rows.extend(newly_successful_rate(teams, pubs, tags, "top1").rows)
+        out["fig5c" + suffix] = success_by_impulse_rate(teams, summaries, profiles, which)
+        out["fig5d" + suffix] = first_success_shift(teams, summaries, profiles, which)
+    add = newly_successful_rate(teams, profiles, "top10")
+    add.rows.extend(newly_successful_rate(teams, profiles, "top1").rows)
     out["figs2add"] = add
     return out

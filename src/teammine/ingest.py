@@ -575,12 +575,10 @@ def corpus_stats(pubs: PublicationTable, tags) -> CorpusStats:
     order = [DocType.ARTICLE, DocType.REVIEW, DocType.LETTER, DocType.PROCEEDINGS_PAPER]
     counts = {dt: [0, 0, 0] for dt in order}
     for rec in pubs:
-        tag = tags.get(rec.pub_id)
+        top10, top1 = tags.flags(rec.pub_id)
         counts[rec.doc_type][0] += 1
-        if tag is not None and tag.top10:
-            counts[rec.doc_type][1] += 1
-        if tag is not None and tag.top1:
-            counts[rec.doc_type][2] += 1
+        counts[rec.doc_type][1] += top10
+        counts[rec.doc_type][2] += top1
     totals = [sum(counts[dt][i] for dt in order) for i in range(3)]
 
     def pct(part: int, whole: int) -> float:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from teammine.csvio import read_csv, write_csv
 from teammine.errors import InternalInconsistencyError
-from teammine.teams import Team, TeamTable
+from teammine.teams import SuccessProfile, Team, TeamTable
 
 
 class OverlapKind(Enum):
@@ -207,28 +207,6 @@ def classify_all(teams: TeamTable) -> tuple[list[OverlapRelation], dict[str, int
 
 # --- impulse summaries --------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class TeamSuccessProfile:
-    has_top10: bool
-    has_top1: bool
-    first_top10_year: int | None
-    first_top1_year: int | None
-
-
-def team_success_profile(team: Team, pubs, tags) -> TeamSuccessProfile:
-    first10 = first1 = None
-    for pub_id in team.pubs:  # sorted by (year, pub_id)
-        tag = tags.get(pub_id)
-        if tag is None:
-            continue
-        year = pubs.get(pub_id).year
-        if tag.top10 and first10 is None:
-            first10 = year
-        if tag.top1 and first1 is None:
-            first1 = year
-    return TeamSuccessProfile(first10 is not None, first1 is not None, first10, first1)
-
-
 @dataclass
 class ImpulseSummary:
     team_id: int
@@ -251,37 +229,38 @@ class ImpulseSummary:
 
 
 def impulse_summary(focal: Team, relations: list[OverlapRelation],
-                    profiles: dict[int, TeamSuccessProfile]) -> ImpulseSummary:
-    """Impulse counters for one focal team over its classified relations."""
+                    profiles: dict[int, SuccessProfile]) -> ImpulseSummary:
+    """Impulse counters for one focal team over the relations it is focal in."""
     summary = ImpulseSummary(team_id=focal.team_id)
     for rel in relations:
-        if rel.focal_team_id != focal.team_id or rel.impulse is Impulse.NONE:
+        if rel.impulse is Impulse.NONE:
             continue
         source = profiles[rel.other_team_id]
+        has_top10 = source.top10.count > 0
+        has_top1 = source.top1.count > 0
         if rel.impulse is Impulse.PERSISTENCE:
             summary.persistence += 1
-            summary.persistence_top10 += source.has_top10
-            summary.persistence_top1 += source.has_top1
-            if source.first_top10_year is not None and source.first_top10_year < focal.duration_start:
+            summary.persistence_top10 += has_top10
+            summary.persistence_top1 += has_top1
+            if has_top10 and source.top10.first_year < focal.duration_start:
                 summary.persistence_early_top10 += 1
-            if source.first_top1_year is not None and source.first_top1_year < focal.duration_start:
+            if has_top1 and source.top1.first_year < focal.duration_start:
                 summary.persistence_early_top1 += 1
         elif rel.impulse is Impulse.SYNCHRONOUS:
             summary.synchronous += 1
-            summary.synchronous_top10 += source.has_top10
-            summary.synchronous_top1 += source.has_top1
+            summary.synchronous_top10 += has_top10
+            summary.synchronous_top1 += has_top1
         else:
             summary.freshness += 1
-            summary.freshness_top10 += source.has_top10
-            summary.freshness_top1 += source.has_top1
+            summary.freshness_top10 += has_top10
+            summary.freshness_top1 += has_top1
     summary.impulses_per_year = summary.total / focal.duration
     return summary
 
 
 def summarize_all(teams: TeamTable, relations: list[OverlapRelation],
-                  pubs, tags) -> dict[int, ImpulseSummary]:
+                  profiles: dict[int, SuccessProfile]) -> dict[int, ImpulseSummary]:
     """One summary per team, closed teams included (all-zero counters)."""
-    profiles = {team.team_id: team_success_profile(team, pubs, tags) for team in teams}
     by_focal: dict[int, list[OverlapRelation]] = {}
     for rel in relations:
         by_focal.setdefault(rel.focal_team_id, []).append(rel)

@@ -38,7 +38,8 @@ from teammine.persistence import (PersistenceParams, build_persistent_network,
 from teammine.success import (WINDOWS, compute_tags, read_success_tags_csv,
                               write_success_tags_csv, write_thresholds_csv)
 from teammine.teams import (assemble_teams, associate_all, compute_all_metrics,
-                            read_teams_csv, write_team_pubs_csv, write_teams_csv)
+                            read_teams_csv, success_profiles, write_team_pubs_csv,
+                            write_teams_csv)
 
 FIGURE_STEMS = ("fig1a", "fig1b", "fig2a", "fig2a_top10", "fig2b", "fig2b_top10",
                 "fig3", "fig3_top10", "fig5a", "fig5a_top10", "fig5b", "fig5b_top10",
@@ -372,7 +373,8 @@ class Pipeline:
         teams = assemble_teams(self._load("cliques"))
         associate_all(teams, self._load("pubs"))
         compute_all_metrics(teams, self._load("pubs"))
-        write_teams_csv(teams, self._load("tags"), self._artifact("teams.csv"))
+        write_teams_csv(teams, success_profiles(teams, self._load("pubs"), self._load("tags")),
+                        self._artifact("teams.csv"))
         write_team_pubs_csv(teams, self._artifact("team_pubs.csv"))
         self._mem["teams"] = teams
         return {"teams": len(teams),
@@ -381,7 +383,8 @@ class Pipeline:
     def _stage_overlaps(self) -> dict:
         teams = self._load("teams")
         relations, anomalies = classify_all(teams)
-        summaries = summarize_all(teams, relations, self._load("pubs"), self._load("tags"))
+        summaries = summarize_all(teams, relations,
+                                  success_profiles(teams, self._load("pubs"), self._load("tags")))
         write_overlaps_csv(relations, self._artifact("overlaps.csv"))
         write_impulses_csv(summaries, self._artifact("impulses.csv"))
         write_csv(self._artifact("overlap_anomalies.csv"), ["lemma", "count"],
@@ -433,12 +436,8 @@ class Pipeline:
         lines.append(f"  publications ({len(team.pubs)}):")
         for pub_id in team.pubs:
             rec = pubs.get(pub_id)
-            tag = tags.get(pub_id)
-            mark = ""
-            if tag is not None and tag.top10:
-                mark += " top10"
-            if tag is not None and tag.top1:
-                mark += " top1"
+            top10, top1 = tags.flags(pub_id)
+            mark = (" top10" if top10 else "") + (" top1" if top1 else "")
             lines.append(f"    year {rec.year}  {pub_id}{mark}")
         if team.metrics is not None:
             m = team.metrics

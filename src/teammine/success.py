@@ -62,6 +62,11 @@ class SuccessTagTable:
     def get(self, pub_id: str) -> SuccessTag | None:
         return self._by_id.get(pub_id)
 
+    def flags(self, pub_id: str) -> tuple[bool, bool]:
+        """(top10, top1) of a publication; an untagged one is neither."""
+        tag = self._by_id.get(pub_id)
+        return (False, False) if tag is None else (tag.top10, tag.top1)
+
 
 def three_year_citations(pubs: PublicationTable, citations: CitationTable,
                          mode: str = WINDOW_INCLUSIVE) -> dict[str, int]:

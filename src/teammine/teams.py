@@ -181,28 +181,62 @@ def compute_all_metrics(teams: TeamTable, pubs: PublicationTable):
         team.metrics = composition_metrics(team, pubs, coords)
 
 
+# --- success profiles ----------------------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class Success:
+    """One success level, top-10% or top-1%, over a team's publications."""
+    flags: tuple[bool, ...]  # one per publication, in team.pubs order
+    count: int
+    first_year: int | None
+
+
+@dataclass(frozen=True, slots=True)
+class SuccessProfile:
+    """A team's publication years, in team.pubs order, and its success at
+    each level."""
+    years: tuple[int, ...]
+    top10: Success
+    top1: Success
+
+
+def _success(years: list[int], flags: list[bool]) -> Success:
+    first = next((year for year, hit in zip(years, flags) if hit), None)
+    return Success(tuple(flags), sum(flags), first)
+
+
+def success_profiles(teams, pubs: PublicationTable, tags) -> dict[int, SuccessProfile]:
+    """Each team's success profile, keyed by team id: the one place that reads
+    a team's publications against the success tags."""
+    profiles = {}
+    for team in teams:
+        years, top10, top1 = [], [], []
+        for pub_id in team.pubs:  # sorted by (year, pub_id)
+            years.append(pubs.get(pub_id).year)
+            hit10, hit1 = tags.flags(pub_id)
+            top10.append(hit10)
+            top1.append(hit1)
+        profiles[team.team_id] = SuccessProfile(tuple(years), _success(years, top10),
+                                                _success(years, top1))
+    return profiles
+
+
 # --- artifacts ----------------------------------------------------------------
 
-def _team_row(team: Team, tags) -> list:
-    n10 = n1 = 0
-    for pub_id in team.pubs:
-        tag = tags.get(pub_id)
-        if tag is not None and tag.top10:
-            n10 += 1
-        if tag is not None and tag.top1:
-            n1 += 1
+def _team_row(team: Team, profile: SuccessProfile) -> list:
     m = team.metrics
     return [team.team_id, ";".join(team.members), format_intervals(team.intervals),
-            team.duration_start, team.duration_end, len(team.pubs), n10, n1,
+            team.duration_start, team.duration_end, len(team.pubs),
+            profile.top10.count, profile.top1.count,
             repr(m.orgs_per_member), repr(m.cities_per_member),
             repr(m.countries_per_member), repr(m.mean_city_distance_km)]
 
 
-def write_teams_csv(teams: TeamTable, tags, path: str | Path):
+def write_teams_csv(teams: TeamTable, profiles: dict[int, SuccessProfile], path: str | Path):
     write_csv(path, ["team_id", "members", "intervals", "duration_start",
                      "duration_end", "n_pubs", "n_top10", "n_top1",
                      "orgs_pm", "cities_pm", "countries_pm", "dist_pm"],
-              (_team_row(team, tags) for team in teams))
+              (_team_row(team, profiles[team.team_id]) for team in teams))
 
 
 def write_team_pubs_csv(teams: TeamTable, path: str | Path):

@@ -4,10 +4,9 @@ from teammine.analytics import (compute_all_figures, filter_margin,
                                 first_success_distribution, first_success_shift,
                                 newly_successful_rate, success_by_composition,
                                 success_by_impulse_count, success_by_impulse_rate,
-                                success_prob_by_age, team_prevalence_by_country,
-                                team_prevalence_by_year, _quarter_bin)
+                                success_prob_by_age, team_prevalence, _quarter_bin)
 from teammine.overlaps import ImpulseSummary
-from teammine.teams import CompositionMetrics
+from teammine.teams import CompositionMetrics, success_profiles
 
 from helpers import affiliation, author, pub, table, tag_table, team
 
@@ -30,13 +29,13 @@ def test_prevalence_all_team_pubs():
                   pub("s1", 1, ["X"])])  # single-author excluded from the base
     teams = [team(0, ["A", "B"], [(1, 3)], pubs=("p1", "p2"))]
     tags = tag_table({})
-    series = team_prevalence_by_year(pubs, teams, tags, 1, 1)
+    series = team_prevalence(pubs, teams, tags, 1, 1)[0]
     assert rows_by_key(series)[("all", 1)].value == 100.0
 
 
 def test_prevalence_no_teams():
     pubs = table([pub("p1", 1, ["A", "B"])])
-    series = team_prevalence_by_year(pubs, [], tag_table({}), 1, 1)
+    series = team_prevalence(pubs, [], tag_table({}), 1, 1)[0]
     row = rows_by_key(series)[("all", 1)]
     assert row.value == 0.0 and row.n == 1
 
@@ -46,7 +45,7 @@ def test_prevalence_planted_fraction():
     records += [pub(f"n{i}", 1, ["C", "D"]) for i in range(6)]
     pubs = table(records)
     teams = [team(0, ["A", "B"], [(1, 2)], pubs=tuple(f"t{i}" for i in range(4)))]
-    series = team_prevalence_by_year(pubs, teams, tag_table({}), 1, 1)
+    series = team_prevalence(pubs, teams, tag_table({}), 1, 1)[0]
     row = rows_by_key(series)[("all", 1)]
     assert row.value == 40.0
     assert row.n == 10 and row.count == 4
@@ -55,7 +54,7 @@ def test_prevalence_planted_fraction():
 def test_prevalence_populations_and_empty_years():
     pubs = table([pub("p1", 1, ["A", "B"])])
     tags = tag_table({"p1": (9, True, False)})
-    series = team_prevalence_by_year(pubs, [], tags, 1, 2)
+    series = team_prevalence(pubs, [], tags, 1, 2)[0]
     rows = rows_by_key(series)
     assert rows[("top10", 1)].n == 1
     assert rows[("top1", 1)].flag == "no_population"
@@ -65,7 +64,7 @@ def test_prevalence_populations_and_empty_years():
 def test_prevalence_by_country_single_country_matches_global():
     pubs = table([pub("p1", 1, ["A", "B"]), pub("p2", 1, ["C", "D"])])
     teams = [team(0, ["A", "B"], [(1, 2)], pubs=("p1",))]
-    series = team_prevalence_by_country(pubs, teams)
+    series = team_prevalence(pubs, teams, tag_table({}), 1, 1)[1]
     assert rows_by_key(series)[("NL",)].value == 50.0
 
 
@@ -73,14 +72,14 @@ def test_prevalence_by_country_multi_country_pub_counts_twice():
     authors = [author("A", (affiliation(country="NL"),)),
                author("B", (affiliation(country="DE"),))]
     pubs = table([pub("p1", 1, ["A", "B"], authors=authors)])
-    series = team_prevalence_by_country(pubs, [])
+    series = team_prevalence(pubs, [], tag_table({}), 1, 1)[1]
     rows = rows_by_key(series)
     assert rows[("NL",)].n == 1 and rows[("DE",)].n == 1
 
 
 def test_prevalence_by_country_omits_single_author_only():
     pubs = table([pub("p1", 1, ["A"])])
-    assert team_prevalence_by_country(pubs, []).rows == []
+    assert team_prevalence(pubs, [], tag_table({}), 1, 1)[1].rows == []
 
 
 # --- freshness ---
@@ -97,7 +96,7 @@ def _freshness_fixture(success_age):
 
 def test_success_prob_by_age_planted_at_age_one():
     pubs, tags, teams = _freshness_fixture(success_age=1)
-    series = success_prob_by_age(teams, pubs, tags, "top1")
+    series = success_prob_by_age(teams, success_profiles(teams, pubs, tags), "top1")
     rows = rows_by_key(series)
     assert rows[(3, 1)].value == 1.0
     assert rows[(3, 2)].value == 0.0
@@ -105,12 +104,13 @@ def test_success_prob_by_age_planted_at_age_one():
 
 
 def test_success_prob_by_age_empty():
-    assert success_prob_by_age([], table([]), tag_table({}), "top1").rows == []
+    profiles = success_profiles([], table([]), tag_table({}))
+    assert success_prob_by_age([], profiles, "top1").rows == []
 
 
 def test_first_success_distribution_sums_to_100():
     pubs, tags, teams = _freshness_fixture(success_age=2)
-    series = first_success_distribution(teams, pubs, tags, "top1")
+    series = first_success_distribution(teams, success_profiles(teams, pubs, tags), "top1")
     rows = rows_by_key(series)
     assert rows[(3, 2)].value == 100.0
     total = sum(row.value for row in series.rows)
@@ -119,7 +119,7 @@ def test_first_success_distribution_sums_to_100():
 
 def test_newly_successful_rate_all_first_year():
     pubs, tags, teams = _freshness_fixture(success_age=1)
-    series = newly_successful_rate(teams, pubs, tags, "top1")
+    series = newly_successful_rate(teams, success_profiles(teams, pubs, tags), "top1")
     rows = rows_by_key(series)
     assert rows[("0.01", 1)].value == 100.0
     assert rows[("0.01", 2)].flag == "no_population"
@@ -128,7 +128,7 @@ def test_newly_successful_rate_all_first_year():
 
 def test_newly_successful_rate_no_successes():
     pubs, tags, teams = _freshness_fixture(success_age=None)
-    series = newly_successful_rate(teams, pubs, tags, "top1")
+    series = newly_successful_rate(teams, success_profiles(teams, pubs, tags), "top1")
     for row in series.rows:
         assert row.value == 0.0 and row.n == 1
 
@@ -145,8 +145,9 @@ def test_quarter_bin_rule():
 def test_distance_bin_rule():
     metrics = CompositionMetrics(1.0, 1.0, 1.0, 37.0)
     squad = team(0, ["A", "B"], [(1, 2)], pubs=("p1",), metrics=metrics)
+    pubs = table([pub("p1", 1, ["A", "B"])])
     tags = tag_table({"p1": (0, False, False)})
-    series = success_by_composition([squad], tags, "top1")
+    series = success_by_composition([squad], success_profiles([squad], pubs, tags), "top1")
     keys = {row.keys for row in series.rows}
     assert ("dist_km", 30.0) in keys
 
@@ -158,8 +159,10 @@ def test_composition_two_bin_rates():
                  metrics=CompositionMetrics(1.0, 1.0, 1.0, 0.0)) for i in range(10)]
     entries = {f"lp{i}": (9, i < 1, False) for i in range(10)}       # rate 0.1
     entries.update({f"hp{i}": (9, i < 3, False) for i in range(10)})  # rate 0.3
+    pubs = table([pub(p, 1, ["A", "B"]) for p in entries])
     tags = tag_table(entries)
-    series = success_by_composition(low + high, tags, "top10")
+    series = success_by_composition(low + high, success_profiles(low + high, pubs, tags),
+                                    "top10")
     rows = rows_by_key(series)
     assert rows[("orgs_pm", 0.5)].value == pytest.approx(0.1)
     assert rows[("orgs_pm", 1.0)].value == pytest.approx(0.3)
@@ -187,7 +190,8 @@ def _impulse_fixture():
 
 def test_impulse_count_tables():
     teams, summaries, pubs, tags = _impulse_fixture()
-    fig5a, fig5b = success_by_impulse_count(teams, summaries, pubs, tags, "top1")
+    fig5a, fig5b = success_by_impulse_count(teams, summaries,
+                                            success_profiles(teams, pubs, tags), "top1")
     rows_a = rows_by_key(fig5a)
     assert rows_a[("closed", "any", 0)].value == 0.25
     assert rows_a[("persistence", "any", 1)].value == 0.75
@@ -198,14 +202,15 @@ def test_impulse_count_tables():
 
 def test_impulse_count_closed_only_corpus():
     teams = [team(0, ["A", "B"], [(1, 2)], pubs=())]
-    fig5a, _ = success_by_impulse_count(teams, {0: summary(0)}, table([]),
-                                        tag_table({}), "top1")
+    fig5a, _ = success_by_impulse_count(teams, {0: summary(0)},
+                                        success_profiles(teams, table([]), tag_table({})),
+                                        "top1")
     assert [row.keys for row in fig5a.rows] == [("closed", "any", 0)]
 
 
 def test_impulse_rate_bins_and_measures():
     teams, summaries, pubs, tags = _impulse_fixture()
-    series = success_by_impulse_rate(teams, summaries, tags, "top1")
+    series = success_by_impulse_rate(teams, summaries, success_profiles(teams, pubs, tags), "top1")
     rows = rows_by_key(series)
     assert rows[("closed", 0.0, "ge1")].value == 0.25
     assert rows[("open", 0.25, "ge1")].value == 0.75
@@ -227,8 +232,9 @@ def test_first_success_shift_planted_one_year():
         summaries[tid] = summary(tid, persistence=1)
         pubs_records.append(pub(f"o{i}p", 2, [f"o{i}a", f"o{i}b"]))
         tag_entries[f"o{i}p"] = (9, True, True)
-    series = first_success_shift(teams, summaries, table(pubs_records),
-                                 tag_table(tag_entries), "top1")
+    series = first_success_shift(teams, summaries,
+                                 success_profiles(teams, table(pubs_records),
+                                                  tag_table(tag_entries)), "top1")
     rows = rows_by_key(series)
     assert rows[(6, "closed")].value == 0.0
     assert rows[(6, "persistence")].value == 1.0
@@ -241,15 +247,15 @@ def test_first_success_shift_identical_ages_zero():
     summaries = {0: summary(0), 1: summary(1, freshness=2)}
     pubs = table([pub("p0", 2, ["A", "B"]), pub("p1", 2, ["C", "D"])])
     tags = tag_table({"p0": (9, True, True), "p1": (9, True, True)})
-    series = first_success_shift(teams, summaries, pubs, tags, "top1")
+    series = first_success_shift(teams, summaries, success_profiles(teams, pubs, tags), "top1")
     rows = rows_by_key(series)
     assert rows[(4, "freshness")].value == 0.0
 
 
 def test_first_success_shift_no_successes_empty():
     teams = [team(0, ["A", "B"], [(1, 4)], pubs=())]
-    series = first_success_shift(teams, {0: summary(0)}, table([]), tag_table({}),
-                                 "top1")
+    series = first_success_shift(teams, {0: summary(0)},
+                                 success_profiles(teams, table([]), tag_table({})), "top1")
     assert series.rows == []
 
 

@@ -1,11 +1,14 @@
 """The CSV codec: every artifact reader and writer round-trips byte for byte."""
 
+import csv
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teammine.cliques import read_cliques_csv, write_cliques_csv
 from teammine.csvio import encode_field, read_csv, write_csv
+from teammine.ingest import read_publications_jsonl
 from teammine.intervals import format_intervals, parse_intervals
 from teammine.overlaps import (read_impulses_csv, read_overlaps_csv, write_impulses_csv,
                                write_overlaps_csv)
@@ -14,7 +17,8 @@ from teammine.persistence import read_persistent_edges_csv, write_persistent_edg
 from teammine.presets import wired_overlap_config
 from teammine.success import read_success_tags_csv, write_success_tags_csv
 from teammine.synthgen import generate_corpus
-from teammine.teams import read_teams_csv, write_team_pubs_csv, write_teams_csv
+from teammine.teams import (read_teams_csv, success_profiles, write_team_pubs_csv,
+                            write_teams_csv)
 
 from helpers import run_pipeline
 
@@ -50,12 +54,33 @@ def test_artifact_round_trip(wired_run, tmp_path, name):
 
 def test_teams_round_trip(wired_run, tmp_path):
     teams = read_teams_csv(wired_run / "teams.csv", wired_run / "team_pubs.csv")
+    pubs = read_publications_jsonl(wired_run / "canonical_publications.jsonl")
     tags = read_success_tags_csv(wired_run / "success_tags.csv")
     assert len(teams) > 0
-    write_teams_csv(teams, tags, tmp_path / "teams.csv")
+    write_teams_csv(teams, success_profiles(teams, pubs, tags), tmp_path / "teams.csv")
     write_team_pubs_csv(teams, tmp_path / "team_pubs.csv")
     for name in ("teams.csv", "team_pubs.csv"):
         assert (tmp_path / name).read_bytes() == (wired_run / name).read_bytes(), name
+
+
+def test_team_counts_match_team_pubs_joined_with_tags(wired_run):
+    def rows(name):
+        with open(wired_run / name, newline="", encoding="utf-8") as fh:
+            return list(csv.DictReader(fh))
+
+    tags = {row["pub_id"]: row for row in rows("success_tags.csv")}
+    expected: dict[str, list[int]] = {}
+    for row in rows("team_pubs.csv"):
+        counts = expected.setdefault(row["team_id"], [0, 0, 0])
+        tag = tags.get(row["pub_id"])
+        counts[0] += 1
+        counts[1] += tag is not None and tag["top10"] == "1"
+        counts[2] += tag is not None and tag["top1"] == "1"
+    teams = rows("teams.csv")
+    assert sum(int(row["n_top10"]) for row in teams) > 0
+    for row in teams:
+        got = [int(row["n_pubs"]), int(row["n_top10"]), int(row["n_top1"])]
+        assert got == expected.get(row["team_id"], [0, 0, 0]), row["team_id"]
 
 
 def test_codec_dialect_and_header_only(tmp_path):

@@ -3,9 +3,8 @@ import pytest
 from teammine.errors import InternalInconsistencyError
 from teammine.overlaps import (Impulse, OverlapKind, Timing, classify_all,
                                classify_overlap, find_overlap_candidates,
-                               shared_core_test, summarize_all,
-                               team_success_profile)
-from teammine.teams import TeamTable
+                               shared_core_test, summarize_all)
+from teammine.teams import TeamTable, success_profiles
 
 from helpers import pub, table, tag_table, team
 
@@ -134,7 +133,7 @@ def _profile_setup():
 def test_closed_team_summary_all_zero():
     _, focal, pubs, tags = _profile_setup()
     teams = team_table(focal)
-    summaries = summarize_all(teams, [], pubs, tags)
+    summaries = summarize_all(teams, [], success_profiles(teams, pubs, tags))
     summary = summaries[1]
     assert summary.total == 0
     assert summary.impulses_per_year == 0.0
@@ -145,7 +144,7 @@ def test_early_persistence_walkthrough():
     teams = team_table(core, focal)
     relations, anomalies = classify_all(teams)
     assert anomalies == {}
-    summaries = summarize_all(teams, relations, pubs, tags)
+    summaries = summarize_all(teams, relations, success_profiles(teams, pubs, tags))
     summary = summaries[1]
     assert summary.persistence == 1
     assert summary.persistence_top1 == 1
@@ -160,7 +159,7 @@ def test_late_success_is_not_early():
     pubs = table([pub("c1", 5, ["A", "B"]), pub("f1", 3, ["A", "B", "C"])])
     teams = team_table(core, focal)
     relations, _ = classify_all(teams)
-    summary = summarize_all(teams, relations, pubs, tags)[1]
+    summary = summarize_all(teams, relations, success_profiles(teams, pubs, tags))[1]
     assert summary.persistence_top1 == 1
     assert summary.persistence_early_top1 == 0
 
@@ -172,7 +171,7 @@ def test_impulses_per_year():
     relations, _ = classify_all(teams)
     pubs = table([])
     tags = tag_table({})
-    summary = summarize_all(teams, relations, pubs, tags)[0]
+    summary = summarize_all(teams, relations, success_profiles(teams, pubs, tags))[0]
     assert summary.total == 6
     assert summary.impulses_per_year == 1.5
 
@@ -181,10 +180,10 @@ def test_profile_first_years():
     squad = team(0, ["A", "B"], [(1, 9)], pubs=("p1", "p2"))
     pubs = table([pub("p1", 2, ["A", "B"]), pub("p2", 4, ["A", "B"])])
     tags = tag_table({"p1": (5, True, False), "p2": (50, True, True)})
-    profile = team_success_profile(squad, pubs, tags)
-    assert profile.first_top10_year == 2
-    assert profile.first_top1_year == 4
-    assert profile.has_top10 and profile.has_top1
+    profile = success_profiles([squad], pubs, tags)[0]
+    assert profile.top10.first_year == 2
+    assert profile.top1.first_year == 4
+    assert profile.top10.count > 0 and profile.top1.count > 0
 
 
 def test_classification_deterministic():

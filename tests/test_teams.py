@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from teammine.cliques import TemporalClique
 from teammine.geo import great_circle_km
 from teammine.teams import (assemble_teams, associate_publications, city_coordinates,
-                            composition_metrics, compute_all_metrics, associate_all)
+                            composition_metrics, compute_all_metrics, associate_all,
+                            success_profiles)
 
-from helpers import author, affiliation, pub, table, team
+from helpers import author, affiliation, pub, table, tag_table, team
 
 
 def test_great_circle_identical_points():
@@ -163,3 +166,41 @@ def test_associate_and_metrics_batch():
     assert only.pubs == ("p1",)
     assert only.metrics is not None
     assert only.metrics.orgs_per_member == 1.0  # distinct per-author orgs
+
+
+# --- success profiles ---
+
+@st.composite
+def profile_corpora(draw):
+    """Publications as (year, tag) with tag None (untagged) or (top10, top1),
+    and teams as lists of publication indices, empty teams included."""
+    corpus = draw(st.lists(st.tuples(st.integers(1, 6),
+                                     st.none() | st.tuples(st.booleans(), st.booleans())),
+                           max_size=10))
+    index = st.integers(0, len(corpus) - 1) if corpus else st.nothing()
+    memberships = draw(st.lists(st.lists(index, unique=True), max_size=4))
+    return corpus, memberships
+
+
+@given(profile_corpora())
+@example(([(2, None), (3, (True, False)), (4, (False, False)), (5, (True, True))],
+          [[], [0, 1, 2, 3], [0, 2]]))
+@settings(max_examples=200, deadline=None)
+def test_success_profiles_match_brute_force(data):
+    corpus, memberships = data
+    pubs = table([pub(f"p{i}", year, ["A", "B"]) for i, (year, _) in enumerate(corpus)])
+    tag_of = {f"p{i}": tag for i, (_, tag) in enumerate(corpus)}
+    tags = tag_table({p: (0, *tag) for p, tag in tag_of.items() if tag is not None})
+    teams = [team(k, ["A", "B"], [(1, 6)],
+                  pubs=sorted((f"p{i}" for i in members), key=lambda p: (pubs.get(p).year, p)))
+             for k, members in enumerate(memberships)]
+    profiles = success_profiles(teams, pubs, tags)
+    assert sorted(profiles) == list(range(len(teams)))
+    for squad in teams:
+        profile = profiles[squad.team_id]
+        assert profile.years == tuple(pubs.get(p).year for p in squad.pubs)
+        for level, success in enumerate((profile.top10, profile.top1)):
+            hits = [p for p in squad.pubs if tag_of[p] is not None and tag_of[p][level]]
+            assert success.flags == tuple(p in hits for p in squad.pubs)
+            assert success.count == len(hits)
+            assert success.first_year == min((pubs.get(p).year for p in hits), default=None)
