@@ -124,11 +124,6 @@ class CitationTable:
         return iter(self.events)
 
 
-def _require(cond: bool, message: str, line: int):
-    if not cond:
-        raise IngestError(message, line=line)
-
-
 def _utf8_lines(fh):
     """The lines of a file opened with ``errors="surrogateescape"``, refusing
     the first that holds bytes which are not UTF-8.
@@ -165,59 +160,6 @@ def _coordinate(value: int | float) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _parse_affiliation(raw: object, line: int) -> Affiliation:
-    _require(isinstance(raw, dict), "affiliation is not an object", line)
-    assert isinstance(raw, dict)
-    for key in ("org_id", "city_id", "country"):
-        val = raw.get(key)
-        _require(val is None or isinstance(val, str), f"{key} must be a string", line)
-    for key in ("lat", "lon"):
-        val = raw.get(key)
-        _require(
-            val is None or isinstance(val, (int, float)) and not isinstance(val, bool),
-            f"{key} must be a number",
-            line,
-        )
-    return Affiliation(
-        org_id=raw.get("org_id"),
-        city_id=raw.get("city_id"),
-        country=raw.get("country"),
-        lat=None if raw.get("lat") is None else _coordinate(raw["lat"]),
-        lon=None if raw.get("lon") is None else _coordinate(raw["lon"]),
-    )
-
-
-def _parse_record(raw: object, line: int) -> tuple[str, int, str, tuple[str, ...], tuple[AuthorEntry, ...]]:
-    _require(isinstance(raw, dict), "record is not an object", line)
-    assert isinstance(raw, dict)
-    for key in ("pub_id", "year", "doc_type", "fields", "authors"):
-        _require(key in raw, f"missing key {key!r}", line)
-    _require(isinstance(raw["pub_id"], str) and raw["pub_id"] != "", "pub_id must be a non-empty string", line)
-    _require(isinstance(raw["year"], int) and not isinstance(raw["year"], bool), "year must be an integer", line)
-    _require(isinstance(raw["doc_type"], str), "doc_type must be a string", line)
-    _require(
-        isinstance(raw["fields"], list) and all(isinstance(f, str) for f in raw["fields"]),
-        "fields must be a list of strings",
-        line,
-    )
-    _require(isinstance(raw["authors"], list), "authors must be a list", line)
-    authors = []
-    for entry in raw["authors"]:
-        _require(isinstance(entry, dict), "author entry is not an object", line)
-        _require(isinstance(entry.get("author_id"), str) and entry["author_id"] != "",
-                 "author_id must be a non-empty string", line)
-        # ';' separates the members in cliques.csv and teams.csv
-        _require(";" not in entry["author_id"], "author_id must not contain ';'", line)
-        affs = entry.get("affiliations")
-        _require(isinstance(affs, list), "affiliations must be a list", line)
-        authors.append(AuthorEntry(
-            author_id=sys.intern(entry["author_id"]),
-            affiliations=tuple(_parse_affiliation(a, line) for a in affs),
-        ))
-    fields = tuple(sorted(set(raw["fields"])))
-    return raw["pub_id"], raw["year"], raw["doc_type"], fields, tuple(authors)
-
-
 def _record_reject_reason(year: int, doc_type_raw: str, fields: tuple[str, ...],
                           authors: tuple[AuthorEntry, ...], year_min: int,
                           year_max: int) -> str | None:
@@ -251,19 +193,6 @@ def _affiliations_reject_reason(affiliations: tuple[Affiliation, ...]) -> str | 
     return None
 
 
-def _domain_reject_reason(year: int, doc_type_raw: str, fields: tuple[str, ...],
-                          authors: tuple[AuthorEntry, ...], year_min: int,
-                          year_max: int) -> str | None:
-    """First violated domain rule, or None when the record is acceptable."""
-    reason = _record_reject_reason(year, doc_type_raw, fields, authors, year_min, year_max)
-    if reason is None:
-        for author in authors:
-            reason = _affiliations_reject_reason(author.affiliations)
-            if reason is not None:
-                break
-    return reason
-
-
 # a coordinate equal to one of these also equals a bool or a zero of the other sign
 _AMBIGUOUS_COORDINATES = (0, 1)
 _AFFILIATION_KEYS = ("org_id", "city_id", "country", "lat", "lon")
@@ -279,21 +208,46 @@ def _affiliation_key(raw: object) -> tuple | None:
     return tuple([raw.get(key) for key in _AFFILIATION_KEYS])
 
 
+def _affiliation(key: tuple | None, line: int) -> Affiliation:
+    """The affiliation of an object's ``_affiliation_key``; raises for a
+    non-object or the first value of the wrong type."""
+    if key is None:
+        raise IngestError("affiliation is not an object", line=line)
+    org_id, city_id, country, lat, lon = key
+    if (type(org_id) in _TEXT and type(city_id) in _TEXT and type(country) in _TEXT
+            and type(lat) in _FLOAT and type(lon) in _FLOAT):
+        return Affiliation._make(key)
+    for name, value in zip(_AFFILIATION_KEYS[:3], key):
+        if type(value) not in _TEXT:
+            raise IngestError(f"{name} must be a string", line=line)
+    for name, value in zip(_AFFILIATION_KEYS[3:], key[3:]):
+        if type(value) not in _FLOAT and type(value) is not int:  # a bool is not a number
+            raise IngestError(f"{name} must be a number", line=line)
+    return Affiliation(org_id, city_id, country,  # an integer coordinate
+                       None if lat is None else _coordinate(lat),
+                       None if lon is None else _coordinate(lon))
+
+
 def _record_parser():
-    """``parse(raw, line)`` for records of the common shape, building one
+    """``parse(raw, line)`` for a decoded publication line, building one
     object per distinct affiliation, author entry and field list.
 
     It returns ``(pub_id, year, doc_type, fields, authors, reason)``, where
-    ``reason`` is the first rule the authors' affiliations break, or None when
-    any check fails: ``_parse_record`` then decides the record alone. The
+    ``reason`` is the first rule the authors' affiliations break or None, or
+    raises the IngestError of the first structural rule the record breaks, in
+    this order: the record is an object; its five keys are present; pub_id,
+    year, doc_type, fields, the authors list; then per author entry: it is an
+    object, its author_id, the ';' rule, its affiliations list, and per
+    affiliation: it is an object, org_id, city_id, country, lat, lon. The
     memos live in this closure, so two loads share no objects.
 
     An affiliation is looked up by the tuple of its raw values, an author
     entry by its author id and that tuple per affiliation; each memo holds
-    the objects themselves, which equal those tuples. Only entries that break
-    no rule are memoized. Neither is an object with a coordinate equal to 0 or
-    1, as a bool or a zero of the other sign would find it; any other number
-    equal to a memoized coordinate converts to the same float.
+    the objects themselves, which equal those tuples. A hit skips every check,
+    as only entries that break no rule are memoized. Neither is an object
+    with a coordinate equal to 0 or 1, as a bool or a zero of the other sign
+    would find it; any other number equal to a memoized coordinate converts
+    to the same float.
     """
     affiliations: dict[Affiliation, Affiliation] = {}
     entries: dict[AuthorEntry, AuthorEntry] = {}
@@ -302,24 +256,28 @@ def _record_parser():
     entry_values = itemgetter("author_id", "affiliations")
     affiliation_values = itemgetter(*_AFFILIATION_KEYS)
 
-    def new_entry(author_id: object, keys: tuple, raw_affs: list, line: int):
-        """The entry and its reason for values no memoized entry equals."""
-        if type(author_id) is not str or not author_id or ";" in author_id:
-            return None
+    def new_entry(raw_entry: object, keys: tuple | None, line: int):
+        """The entry and its reason for an author entry no memoized one
+        equals; ``keys`` are its affiliations' ``_affiliation_key``s, or None."""
+        if type(raw_entry) is not dict:
+            raise IngestError("author entry is not an object", line=line)
+        author_id = raw_entry.get("author_id")
+        if type(author_id) is not str or not author_id:
+            raise IngestError("author_id must be a non-empty string", line=line)
+        if ";" in author_id:  # ';' separates the members in cliques.csv and teams.csv
+            raise IngestError("author_id must not contain ';'", line=line)
+        raw_affs = raw_entry.get("affiliations")
+        if type(raw_affs) is not list:
+            raise IngestError("affiliations must be a list", line=line)
         affs = []
         memoize = True
-        for key, raw in zip(keys, raw_affs):
-            aff = affiliations.get(key)
+        for key in keys or map(_affiliation_key, raw_affs):
+            try:
+                aff = affiliations.get(key)
+            except TypeError:  # a list or object among the values
+                aff = None
             if aff is None:
-                if key is None:
-                    return None
-                org_id, city_id, country, lat, lon = key
-                if (type(org_id) in _TEXT and type(city_id) in _TEXT
-                        and type(country) in _TEXT and type(lat) in _FLOAT
-                        and type(lon) in _FLOAT):
-                    aff = Affiliation._make(key)
-                else:  # an integer coordinate, or an error
-                    aff = _parse_affiliation(raw, line)
+                aff = _affiliation(key, line)
                 if aff.lat in _AMBIGUOUS_COORDINATES or aff.lon in _AMBIGUOUS_COORDINATES:
                     memoize = False
                 else:
@@ -332,39 +290,45 @@ def _record_parser():
         return entry, reason
 
     def parse(raw: object, line: int):
-        try:  # a missing key, a non-object, or a list or object as a memo key
+        if type(raw) is not dict:
+            raise IngestError("record is not an object", line=line)
+        try:
             pub_id, year, doc_type, raw_fields, raw_authors = record_values(raw)
-            if (type(pub_id) is not str or not pub_id or type(year) is not int
-                    or type(doc_type) is not str or type(raw_fields) is not list
-                    or type(raw_authors) is not list):
-                return None
-            fields = field_lists.get(tuple(raw_fields))
-            if fields is None:
-                for value in raw_fields:
-                    if type(value) is not str:
-                        return None
-                fields = tuple(sorted(set(raw_fields)))
-                fields = field_lists[tuple(raw_fields)] = field_lists.setdefault(fields, fields)
-            authors = []
-            reason = None
-            for raw_entry in raw_authors:
+        except KeyError as exc:
+            raise IngestError(f"missing key {exc.args[0]!r}", line=line) from None
+        if type(pub_id) is not str or not pub_id:
+            raise IngestError("pub_id must be a non-empty string", line=line)
+        if type(year) is not int:  # a bool is not an integer
+            raise IngestError("year must be an integer", line=line)
+        if type(doc_type) is not str:
+            raise IngestError("doc_type must be a string", line=line)
+        try:
+            fields = field_lists.get(tuple(raw_fields)) if type(raw_fields) is list else None
+        except TypeError:  # a list or object among them
+            fields = None
+        if fields is None:
+            if type(raw_fields) is not list or not all(type(f) is str for f in raw_fields):
+                raise IngestError("fields must be a list of strings", line=line)
+            fields = tuple(sorted(set(raw_fields)))
+            fields = field_lists[tuple(raw_fields)] = field_lists.setdefault(fields, fields)
+        if type(raw_authors) is not list:
+            raise IngestError("authors must be a list", line=line)
+        authors = []
+        reason = None
+        for raw_entry in raw_authors:
+            try:  # a key missing, a non-object, or a list or object as a memo key
                 author_id, raw_affs = entry_values(raw_entry)
-                if type(raw_affs) is not list:
-                    return None
                 try:
                     keys = tuple(map(affiliation_values, raw_affs))
                 except KeyError:  # an affiliation without all five keys
                     keys = tuple(map(_affiliation_key, raw_affs))
                 entry = entries.get((author_id, keys))
-                if entry is None:
-                    parsed = new_entry(author_id, keys, raw_affs, line)
-                    if parsed is None:
-                        return None
-                    entry, entry_reason = parsed
-                    reason = reason or entry_reason
-                authors.append(entry)
-        except (KeyError, TypeError, IngestError):
-            return None
+            except (KeyError, TypeError):
+                keys = entry = None
+            if entry is None:
+                entry, entry_reason = new_entry(raw_entry, keys, line)
+                reason = reason or entry_reason
+            authors.append(entry)
         return pub_id, year, doc_type, fields, tuple(authors), reason
 
     return parse
@@ -376,9 +340,9 @@ def load_publications(path: str | Path, year_min: int, year_max: int) -> Publica
 
     Raises IngestError (with the line number) for structurally malformed lines
     and for duplicate pub_ids; domain violations become reject rows instead.
-    A record of the common shape takes ``_record_parser``'s pass, which builds
-    one object per distinct affiliation, author entry and field list; any
-    other record goes through ``_parse_record``, which raises the errors.
+    Each record goes through ``_record_parser``'s ``parse``, which raises the
+    first structural error and builds one object per distinct affiliation,
+    author entry and field list.
     """
     records: list[PublicationRecord] = []
     rejects: list[tuple[int, str]] = []
@@ -402,15 +366,9 @@ def load_publications(path: str | Path, year_min: int, year_max: int) -> Publica
                 raise IngestError("unpaired surrogate escape", line=line_no) from None
             except (ValueError, RecursionError) as exc:  # too many digits, too deep
                 raise IngestError(f"invalid JSON ({exc})", line=line_no) from None
-            parsed = parse(raw, line_no)
-            if parsed is None:
-                pub_id, year, doc_type_raw, fields, authors = _parse_record(raw, line_no)
-                reason = _domain_reject_reason(year, doc_type_raw, fields, authors,
-                                               year_min, year_max)
-            else:
-                pub_id, year, doc_type_raw, fields, authors, reason = parsed
-                reason = _record_reject_reason(year, doc_type_raw, fields, authors,
-                                               year_min, year_max) or reason
+            pub_id, year, doc_type_raw, fields, authors, reason = parse(raw, line_no)
+            reason = _record_reject_reason(year, doc_type_raw, fields, authors,
+                                           year_min, year_max) or reason
             if pub_id in seen_ids:
                 raise IngestError(f"duplicate pub_id {pub_id!r}", line=line_no)
             seen_ids.add(pub_id)
@@ -539,8 +497,7 @@ def read_publications_jsonl(path: str | Path) -> PublicationTable:
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             raw = json.loads(line)
-            pub_id, year, doc_type, fields, authors, _ = (
-                parse(raw, line_no) or (*_parse_record(raw, line_no), None))
+            pub_id, year, doc_type, fields, authors, _ = parse(raw, line_no)
             records.append(PublicationRecord(pub_id, year, doc_types[doc_type], fields,
                                              authors))
     return PublicationTable(records=records, input_lines=len(records))

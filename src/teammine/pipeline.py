@@ -170,6 +170,16 @@ class PipelineConfig:
                 raise ConfigError(f"{key} must be >= 0; got {getattr(self, key)}")
 
 
+def _is_manifest(manifest: object) -> bool:
+    """Whether ``manifest`` has the shape ``Pipeline._save_manifest`` writes."""
+    return type(manifest) is dict and all(
+        type(entry) is dict and type(entry.get("config")) is str
+        and all(type(entry.get(key)) is dict for key in ("inputs", "outputs", "counts"))
+        and all(type(name) is str and type(digest) is str
+                for name, digest in entry["outputs"].items())
+        for entry in manifest.values())
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -212,8 +222,10 @@ class Pipeline:
                 try:
                     self.manifest = json.load(fh)
                 except ValueError:  # truncated or not UTF-8
-                    raise TeammineError(f"manifest {self.manifest_path} is corrupt; "
-                                        f"delete it and rerun") from None
+                    self.manifest = None
+            if not _is_manifest(self.manifest):
+                raise TeammineError(f"manifest {self.manifest_path} is corrupt; "
+                                    f"delete it and rerun")
         self._mem: dict[str, object] = {}
 
     # --- manifest plumbing ---
@@ -237,29 +249,37 @@ class Pipeline:
             return Path(getattr(self.config, EXTERNAL_INPUTS[name]))
         return self._artifact(name)
 
+    def _refusal(self, stage: str, user: str, input_digests: dict | None = None):
+        """The first reason the manifest entry of ``stage`` no longer holds, as
+        the error refusing it to ``user``, or None. The reasons: no entry, the
+        configuration digest, the input digests (only when given), an output
+        missing, an output digest changed."""
+        entry = self.manifest.get(stage)
+        if entry is None:
+            return MissingArtifactError(f"{user} needs stage '{stage}'; run '{stage}' first")
+        if entry["config"] != self._config_digest(stage):
+            keys = ", ".join(_BY_NAME[stage].config_keys)
+            return StaleCacheError(f"stage '{stage}' ran with other settings of {keys}; rerun "
+                                   f"'{stage}' with these settings, or use the ones it ran with")
+        if input_digests is not None and entry["inputs"] != input_digests:
+            return StaleCacheError(f"an input of stage '{stage}' changed; rerun '{stage}'")
+        for name, digest in entry["outputs"].items():
+            path = self._artifact(name)
+            if not path.exists():
+                return MissingArtifactError(f"artifact {name} from stage '{stage}' is missing; "
+                                            f"rerun '{stage}'")
+            if _sha256(path) != digest:
+                return StaleCacheError(f"artifact {name} no longer matches what stage "
+                                       f"'{stage}' produced; rerun '{stage}'")
+        return None
+
     def _check_prereq(self, user: str, prereqs: tuple[str, ...]):
         """Refuse unless each prerequisite stage ran under the current values of
         its configuration keys and its outputs are on disk unchanged."""
         for prereq in prereqs:
-            entry = self.manifest.get(prereq)
-            if entry is None:
-                raise MissingArtifactError(
-                    f"{user} needs stage '{prereq}'; run '{prereq}' first")
-            if entry["config"] != self._config_digest(prereq):
-                keys = ", ".join(_BY_NAME[prereq].config_keys)
-                raise StaleCacheError(
-                    f"stage '{prereq}' ran with other settings of {keys}; rerun "
-                    f"'{prereq}' with these settings, or use the ones it ran with")
-            for name, digest in entry["outputs"].items():
-                path = self._artifact(name)
-                if not path.exists():
-                    raise MissingArtifactError(
-                        f"artifact {name} from stage '{prereq}' is missing; "
-                        f"rerun '{prereq}'")
-                if _sha256(path) != digest:
-                    raise StaleCacheError(
-                        f"artifact {name} no longer matches what stage '{prereq}' "
-                        f"produced; rerun '{prereq}'")
+            refusal = self._refusal(prereq, user)
+            if refusal is not None:
+                raise refusal
 
     # --- running ---
 
@@ -292,19 +312,13 @@ class Pipeline:
                         else "; rerun the stage that produces it")
                 raise MissingArtifactError(f"stage '{stage}' input {path} is missing{hint}")
         input_digests = {name: _sha256(path) for name, path in sorted(inputs.items())}
-        config_digest = self._config_digest(stage)
-        entry = self.manifest.get(stage)
-        if (entry is not None
-                and entry["config"] == config_digest
-                and entry["inputs"] == input_digests
-                and all(self._artifact(name).exists() and _sha256(self._artifact(name)) == digest
-                        for name, digest in entry["outputs"].items())):
+        if self._refusal(stage, f"stage '{stage}'", input_digests) is None:
             return "cached"
         self.out_dir.mkdir(parents=True, exist_ok=True)
         counts = getattr(self, f"_stage_{stage}")()
         outputs = {name: _sha256(self._artifact(name)) for name in sorted(spec.outputs)}
         self.manifest[stage] = {
-            "config": config_digest,
+            "config": self._config_digest(stage),
             "inputs": input_digests,
             "outputs": outputs,
             "counts": counts,

@@ -96,18 +96,43 @@ class GroundTruth:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "GroundTruth":
+        """The truth written by ``to_json``; a file of another shape raises
+        ValueError, KeyError, TypeError or AttributeError."""
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        teams, overlaps, tags = payload["teams"], payload["overlaps"], payload["tags"]
+        if not (type(teams) is list and all(map(_is_truth_team, teams))
+                and type(overlaps) is list and all(map(_is_truth_overlap, overlaps))
+                and all(type(v) is list and len(v) == 2 for v in tags.values())):
+            raise ValueError("malformed team, overlap or tag entry")
         return cls(
             year_min=payload["year_min"],
             year_max=payload["year_max"],
             seed=payload["seed"],
-            teams=payload["teams"],
-            overlaps=payload["overlaps"],
-            tags={k: (bool(v[0]), bool(v[1])) for k, v in payload["tags"].items()},
+            teams=teams,
+            overlaps=overlaps,
+            tags={k: (bool(v[0]), bool(v[1])) for k, v in tags.items()},
             n_publications=payload["n_publications"],
             n_authors=payload["n_authors"],
         )
+
+
+def _is_text_list(value: object) -> bool:
+    return type(value) is list and all(type(item) is str for item in value)
+
+
+def _is_truth_team(team: object) -> bool:
+    """Whether a truth.json team holds the members and [start, end] year
+    intervals that ``verify_against_truth`` reads."""
+    return (type(team) is dict and _is_text_list(team.get("members")) and team["members"] != []
+            and type(team.get("intervals")) is list
+            and all(type(iv) is list and [type(y) for y in iv] == [int, int]
+                    for iv in team["intervals"]))
+
+
+def _is_truth_overlap(rel: object) -> bool:
+    return (type(rel) is dict and _is_text_list(rel.get("focal")) and _is_text_list(rel.get("other"))
+            and all(type(rel.get(key)) is str for key in ("kind", "timing", "impulse")))
 
 
 # --- configuration validation ---------------------------------------------------

@@ -14,6 +14,7 @@ from teammine.presets import random_planted_config, wired_overlap_config
 from teammine.synthgen import SynthConfig, generate_corpus
 
 from helpers import pub_json, tag_table, write_citations, write_jsonl
+from ingest_reference import reference_parser
 
 YEARS = (2008, 2020)
 
@@ -129,6 +130,89 @@ def test_author_id_with_member_separator_is_malformed(tmp_path):
     write_jsonl(path, [pub_json("p1", 2010, ["a1", "a2"]), pub_json("p2", 2010, ["x;y", "z"])])
     with pytest.raises(IngestError, match="line 2: author_id must not contain ';'"):
         load_publications(path, *YEARS)
+
+
+_DELETE = object()
+
+
+def _replace(record: dict, path: tuple, value):
+    """``record`` with the value at ``path`` set, or deleted for ``_DELETE``;
+    the empty path replaces the record itself."""
+    if not path:
+        return value
+    *parents, key = path
+    target = record
+    for step in parents:
+        target = target[step]
+    if value is _DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    return record
+
+
+_AFF = {"org_id": "o1", "city_id": "c1", "country": "NL", "lat": 52.5, "lon": 4.5}
+_AUTHOR2 = ("authors", 1)
+_AFF2 = ("authors", 1, "affiliations", 1)
+
+
+def _two_author_record(pub_id: str) -> dict:
+    return json.loads(json.dumps(pub_json(pub_id, 2010, ["a1", "a2"],
+                                          affs=[_AFF, {"org_id": "o2"}])))
+
+
+def _second_line_error(tmp_path, broken) -> str:
+    """The error of a load whose line 1 is a valid record that memoizes the
+    field list, both author entries and both affiliations line 2 starts from."""
+    raw = tmp_path / "pubs.jsonl"
+    write_jsonl(raw, [_two_author_record("p1"), broken])
+    with pytest.raises(IngestError) as info:
+        load_publications(raw, *YEARS)
+    return str(info.value)
+
+
+# one broken value per structural message of the parser, in the order the
+# rules are checked; an author entry's rules come before the next entry's
+_STRUCTURAL_ERRORS = [
+    ((), [1], "record is not an object"),
+    (("pub_id",), _DELETE, "missing key 'pub_id'"),
+    (("year",), _DELETE, "missing key 'year'"),
+    (("doc_type",), _DELETE, "missing key 'doc_type'"),
+    (("fields",), _DELETE, "missing key 'fields'"),
+    (("authors",), _DELETE, "missing key 'authors'"),
+    (("pub_id",), "", "pub_id must be a non-empty string"),
+    (("year",), "2010", "year must be an integer"),
+    (("year",), True, "year must be an integer"),
+    (("doc_type",), None, "doc_type must be a string"),
+    (("fields",), ["F0", ["F1"]], "fields must be a list of strings"),
+    (("authors",), {"a1": {}}, "authors must be a list"),
+    (("authors", 0, "affiliations", 0, "lon"), "4.5", "lon must be a number"),
+    (_AUTHOR2, "a2", "author entry is not an object"),
+    ((*_AUTHOR2, "author_id"), _DELETE, "author_id must be a non-empty string"),
+    ((*_AUTHOR2, "author_id"), "a;2", "author_id must not contain ';'"),
+    ((*_AUTHOR2, "affiliations"), {"org_id": "o1"}, "affiliations must be a list"),
+    (_AFF2, ["o2"], "affiliation is not an object"),
+    ((*_AFF2, "org_id"), 5, "org_id must be a string"),
+    ((*_AFF2, "city_id"), ["c2"], "city_id must be a string"),
+    ((*_AFF2, "country"), False, "country must be a string"),
+    ((*_AFF2, "lat"), "52.5", "lat must be a number"),
+    ((*_AFF2, "lat"), True, "lat must be a number"),
+    ((*_AFF2, "lon"), {}, "lon must be a number"),
+]
+
+
+@pytest.mark.parametrize("path,value,message", _STRUCTURAL_ERRORS)
+def test_each_structural_error_names_its_line(tmp_path, path, value, message):
+    broken = _replace(_two_author_record("p2"), path, value)
+    assert _second_line_error(tmp_path, broken) == f"line 2: {message}"
+
+
+def test_structural_rules_apply_in_order(tmp_path):
+    # each break added precedes every one already made, so it is the one reported
+    broken = _two_author_record("p2")
+    for path, value, message in reversed(_STRUCTURAL_ERRORS):
+        broken = _replace(broken, path, value)
+        assert _second_line_error(tmp_path, broken) == f"line 2: {message}"
 
 
 def test_planted_reject_rate(tmp_path):
@@ -389,7 +473,6 @@ _json_values = st.recursive(
     max_leaves=8)
 
 
-_DELETE = object()
 _PATHS = [("pub_id",), ("year",), ("doc_type",), ("fields",), ("authors",),
           ("authors", 0), ("authors", 0, "author_id"), ("authors", 0, "affiliations"),
           ("authors", 0, "affiliations", 0), ("authors", 0, "affiliations", 0, "lat"),
@@ -398,23 +481,18 @@ _PATHS = [("pub_id",), ("year",), ("doc_type",), ("fields",), ("authors",),
 
 @st.composite
 def _pub_lines(draw) -> bytes:
-    """Arbitrary bytes, an arbitrary JSON value, or a valid record with one
-    value at any depth replaced by an arbitrary one or deleted."""
+    """Arbitrary bytes, an arbitrary JSON value, or a valid record with one to
+    three values at any depth replaced by arbitrary ones or deleted, so that
+    the order of the structural rules shows."""
     kind = draw(st.sampled_from(["bytes", "value", "record"]))
     if kind == "bytes":
         return draw(st.binary(max_size=40))
     if kind == "value":
         return json.dumps(draw(_json_values)).encode()
     record = pub_json(draw(st.sampled_from(["p1", "p2", "p3"])), 2010, ["a1", "a2"])
-    *parents, key = draw(st.sampled_from(_PATHS))
-    target = record
-    for step in parents:
-        target = target[step]
-    new = draw(_texts | _json_values | st.just(_DELETE))
-    if new is _DELETE:
-        del target[key]
-    else:
-        target[key] = new
+    paths = draw(st.lists(st.sampled_from(_PATHS), min_size=1, max_size=3, unique=True))
+    for path in sorted(paths, key=len, reverse=True):  # inner values before their parents
+        _replace(record, path, draw(_texts | _json_values | st.just(_DELETE)))
     return json.dumps(record).encode()
 
 
@@ -450,7 +528,7 @@ def test_fuzz_load_publications(tmp_path, lines):
     assert read_publications_jsonl(canonical).records == pubs.records
 
 
-# --- the fast pass against the reference path ---
+# --- the parser against the reference checks ---
 
 def _load_outcome(path):
     """What a load of ``path`` gives, in a form that tells -0.0 from 0.0 and
@@ -463,14 +541,14 @@ def _load_outcome(path):
 
 
 def _reference_outcome(path):
-    """The same load with every record left to ``_parse_record`` and
-    ``_domain_reject_reason``."""
+    """The same load with every record decided by the reference checks in
+    ``ingest_reference``."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "_record_parser", lambda: lambda raw, line: None)
+        patch.setattr(ingest, "_record_parser", lambda: reference_parser(*YEARS))
         return _load_outcome(path)
 
 
-def _assert_fast_matches_reference(tmp_path, data: bytes):
+def _assert_matches_reference(tmp_path, data: bytes):
     path = tmp_path / "pubs.jsonl"
     path.write_bytes(data)
     assert _load_outcome(path) == _reference_outcome(path)
@@ -487,7 +565,7 @@ def _assert_fast_matches_reference(tmp_path, data: bytes):
 @_FUZZ
 @given(lines=st.lists(_pub_lines(), min_size=2, max_size=6))
 def test_fuzz_fast_pass_matches_reference(tmp_path, lines):
-    _assert_fast_matches_reference(tmp_path, b"\n".join(lines))
+    _assert_matches_reference(tmp_path, b"\n".join(lines))
 
 
 # JSON number texts that compare equal to others, or are no finite float
@@ -504,7 +582,7 @@ def test_coordinate_values_that_compare_equal(tmp_path, first, second):
 
     lines = [line("p1", "a1", first), line("p2", "a1", second), line("p3", "a2", second),
              line("p4", "a2", first), line("p5", "a1", first)]
-    _assert_fast_matches_reference(tmp_path, "\n".join(lines).encode())
+    _assert_matches_reference(tmp_path, "\n".join(lines).encode())
 
 
 def test_negative_zero_keeps_its_sign(tmp_path):
@@ -514,7 +592,7 @@ def test_negative_zero_keeps_its_sign(tmp_path):
     write_jsonl(raw, lines)
     pubs = load_publications(raw, *YEARS)
     assert [repr(r.authors[0].affiliations[0].lat) for r in pubs] == ["0.0", "-0.0"] * 2
-    _assert_fast_matches_reference(tmp_path, raw.read_bytes())
+    _assert_matches_reference(tmp_path, raw.read_bytes())
     assert (tmp_path / "canonical.jsonl").read_bytes().count(b'"lat":-0.0') == 2
 
 
@@ -527,7 +605,7 @@ def test_each_affiliation_value_type(tmp_path, key, value):
                pub_json("p3", 2012, ["a2"], affs=[{**aff, key: value}])]
     raw = tmp_path / "raw.jsonl"
     write_jsonl(raw, records)
-    _assert_fast_matches_reference(tmp_path, raw.read_bytes())
+    _assert_matches_reference(tmp_path, raw.read_bytes())
 
 
 def test_extra_affiliation_keys_are_ignored(tmp_path):
@@ -539,7 +617,7 @@ def test_extra_affiliation_keys_are_ignored(tmp_path):
                pub_json("p3", 2012, ["a2"], affs=[extra, plain])]
     raw = tmp_path / "raw.jsonl"
     write_jsonl(raw, records)
-    _assert_fast_matches_reference(tmp_path, raw.read_bytes())
+    _assert_matches_reference(tmp_path, raw.read_bytes())
     pubs = load_publications(raw, *YEARS)
     assert pubs.get("p1").authors[0] is pubs.get("p2").authors[0]
     assert b"rank" not in reference_canonical(pubs)
@@ -553,17 +631,19 @@ def _shared_affiliation_corpus(path):
     write_jsonl(path, [pub_json("p1", 2010, ["a1", "a2"], affs=[shared]),
                        pub_json("p2", 2011, ["a1", "a3"], affs=[shared]),
                        pub_json("p3", 2012, ["a3"], affs=[own, shared], fields=("F1", "F0")),
-                       pub_json("p4", 2013, ["a2"], affs=[shared], fields=("F0", "F1"))])
+                       pub_json("p4", 2013, ["a2"], affs=[shared], fields=("F0", "F1")),
+                       pub_json("p5", 2014, ["a3"], affs=[own, shared])])
 
 
 def _assert_shares_repeated_values(pubs):
-    p1, p2, p3, p4 = (pubs.get(f"p{i}") for i in range(1, 5))
+    p1, p2, p3, p4, p5 = (pubs.get(f"p{i}") for i in range(1, 6))
     aff = p1.authors[0].affiliations[0]
     assert all(a.affiliations[0] is aff for rec in (p1, p2, p4) for a in rec.authors)
     assert p3.authors[0].affiliations[1] is aff
     assert p2.authors[0] is p1.authors[0]   # a1 with the shared affiliation
     assert p4.authors[0] is p1.authors[1]   # a2 likewise
     assert p3.authors[0] is not p2.authors[1]
+    assert p5.authors[0] is p3.authors[0]   # a3 with an affiliation lacking keys
     assert p1.fields is p2.fields and p3.fields is p4.fields == ("F0", "F1")
 
 

@@ -62,6 +62,37 @@ def test_single_stage_without_prereq_errors(s1_corpus, tmp_path):
         Pipeline(config).run("mine")
 
 
+def test_each_refusal_message(s1_corpus, tmp_path):
+    out = tmp_path / "out"
+    config = PipelineConfig(pubs_path=str(s1_corpus / "publications.jsonl"),
+                            citations_path=str(s1_corpus / "citations.csv"),
+                            out_dir=str(out), year_min=1, year_max=8, margin_years=0)
+
+    def refusal(action) -> tuple:
+        with pytest.raises((MissingArtifactError, StaleCacheError)) as info:
+            action(Pipeline(config))
+        return type(info.value), str(info.value)
+
+    assert refusal(lambda p: p.run("mine")) == (
+        MissingArtifactError, "stage 'mine' needs stage 'persist'; run 'persist' first")
+    assert refusal(lambda p: p.explain_team(1)) == (
+        MissingArtifactError, "explain needs stage 'ingest'; run 'ingest' first")
+    Pipeline(config).run("all")
+    edges = out / "persistent_edges.csv"
+    edges.write_text(edges.read_text() + "Z,Q,1-2\n")
+    assert refusal(lambda p: p.run("mine")) == (
+        StaleCacheError, "artifact persistent_edges.csv no longer matches what stage "
+        "'persist' produced; rerun 'persist'")
+    edges.unlink()
+    assert refusal(lambda p: p.run("mine")) == (
+        MissingArtifactError,
+        "artifact persistent_edges.csv from stage 'persist' is missing; rerun 'persist'")
+    config.min_pubs = 4  # the configuration is checked before the outputs
+    assert refusal(lambda p: p.run("mine")) == (
+        StaleCacheError, "stage 'persist' ran with other settings of window_len, min_pubs; "
+        "rerun 'persist' with these settings, or use the ones it ran with")
+
+
 def _first_line_again(text: str) -> str:
     # a duplicate pub_id, which only ingest's validation would catch
     return text + text.splitlines(keepends=True)[0]
@@ -212,6 +243,14 @@ def test_cli_error_paths(s1_corpus, tmp_path, capsys):
     keyless.write_text('{"teams": []}\n')
     assert "not a truth.json" in one_line_error(["verify", "--out", str(tmp_path / "o"),
                                                  "--truth", str(keyless)])
+    run_pipeline(s1_corpus, tmp_path / "run", 1, 8)
+    truth = json.loads((s1_corpus / "truth.json").read_text())
+    for key, value in [("teams", [{}]), ("teams", 5), ("overlaps", [{"focal": 1}]),
+                       ("tags", {"p1": []})]:
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps({**truth, key: value}))
+        assert "not a truth.json" in one_line_error(["verify", "--out", str(tmp_path / "run"),
+                                                     "--truth", str(malformed)])
 
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory\n")
@@ -222,11 +261,13 @@ def test_cli_error_paths(s1_corpus, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_corrupt_manifest(s1_corpus, tmp_path, capsys):
+@pytest.mark.parametrize("content", [None, b"[]", b'"x"', b'{"ingest": {}}', b'{"ingest": 5}'],
+                         ids=["truncated", "list", "string", "empty_entry", "number_entry"])
+def test_cli_corrupt_manifest(s1_corpus, tmp_path, capsys, content):
     out = tmp_path / "out"
     run_pipeline(s1_corpus, out, 1, 8)
     manifest = out / "manifest.json"
-    manifest.write_bytes(manifest.read_bytes()[:40])
+    manifest.write_bytes(manifest.read_bytes()[:40] if content is None else content)
     assert main(["all", "--out", str(out),
                  "--pubs", str(s1_corpus / "publications.jsonl"),
                  "--citations", str(s1_corpus / "citations.csv")]) == 2
