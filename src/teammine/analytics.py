@@ -16,9 +16,9 @@ from pathlib import Path
 
 from teammine.csvio import write_csv
 from teammine.ingest import PublicationTable
-from teammine.overlaps import ImpulseSummary
+from teammine.overlaps import Impulse, ImpulseSummary
 from teammine.success import SuccessTagTable
-from teammine.teams import SuccessProfile, Team, success_profiles
+from teammine.teams import SuccessProfile, Team
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,17 +196,7 @@ def success_by_composition(teams: list[Team], profiles: dict[int, SuccessProfile
 
 # --- openness -----------------------------------------------------------------
 
-_IMPULSE_FIELDS = {
-    ("persistence", "any"): "persistence",
-    ("persistence", "top10"): "persistence_top10",
-    ("persistence", "top1"): "persistence_top1",
-    ("synchronous", "any"): "synchronous",
-    ("synchronous", "top10"): "synchronous_top10",
-    ("synchronous", "top1"): "synchronous_top1",
-    ("freshness", "any"): "freshness",
-    ("freshness", "top10"): "freshness_top10",
-    ("freshness", "top1"): "freshness_top1",
-}
+_IMPULSES = tuple(impulse.value for impulse in Impulse if impulse is not Impulse.NONE)
 
 
 def success_by_impulse_count(teams: list[Team], summaries: dict[int, ImpulseSummary],
@@ -232,10 +222,11 @@ def success_by_impulse_count(teams: list[Team], summaries: dict[int, ImpulseSumm
         if summary.total == 0:
             tally(("closed", "any", 0), team, successful, n_top)
             continue
-        for (impulse, stratum), attr in _IMPULSE_FIELDS.items():
-            count = getattr(summary, attr)
-            if count >= 1:
-                tally((impulse, stratum, count), team, successful, n_top)
+        for impulse in _IMPULSES:
+            for stratum in ("any", "top10", "top1"):
+                count = getattr(summary, impulse if stratum == "any" else f"{impulse}_{stratum}")
+                if count >= 1:
+                    tally((impulse, stratum, count), team, successful, n_top)
     table_a = SeriesTable("fig5a", ("impulse", "stratum", "count"))
     table_b = SeriesTable("fig5b", ("impulse", "stratum", "count"))
     for key in sorted(team_cells):
@@ -276,7 +267,6 @@ def first_success_shift(teams: list[Team], summaries: dict[int, ImpulseSummary],
     cohort, for teams holding persistence / freshness / early-success
     persistence impulses. Synchronous impulses carry no timing information and
     are deliberately absent."""
-    early_attr = "persistence_early_top1" if which == "top1" else "persistence_early_top10"
     cohort_ages: dict[int, dict[str, list[int]]] = {}
     for team in teams:
         first = getattr(profiles[team.team_id], which).first_year
@@ -291,7 +281,7 @@ def first_success_shift(teams: list[Team], summaries: dict[int, ImpulseSummary],
             conditions.append("persistence")
         if summary.freshness >= 1:
             conditions.append("freshness")
-        if getattr(summary, early_attr) >= 1:
+        if getattr(summary, f"persistence_early_{which}") >= 1:
             conditions.append("early_persistence")
         buckets = cohort_ages.setdefault(team.duration, {})
         for condition in conditions:
@@ -320,11 +310,11 @@ def first_success_shift(teams: list[Team], summaries: dict[int, ImpulseSummary],
 
 def compute_all_figures(pubs: PublicationTable, tags: SuccessTagTable,
                         teams: list[Team], summaries: dict[int, ImpulseSummary],
+                        profiles: dict[int, SuccessProfile],
                         year_min: int, year_max: int) -> dict[str, SeriesTable]:
     """Every figure table, keyed by output file stem."""
     out: dict[str, SeriesTable] = {}
     out["fig1a"], out["fig1b"] = team_prevalence(pubs, teams, tags, year_min, year_max)
-    profiles = success_profiles(teams, pubs, tags)
     for which, suffix in (("top1", ""), ("top10", "_top10")):
         out["fig2a" + suffix] = success_prob_by_age(teams, profiles, which)
         out["fig2b" + suffix] = first_success_distribution(teams, profiles, which)

@@ -24,7 +24,7 @@ them as anomalies instead of classifying them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -100,16 +100,6 @@ def overlap_candidates_for(focal: Team, teams: TeamTable,
     return out
 
 
-def find_overlap_candidates(teams: TeamTable) -> list[tuple[int, int]]:
-    """All ordered (focal, other) candidate pairs, via the member index."""
-    index = build_member_index(teams)
-    pairs = []
-    for focal in teams:
-        for other_id in overlap_candidates_for(focal, teams, index):
-            pairs.append((focal.team_id, other_id))
-    return pairs
-
-
 def _timing(focal: Team, other: Team) -> Timing:
     if other.duration_start < focal.duration_start:
         return Timing.PRECEDING
@@ -119,10 +109,8 @@ def _timing(focal: Team, other: Team) -> Timing:
 
 
 def shared_core_test(focal: Team, offshoot: Team, teams: TeamTable,
-                     index: dict[str, list[int]] | None = None) -> bool:
+                     index: dict[str, list[int]]) -> bool:
     """True when a preceding core of the focal team lies inside the overlap."""
-    if index is None:
-        index = build_member_index(teams)
     overlap = set(focal.members) & set(offshoot.members)
     checked: set[int] = set()
     for member in sorted(overlap):
@@ -147,7 +135,7 @@ def _inconsistent(code: str, message: str):
 
 
 def classify_overlap(focal: Team, other: Team, teams: TeamTable,
-                     index: dict[str, list[int]] | None = None) -> OverlapRelation:
+                     index: dict[str, list[int]]) -> OverlapRelation:
     """Classify one candidate pair; raises when clique-structure lemmas fail."""
     members_f = set(focal.members)
     members_o = set(other.members)
@@ -209,6 +197,11 @@ def classify_all(teams: TeamTable) -> tuple[list[OverlapRelation], dict[str, int
 
 @dataclass
 class ImpulseSummary:
+    """A team's impulse counters: ``<impulse>`` counts the relations giving
+    it, ``<impulse>_<level>`` those whose source team has success at that
+    level, and ``persistence_early_<level>`` those whose source succeeded
+    before the focal team started. The fields, in order, are the columns of
+    ``impulses.csv``."""
     team_id: int
     persistence: int = 0
     synchronous: int = 0
@@ -232,28 +225,20 @@ def impulse_summary(focal: Team, relations: list[OverlapRelation],
                     profiles: dict[int, SuccessProfile]) -> ImpulseSummary:
     """Impulse counters for one focal team over the relations it is focal in."""
     summary = ImpulseSummary(team_id=focal.team_id)
+    counts = vars(summary)  # the counters, by field name
     for rel in relations:
         if rel.impulse is Impulse.NONE:
             continue
+        impulse = rel.impulse.value
         source = profiles[rel.other_team_id]
-        has_top10 = source.top10.count > 0
-        has_top1 = source.top1.count > 0
-        if rel.impulse is Impulse.PERSISTENCE:
-            summary.persistence += 1
-            summary.persistence_top10 += has_top10
-            summary.persistence_top1 += has_top1
-            if has_top10 and source.top10.first_year < focal.duration_start:
-                summary.persistence_early_top10 += 1
-            if has_top1 and source.top1.first_year < focal.duration_start:
-                summary.persistence_early_top1 += 1
-        elif rel.impulse is Impulse.SYNCHRONOUS:
-            summary.synchronous += 1
-            summary.synchronous_top10 += has_top10
-            summary.synchronous_top1 += has_top1
-        else:
-            summary.freshness += 1
-            summary.freshness_top10 += has_top10
-            summary.freshness_top1 += has_top1
+        counts[impulse] += 1
+        for level in ("top10", "top1"):
+            success = getattr(source, level)
+            if success.count:
+                counts[f"{impulse}_{level}"] += 1
+                if (rel.impulse is Impulse.PERSISTENCE
+                        and success.first_year < focal.duration_start):
+                    counts[f"persistence_early_{level}"] += 1
     summary.impulses_per_year = summary.total / focal.duration
     return summary
 
@@ -284,12 +269,7 @@ def read_overlaps_csv(path: str | Path) -> list[OverlapRelation]:
             for focal, other, kind, timing, impulse in read_csv(path)]
 
 
-IMPULSE_COLUMNS = ["team_id", "persistence", "synchronous", "freshness",
-                   "persistence_top10", "persistence_top1",
-                   "synchronous_top10", "synchronous_top1",
-                   "freshness_top10", "freshness_top1",
-                   "persistence_early_top10", "persistence_early_top1",
-                   "impulses_per_year"]
+IMPULSE_COLUMNS = [f.name for f in fields(ImpulseSummary)]
 _COUNT_COLUMNS = IMPULSE_COLUMNS[:-1]
 
 

@@ -188,7 +188,8 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-# in-memory key -> how to load it from the out dir; the readers are looked up
+# in-memory key -> how to load it from the out dir (the success profiles are
+# rebuilt from the artifacts they derive from); the functions are looked up
 # when called, so a rebinding of the module-level names takes effect. Every
 # load follows a digest check of the artifact against the manifest, which is
 # why the canonical corpus is read back without validation.
@@ -201,6 +202,7 @@ _LOADERS = {
     "network": lambda p: read_persistent_edges_csv(p._artifact("persistent_edges.csv")),
     "cliques": lambda p: read_cliques_csv(p._artifact("cliques.csv")),
     "teams": lambda p: read_teams_csv(p._artifact("teams.csv"), p._artifact("team_pubs.csv")),
+    "profiles": lambda p: success_profiles(p._load("teams"), p._load("pubs"), p._load("tags")),
     "relations": lambda p: read_overlaps_csv(p._artifact("overlaps.csv")),
     "summaries": lambda p: read_impulses_csv(p._artifact("impulses.csv")),
 }
@@ -387,18 +389,18 @@ class Pipeline:
         teams = assemble_teams(self._load("cliques"))
         associate_all(teams, self._load("pubs"))
         compute_all_metrics(teams, self._load("pubs"))
-        write_teams_csv(teams, success_profiles(teams, self._load("pubs"), self._load("tags")),
-                        self._artifact("teams.csv"))
+        profiles = success_profiles(teams, self._load("pubs"), self._load("tags"))
+        write_teams_csv(teams, profiles, self._artifact("teams.csv"))
         write_team_pubs_csv(teams, self._artifact("team_pubs.csv"))
         self._mem["teams"] = teams
+        self._mem["profiles"] = profiles
         return {"teams": len(teams),
                 "team_publications": sum(len(t.pubs) for t in teams)}
 
     def _stage_overlaps(self) -> dict:
         teams = self._load("teams")
         relations, anomalies = classify_all(teams)
-        summaries = summarize_all(teams, relations,
-                                  success_profiles(teams, self._load("pubs"), self._load("tags")))
+        summaries = summarize_all(teams, relations, self._load("profiles"))
         write_overlaps_csv(relations, self._artifact("overlaps.csv"))
         write_impulses_csv(summaries, self._artifact("impulses.csv"))
         write_csv(self._artifact("overlap_anomalies.csv"), ["lemma", "count"],
@@ -413,8 +415,8 @@ class Pipeline:
         teams = filter_margin(list(self._load("teams")), self.config.year_min,
                               self.config.year_max, self.config.margin_years)
         figures = compute_all_figures(self._load("pubs"), self._load("tags"), teams,
-                                      self._load("summaries"), self.config.year_min,
-                                      self.config.year_max)
+                                      self._load("summaries"), self._load("profiles"),
+                                      self.config.year_min, self.config.year_max)
         for stem in FIGURE_STEMS:
             figures[stem].to_csv(self._artifact(f"{stem}.csv"))
         stats = corpus_stats(self._load("pubs"), self._load("tags"))

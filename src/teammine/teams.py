@@ -90,10 +90,8 @@ def build_author_pub_index(pubs: PublicationTable) -> dict[str, list[str]]:
 
 
 def associate_publications(team: Team, pubs: PublicationTable,
-                           index: dict[str, list[str]] | None = None) -> list[str]:
+                           index: dict[str, list[str]]) -> list[str]:
     """Publication ids associated with the team, sorted by (year, pub_id)."""
-    if index is None:
-        index = build_author_pub_index(pubs)
     overlap: dict[str, int] = {}
     for member in team.members:
         for pub_id in index.get(member, ()):

@@ -50,14 +50,24 @@ def team(team_id: int, members, intervals, pubs=(), metrics=None) -> Team:
 
 def pub_json(pub_id: str, year: int, author_ids, doc_type="Article", fields=("F0",),
              affs=None) -> dict:
+    """A raw publication record; each author gets its own copy of each
+    affiliation dict, so editing one author's affiliation leaves the others."""
     if affs is None:
         affs = [{"org_id": DEFAULT_AFF["org"], "city_id": DEFAULT_AFF["city"],
                  "country": DEFAULT_AFF["country"], "lat": DEFAULT_AFF["lat"],
                  "lon": DEFAULT_AFF["lon"]}]
     return {"pub_id": pub_id, "year": year, "doc_type": doc_type,
             "fields": list(fields),
-            "authors": [{"author_id": a, "affiliations": list(affs)}
+            "authors": [{"author_id": a, "affiliations": [dict(aff) for aff in affs]}
                         for a in author_ids]}
+
+
+def half_overlap_pairs(teams) -> list[tuple[int, int]]:
+    """Ordered (focal, other) team id pairs whose shared members reach half
+    of the larger member set, found by testing every pair of teams."""
+    members = {t.team_id: set(t.members) for t in teams}
+    return sorted((a, b) for a, set_a in members.items() for b, set_b in members.items()
+                  if a != b and 2 * len(set_a & set_b) >= max(len(set_a), len(set_b)))
 
 
 def write_jsonl(path: Path, records: list[dict]):

@@ -16,8 +16,7 @@ import pytest
 
 from teammine.cliques import brute_force_cliques, enumerate_maximal_cliques
 from teammine.intervals import merge_union
-from teammine.overlaps import (OverlapKind, Timing, classify_all,
-                               find_overlap_candidates)
+from teammine.overlaps import OverlapKind, Timing, classify_all
 from teammine.persistence import PersistenceParams, persistent_periods
 from teammine.pipeline import FIGURE_STEMS
 from teammine.presets import (hazard_config, random_planted_config, scale_config,
@@ -25,7 +24,7 @@ from teammine.presets import (hazard_config, random_planted_config, scale_config
 from teammine.success import (TOP1, TOP10, percentile_thresholds, tag_success)
 from teammine.synthgen import fig_s1_corpus, generate_corpus, verify_against_truth
 
-from helpers import pub, run_pipeline, table
+from helpers import half_overlap_pairs, pub, run_pipeline, table
 
 
 def passed(number: int, text: str):
@@ -111,7 +110,7 @@ def test_criterion_4_taxonomy_exhaustiveness(tmp_path):
         pipeline = run_pipeline(corpus, tmp_path / f"{name}_out",
                                 config.year_min, config.year_max)
         teams = pipeline._load("teams")
-        candidates = find_overlap_candidates(teams)
+        candidates = half_overlap_pairs(teams)
         relations, anomalies = classify_all(teams)
         assert anomalies == {}, f"{name}: anomalies {anomalies}"
         assert len(relations) == len(candidates), name

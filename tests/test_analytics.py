@@ -272,7 +272,8 @@ def test_margin_filter():
 
 def test_fraction_rows_reconstruct_counts():
     pubs, tags, teams = _freshness_fixture(success_age=2)
-    figures = compute_all_figures(pubs, tags, teams, {0: summary(0)}, 1, 3)
+    figures = compute_all_figures(pubs, tags, teams, {0: summary(0)},
+                                  success_profiles(teams, pubs, tags), 1, 3)
     checked = 0
     for series in figures.values():
         for row in series.rows:
@@ -287,8 +288,10 @@ def test_fraction_rows_reconstruct_counts():
 
 def test_compute_all_figures_reproducible(tmp_path):
     pubs, tags, teams = _freshness_fixture(success_age=2)
-    figures1 = compute_all_figures(pubs, tags, teams, {0: summary(0)}, 1, 3)
-    figures2 = compute_all_figures(pubs, tags, teams, {0: summary(0)}, 1, 3)
+    figures1 = compute_all_figures(pubs, tags, teams, {0: summary(0)},
+                                   success_profiles(teams, pubs, tags), 1, 3)
+    figures2 = compute_all_figures(pubs, tags, teams, {0: summary(0)},
+                                   success_profiles(teams, pubs, tags), 1, 3)
     for stem, series in figures1.items():
         a = tmp_path / f"{stem}_a.csv"
         b = tmp_path / f"{stem}_b.csv"

@@ -157,8 +157,7 @@ _AFF2 = ("authors", 1, "affiliations", 1)
 
 
 def _two_author_record(pub_id: str) -> dict:
-    return json.loads(json.dumps(pub_json(pub_id, 2010, ["a1", "a2"],
-                                          affs=[_AFF, {"org_id": "o2"}])))
+    return pub_json(pub_id, 2010, ["a1", "a2"], affs=[_AFF, {"org_id": "o2"}])
 
 
 def _second_line_error(tmp_path, broken) -> str:

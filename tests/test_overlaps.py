@@ -1,46 +1,56 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teammine.errors import InternalInconsistencyError
-from teammine.overlaps import (Impulse, OverlapKind, Timing, classify_all,
-                               classify_overlap, find_overlap_candidates,
-                               shared_core_test, summarize_all)
-from teammine.teams import TeamTable, success_profiles
+from teammine.overlaps import (Impulse, ImpulseSummary, OverlapKind, OverlapRelation, Timing,
+                               build_member_index, classify_all, classify_overlap,
+                               impulse_summary, shared_core_test, summarize_all,
+                               write_impulses_csv)
+from teammine.teams import Success, SuccessProfile, TeamTable, success_profiles
 
-from helpers import pub, table, tag_table, team
+from helpers import half_overlap_pairs, pub, table, tag_table, team
 
 
 def team_table(*teams):
     return TeamTable(teams=list(teams))
 
 
+def classified_pairs(teams) -> list[tuple[int, int]]:
+    relations, anomalies = classify_all(teams)
+    assert anomalies == {}
+    return [(rel.focal_team_id, rel.other_team_id) for rel in relations]
+
+
 def test_disjoint_teams_no_candidates():
     teams = team_table(team(0, ["A", "B", "C"], [(1, 4)]),
                        team(1, ["D", "E", "F"], [(1, 4)]))
-    assert find_overlap_candidates(teams) == []
+    assert classified_pairs(teams) == half_overlap_pairs(teams) == []
 
 
 def test_half_overlap_candidates_both_directions():
     teams = team_table(team(0, ["A", "B", "C", "D"], [(1, 4)]),
                        team(1, ["A", "B", "E", "F"], [(1, 4)]))
-    assert find_overlap_candidates(teams) == [(0, 1), (1, 0)]
+    assert classified_pairs(teams) == half_overlap_pairs(teams) == [(0, 1), (1, 0)]
 
 
 def test_below_half_overlap_is_no_candidate():
     teams = team_table(team(0, ["A", "B", "C", "D", "E", "F"], [(1, 4)]),
                        team(1, ["A", "B", "X", "Y"], [(1, 4)]))
-    assert find_overlap_candidates(teams) == []
+    assert classified_pairs(teams) == half_overlap_pairs(teams) == []
 
 
 def test_subset_is_candidate():
     teams = team_table(team(0, ["A", "B"], [(1, 6)]),
                        team(1, ["A", "B", "C"], [(2, 5)]))
-    assert find_overlap_candidates(teams) == [(0, 1), (1, 0)]
+    assert classified_pairs(teams) == half_overlap_pairs(teams) == [(0, 1), (1, 0)]
 
 
 def test_classify_core_preceding_persistence():
     focal = team(0, ["A", "B", "C"], [(3, 6)])
     other = team(1, ["A", "B"], [(1, 7)])
-    rel = classify_overlap(focal, other, team_table(focal, other))
+    teams = team_table(focal, other)
+    rel = classify_overlap(focal, other, teams, build_member_index(teams))
     assert (rel.kind, rel.timing, rel.impulse) == \
         (OverlapKind.CORE, Timing.PRECEDING, Impulse.PERSISTENCE)
 
@@ -48,7 +58,8 @@ def test_classify_core_preceding_persistence():
 def test_classify_extension_succeeding_freshness():
     focal = team(0, ["A", "B", "C"], [(3, 6)])
     other = team(1, ["A", "B", "C", "D"], [(4, 5)])
-    rel = classify_overlap(focal, other, team_table(focal, other))
+    teams = team_table(focal, other)
+    rel = classify_overlap(focal, other, teams, build_member_index(teams))
     assert (rel.kind, rel.timing, rel.impulse) == \
         (OverlapKind.EXTENSION, Timing.SUCCEEDING, Impulse.FRESHNESS)
 
@@ -56,7 +67,8 @@ def test_classify_extension_succeeding_freshness():
 def test_classify_core_simultaneous_no_impulse():
     focal = team(0, ["A", "B", "C"], [(3, 6)])
     other = team(1, ["A", "B"], [(3, 8)])
-    rel = classify_overlap(focal, other, team_table(focal, other))
+    teams = team_table(focal, other)
+    rel = classify_overlap(focal, other, teams, build_member_index(teams))
     assert (rel.kind, rel.timing, rel.impulse) == \
         (OverlapKind.CORE, Timing.SIMULTANEOUS, Impulse.NONE)
 
@@ -64,7 +76,8 @@ def test_classify_core_simultaneous_no_impulse():
 def test_classify_offshoot_simultaneous_synchronous():
     focal = team(0, ["A", "B", "C", "D"], [(3, 6)])
     other = team(1, ["A", "B", "E", "F"], [(3, 5)])
-    rel = classify_overlap(focal, other, team_table(focal, other))
+    teams = team_table(focal, other)
+    rel = classify_overlap(focal, other, teams, build_member_index(teams))
     assert rel.kind in (OverlapKind.OFFSHOOT_SHARED_CORE,
                         OverlapKind.OFFSHOOT_NO_SHARED_CORE)
     assert (rel.kind, rel.timing, rel.impulse) == \
@@ -76,8 +89,8 @@ def test_shared_core_detected():
     focal = team(1, ["A", "B", "C"], [(3, 6)])
     offshoot = team(2, ["A", "B", "D"], [(2, 5)])
     teams = team_table(core, focal, offshoot)
-    assert shared_core_test(focal, offshoot, teams)
-    rel = classify_overlap(focal, offshoot, teams)
+    assert shared_core_test(focal, offshoot, teams, build_member_index(teams))
+    rel = classify_overlap(focal, offshoot, teams, build_member_index(teams))
     assert (rel.kind, rel.timing, rel.impulse) == \
         (OverlapKind.OFFSHOOT_SHARED_CORE, Timing.PRECEDING, Impulse.NONE)
 
@@ -85,7 +98,8 @@ def test_shared_core_detected():
 def test_no_team_inside_intersection():
     focal = team(0, ["A", "B", "C"], [(3, 6)])
     offshoot = team(1, ["A", "B", "D"], [(2, 5)])
-    assert not shared_core_test(focal, offshoot, team_table(focal, offshoot))
+    teams = team_table(focal, offshoot)
+    assert not shared_core_test(focal, offshoot, teams, build_member_index(teams))
 
 
 def test_simultaneous_core_is_not_a_shared_core():
@@ -93,22 +107,24 @@ def test_simultaneous_core_is_not_a_shared_core():
     focal = team(1, ["A", "B", "C"], [(3, 6)])
     offshoot = team(2, ["A", "B", "D"], [(2, 5)])
     teams = team_table(core, focal, offshoot)
-    assert not shared_core_test(focal, offshoot, teams)
+    assert not shared_core_test(focal, offshoot, teams, build_member_index(teams))
 
 
 def test_equal_member_sets_raise():
     a = team(0, ["A", "B"], [(1, 4)])
     b = team(1, ["A", "B"], [(6, 9)])
+    teams = team_table(a, b)
     with pytest.raises(InternalInconsistencyError):
-        classify_overlap(a, b, team_table(a, b))
+        classify_overlap(a, b, teams, build_member_index(teams))
 
 
 def test_core_span_lemma_violation_raises_and_counts():
     focal = team(0, ["A", "B", "C"], [(1, 6)])
     other = team(1, ["A", "B"], [(8, 9)])  # subset that starts after the focal team
+    teams = team_table(focal, other)
     with pytest.raises(InternalInconsistencyError):
-        classify_overlap(focal, other, team_table(focal, other))
-    relations, anomalies = classify_all(team_table(focal, other))
+        classify_overlap(focal, other, teams, build_member_index(teams))
+    relations, anomalies = classify_all(teams)
     assert relations == []
     assert anomalies == {"core_span": 1, "extension_span": 1}
 
@@ -116,8 +132,9 @@ def test_core_span_lemma_violation_raises_and_counts():
 def test_extension_span_lemma_violation():
     focal = team(0, ["A", "B"], [(3, 4)])
     other = team(1, ["A", "B", "C"], [(1, 6)])  # superset spilling outside
+    teams = team_table(focal, other)
     with pytest.raises(InternalInconsistencyError):
-        classify_overlap(focal, other, team_table(focal, other))
+        classify_overlap(focal, other, teams, build_member_index(teams))
 
 
 # --- impulse summaries ---
@@ -192,3 +209,67 @@ def test_classification_deterministic():
     first, _ = classify_all(teams)
     second, _ = classify_all(teams)
     assert first == second
+
+
+# --- the impulse table ---
+
+def test_impulses_csv_header(tmp_path):
+    path = tmp_path / "impulses.csv"
+    write_impulses_csv({0: ImpulseSummary(team_id=0)}, path)
+    assert path.read_text().splitlines()[0] == (
+        "team_id,persistence,synchronous,freshness,"
+        "persistence_top10,persistence_top1,synchronous_top10,synchronous_top1,"
+        "freshness_top10,freshness_top1,persistence_early_top10,persistence_early_top1,"
+        "impulses_per_year")
+
+
+def _nine_branch_summary(focal, relations, profiles) -> ImpulseSummary:
+    """The impulse counters spelled out one branch per impulse."""
+    summary = ImpulseSummary(team_id=focal.team_id)
+    for rel in relations:
+        if rel.impulse is Impulse.NONE:
+            continue
+        source = profiles[rel.other_team_id]
+        has_top10 = source.top10.count > 0
+        has_top1 = source.top1.count > 0
+        if rel.impulse is Impulse.PERSISTENCE:
+            summary.persistence += 1
+            summary.persistence_top10 += has_top10
+            summary.persistence_top1 += has_top1
+            if has_top10 and source.top10.first_year < focal.duration_start:
+                summary.persistence_early_top10 += 1
+            if has_top1 and source.top1.first_year < focal.duration_start:
+                summary.persistence_early_top1 += 1
+        elif rel.impulse is Impulse.SYNCHRONOUS:
+            summary.synchronous += 1
+            summary.synchronous_top10 += has_top10
+            summary.synchronous_top1 += has_top1
+        else:
+            summary.freshness += 1
+            summary.freshness_top10 += has_top10
+            summary.freshness_top1 += has_top1
+    summary.impulses_per_year = summary.total / focal.duration
+    return summary
+
+
+_FOCAL_START = 5
+# no success, or a first success before, at or after the focal team's start
+_successes = st.one_of(
+    st.just(Success((), 0, None)),
+    st.builds(lambda count, year: Success((), count, year),
+              st.integers(1, 3), st.sampled_from([_FOCAL_START - 1, _FOCAL_START,
+                                                   _FOCAL_START + 1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(impulses=st.lists(st.sampled_from(list(Impulse)), max_size=8),
+       successes=st.lists(st.tuples(_successes, _successes), min_size=8, max_size=8),
+       duration=st.integers(1, 6))
+def test_impulse_summary_matches_nine_branch_reference(impulses, successes, duration):
+    focal = team(0, ["A", "B", "C"], [(_FOCAL_START, _FOCAL_START + duration - 1)])
+    profiles = {other: SuccessProfile((), top10, top1)
+                for other, (top10, top1) in enumerate(successes, start=1)}
+    relations = [OverlapRelation(0, other, OverlapKind.CORE, Timing.PRECEDING, impulse)
+                 for other, impulse in enumerate(impulses, start=1)]
+    assert (impulse_summary(focal, relations, profiles)
+            == _nine_branch_summary(focal, relations, profiles))

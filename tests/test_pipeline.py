@@ -1,5 +1,8 @@
 import gc
+import importlib
+import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,7 @@ from teammine.errors import (ConfigError, IngestError, MissingArtifactError,
                              StaleCacheError, UnknownTeamError)
 from teammine.pipeline import (EXTERNAL_INPUTS, FIGURE_STEMS, STAGE_TABLE, STAGES, Pipeline,
                                PipelineConfig, producers)
-from teammine.presets import wired_overlap_config
+from teammine.presets import PRESETS, wired_overlap_config
 from teammine.synthgen import fig_s1_corpus, generate_corpus
 
 from helpers import pub_json, run_pipeline, write_citations, write_jsonl
@@ -515,3 +518,70 @@ def test_crash_after_partial_write_reruns_stage(tmp_path, monkeypatch, writer, s
         assert artifact_bytes(crashed) == artifact_bytes(tmp_path / name)
         assert ((crashed / "manifest.json").read_bytes()
                 == (tmp_path / name / "manifest.json").read_bytes())
+
+
+def test_cold_all_builds_success_profiles_once(s1_corpus, tmp_path, monkeypatch):
+    calls = []
+    build = pipeline_module.success_profiles
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(pipeline_module, "success_profiles", counted)
+    run_pipeline(s1_corpus, tmp_path / "out", 1, 8)
+    assert len(calls) == 1
+    # stats alone rebuilds them from the artifacts, once
+    run_pipeline(s1_corpus, tmp_path / "out", 1, 8, margin_years=1)
+    assert len(calls) == 2
+
+
+def _shuffle_lines(source: Path, target: Path, rng: random.Random, header: int = 0):
+    lines = source.read_bytes().splitlines()
+    body = lines[header:]
+    rng.shuffle(body)
+    target.write_bytes(b"".join(line + b"\n" for line in lines[:header] + body))
+
+
+@pytest.mark.parametrize("preset", ["wired", "planted", "shift"])
+def test_shuffled_input_lines_keep_artifacts(tmp_path, preset):
+    """Publication lines and citation rows in another order give the same
+    sorted artifacts and figure tables."""
+    config = PRESETS[preset]()
+    corpus, shuffled = tmp_path / "corpus", tmp_path / "shuffled"
+    generate_corpus(config, corpus)
+    shuffled.mkdir()
+    rng = random.Random(7)
+    _shuffle_lines(corpus / "publications.jsonl", shuffled / "publications.jsonl", rng)
+    _shuffle_lines(corpus / "citations.csv", shuffled / "citations.csv", rng, header=1)
+    assert (shuffled / "publications.jsonl").read_bytes() != \
+        (corpus / "publications.jsonl").read_bytes()
+    names = ["teams.csv", "team_pubs.csv", "overlaps.csv", "impulses.csv", "table_s1.csv",
+             *(f"{stem}.csv" for stem in FIGURE_STEMS)]
+    outputs = []
+    for source in (corpus, shuffled):
+        out = tmp_path / f"{source.name}_out"
+        run_pipeline(source, out, config.year_min, config.year_max, margin_years=1)
+        outputs.append({name: (out / name).read_bytes() for name in names})
+    assert outputs[0] == outputs[1]
+
+
+def test_benchmark_tracer_names_bound_in_pipeline(tmp_path):
+    """Every function the benchmark times per layer is the one its module
+    defines, bound under the same name in ``teammine.pipeline``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, funcs in tracer._MODULE_FUNCS.items():
+        if module == "synthgen":
+            continue
+        owner = importlib.import_module(f"teammine.{module}")
+        for func in funcs:
+            assert getattr(pipeline_module, func, None) is getattr(owner, func), \
+                f"{module}.{func}"
+    teams_module = importlib.import_module("teammine.teams")
+    assert pipeline_module.success_profiles is teams_module.success_profiles
+    with tracer.Tracer("run", tmp_path / "spans.json") as trace:
+        trace.install_pipeline()
+        assert trace.missing == []

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from teammine.cliques import TemporalClique
 from teammine.geo import great_circle_km
-from teammine.teams import (assemble_teams, associate_publications, city_coordinates,
-                            composition_metrics, compute_all_metrics, associate_all,
-                            success_profiles)
+from teammine.teams import (assemble_teams, associate_publications, build_author_pub_index,
+                            city_coordinates, composition_metrics, compute_all_metrics,
+                            associate_all, success_profiles)
 
 from helpers import author, affiliation, pub, table, tag_table, team
 
@@ -66,27 +66,29 @@ def test_clique_count_equals_interval_count():
 def test_association_needs_half_but_at_least_two():
     squad = team(0, ["A", "B", "C", "D", "E"], [(1, 5)])
     pubs = table([pub("p1", 2, ["A", "B"]), pub("p2", 3, ["A", "B", "C"])])
-    assert associate_publications(squad, pubs) == ["p2"]
+    assert associate_publications(squad, pubs, build_author_pub_index(pubs)) == ["p2"]
 
 
 def test_pair_team_needs_both_members():
     duo = team(0, ["A", "B"], [(1, 5)])
     pubs = table([pub("p1", 2, ["A", "B"]), pub("p2", 3, ["A", "X"])])
-    assert associate_publications(duo, pubs) == ["p1"]
+    assert associate_publications(duo, pubs, build_author_pub_index(pubs)) == ["p1"]
 
 
 def test_gap_years_never_associate():
     squad = team(0, ["A", "B"], [(1, 3), (7, 9)])
     pubs = table([pub("p1", 5, ["A", "B"]), pub("p2", 7, ["A", "B"])])
-    assert associate_publications(squad, pubs) == ["p2"]
+    assert associate_publications(squad, pubs, build_author_pub_index(pubs)) == ["p2"]
 
 
 def test_association_monotone_in_overlap():
     squad = team(0, ["A", "B", "C", "D", "E"], [(1, 5)])
     base = pub("p1", 2, ["A", "B"])
     more = pub("p1", 2, ["A", "B", "C"])
-    assert associate_publications(squad, table([base])) == []
-    assert associate_publications(squad, table([more])) == ["p1"]
+    pubs = table([base])
+    assert associate_publications(squad, pubs, build_author_pub_index(pubs)) == []
+    pubs = table([more])
+    assert associate_publications(squad, pubs, build_author_pub_index(pubs)) == ["p1"]
 
 
 def _corpus_one_city():
