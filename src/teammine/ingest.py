@@ -448,24 +448,42 @@ def _affiliation_dict(aff: Affiliation) -> dict:
     return out
 
 
-def write_publications_jsonl(pubs: Iterable[PublicationRecord], path: str | Path):
-    """Write one line per record: the bytes of ``json.dumps(record_dict,
-    sort_keys=True, separators=(",", ":"))``, spliced from fragments encoded
-    once per distinct author entry and (doc_type, fields) pair."""
+def write_publications_jsonl(pubs: Iterable[PublicationRecord], path: str | Path,
+                             affiliations_path: str | Path):
+    """Write the canonical corpus as two files.
+
+    ``affiliations_path`` gets each distinct affiliation object once, in the
+    order the records first use it: one ``_affiliation_dict`` per line, whose
+    line number minus 1 is its index. ``path`` gets one line per record,
+    ``[pub_id, year, doc_type, fields, [[author_id, [index, ...]], ...]]``.
+    Every line is the bytes of ``json.dumps(value, sort_keys=True,
+    separators=(",", ":"))``; a record line is spliced from fragments encoded
+    once per distinct author entry and (doc_type, fields) pair.
+
+    Affiliations and author entries are looked up by object identity, not
+    equality: an affiliation at ``lat=0.0`` equals one at ``lat=-0.0``, and
+    each keeps its own line.
+    """
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    entry_texts: dict[int, str] = {}  # id(entry) -> its JSON object
+    indices: dict[int, str] = {}      # id(affiliation) -> its index, as text
+    entry_texts: dict[int, str] = {}  # id(entry) -> its JSON array
     kept: list[AuthorEntry] = []      # keeps each id() above from being reused
-    # (id(doc_type), fields) -> the text from the authors' "]" to "pub_id":
+    # (id(doc_type), fields) -> the text from the year's "," to the authors' "[":
     middles: dict[tuple, str] = {}
 
-    def entry_text(entry: AuthorEntry) -> str:
-        kept.append(entry)
-        entry_texts[id(entry)] = encode(
-            {"affiliations": [_affiliation_dict(aff) for aff in entry.affiliations],
-             "author_id": entry.author_id})
-        return entry_texts[id(entry)]
+    with open(path, "w", encoding="utf-8", newline="") as fh, \
+            open(affiliations_path, "w", encoding="utf-8", newline="") as aff_fh:
+        def index(aff: Affiliation) -> str:
+            indices[id(aff)] = str(len(indices))
+            aff_fh.write(encode(_affiliation_dict(aff)) + "\n")
+            return indices[id(aff)]
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+        def entry_text(entry: AuthorEntry) -> str:
+            kept.append(entry)
+            affs = ",".join([indices.get(id(aff)) or index(aff) for aff in entry.affiliations])
+            entry_texts[id(entry)] = f"[{encode_basestring_ascii(entry.author_id)},[{affs}]]"
+            return entry_texts[id(entry)]
+
         write = fh.write
         for rec in pubs:
             authors = ",".join([entry_texts.get(id(entry)) or entry_text(entry)
@@ -473,33 +491,49 @@ def write_publications_jsonl(pubs: Iterable[PublicationRecord], path: str | Path
             middle = middles.get((id(rec.doc_type), rec.fields))
             if middle is None:
                 middle = middles[id(rec.doc_type), rec.fields] = (
-                    f'],"doc_type":{encode(rec.doc_type.value)},'
-                    f'"fields":{encode(list(rec.fields))},"pub_id":')
-            write(f'{{"authors":[{authors}{middle}{encode_basestring_ascii(rec.pub_id)},'
-                  f'"year":{rec.year}}}\n')
+                    f",{encode(rec.doc_type.value)},{encode(list(rec.fields))},[")
+            write(f"[{encode_basestring_ascii(rec.pub_id)},{rec.year}{middle}{authors}]]\n")
 
 
-def read_publications_jsonl(path: str | Path) -> PublicationTable:
+def read_publications_jsonl(path: str | Path, affiliations_path: str | Path) -> PublicationTable:
     """Read back a canonical corpus written by ``write_publications_jsonl``.
 
-    The records equal those ``load_publications`` builds from the same file,
-    with the same sharing of affiliations, author entries, field lists and
-    author ids, but no domain rule, year window or duplicate id is checked.
-    The pipeline calls this only on ``canonical_publications.jsonl`` after
-    matching its digest with the manifest in the same process: ``all`` keeps
-    a cached ingest only when its output digests match, and a single stage or
-    ``explain`` passes ``Pipeline._check_prereq`` first. External input goes
-    through ``load_publications``.
+    Gives back the records the writer was given, down to the sign of a zero
+    coordinate, building one ``Affiliation`` per line of the affiliation
+    table, one ``AuthorEntry`` per distinct (author_id, indices) and one field
+    tuple per distinct field list, and interning author ids. No domain rule,
+    year window or duplicate id is checked. The pipeline calls this only on
+    ``canonical_publications.jsonl`` and ``canonical_affiliations.jsonl``
+    after matching their digests with the manifest in the same process:
+    ``all`` keeps a cached ingest only when its output digests match, and a
+    single stage or ``explain`` passes ``Pipeline._check_prereq`` first.
+    External input goes through ``load_publications``.
     """
+    # each line is one value the writer wrote: raw_decode skips the
+    # whitespace scans json.loads makes around it
+    decode = json.JSONDecoder().raw_decode
+    with open(affiliations_path, "r", encoding="utf-8") as fh:
+        affiliations = [Affiliation._make(map(decode(line)[0].get, _AFFILIATION_KEYS))
+                        for line in fh]
     doc_types = _DOC_TYPE_ALIASES
-    parse = _record_parser()
+    entries: dict[tuple, AuthorEntry] = {}
+    field_lists: dict[tuple, tuple[str, ...]] = {}
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            raw = json.loads(line)
-            pub_id, year, doc_type, fields, authors, _ = parse(raw, line_no)
-            records.append(PublicationRecord(pub_id, year, doc_types[doc_type], fields,
-                                             authors))
+        for line in fh:
+            pub_id, year, doc_type, fields, raw_authors = decode(line)[0]
+            fields = tuple(fields)
+            authors = []
+            for author_id, indices in raw_authors:
+                key = (author_id, *indices)
+                entry = entries.get(key)
+                if entry is None:
+                    entry = entries[key] = AuthorEntry(
+                        sys.intern(author_id), tuple([affiliations[i] for i in indices]))
+                authors.append(entry)
+            records.append(PublicationRecord(pub_id, year, doc_types[doc_type],
+                                             field_lists.setdefault(fields, fields),
+                                             tuple(authors)))
     return PublicationTable(records=records, input_lines=len(records))
 
 
@@ -530,21 +564,23 @@ class CorpusStats:
 def corpus_stats(pubs: PublicationTable, tags) -> CorpusStats:
     """Document type prevalence over all / top-10% / top-1% publications."""
     order = [DocType.ARTICLE, DocType.REVIEW, DocType.LETTER, DocType.PROCEEDINGS_PAPER]
-    counts = {dt: [0, 0, 0] for dt in order}
+    # keyed by the member's value attribute: Enum.__hash__ and the `value`
+    # property both run in Python, once per record
+    counts = {dt._value_: [0, 0, 0] for dt in order}
     for rec in pubs:
         top10, top1 = tags.flags(rec.pub_id)
-        counts[rec.doc_type][0] += 1
-        counts[rec.doc_type][1] += top10
-        counts[rec.doc_type][2] += top1
-    totals = [sum(counts[dt][i] for dt in order) for i in range(3)]
+        row = counts[rec.doc_type._value_]
+        row[0] += 1
+        row[1] += top10
+        row[2] += top1
+    totals = [sum(row[i] for row in counts.values()) for i in range(3)]
 
     def pct(part: int, whole: int) -> float:
         return float(Fraction(100 * part, whole)) if whole else 0.0
 
     rows = []
-    for dt in order:
-        c_all, c10, c1 = counts[dt]
-        rows.append((dt.value, c_all, pct(c_all, totals[0]),
+    for value, (c_all, c10, c1) in counts.items():
+        rows.append((value, c_all, pct(c_all, totals[0]),
                      c10, pct(c10, totals[1]), c1, pct(c1, totals[2])))
     return CorpusStats(rows=rows, empty=totals[0] == 0)
 

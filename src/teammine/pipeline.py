@@ -62,16 +62,18 @@ class Stage:
 # input key -> the configuration key holding its path
 EXTERNAL_INPUTS = {"pubs_input": "pubs_path", "citations_input": "citations_path"}
 
+# the canonical corpus: its records, and the affiliation table they index
+CORPUS = ("canonical_publications.jsonl", "canonical_affiliations.jsonl")
+
 STAGE_TABLE = (
     Stage("ingest", ("year_min", "year_max"),
           ("pubs_input", "citations_input"),
-          ("canonical_publications.jsonl", "canonical_citations.csv",
-           "rejects.csv", "citation_drops.csv")),
+          (*CORPUS, "canonical_citations.csv", "rejects.csv", "citation_drops.csv")),
     Stage("tag", ("citation_window",),
-          ("canonical_publications.jsonl", "canonical_citations.csv"),
+          (*CORPUS, "canonical_citations.csv"),
           ("success_tags.csv", "thresholds.csv")),
     Stage("network", ("author_cap",),
-          ("canonical_publications.jsonl",),
+          CORPUS,
           ("pair_timelines.csv",)),
     Stage("persist", ("window_len", "min_pubs"),
           ("pair_timelines.csv",),
@@ -80,15 +82,14 @@ STAGE_TABLE = (
           ("persistent_edges.csv",),
           ("cliques.csv",)),
     Stage("teams", (),
-          ("cliques.csv", "canonical_publications.jsonl", "success_tags.csv"),
+          ("cliques.csv", *CORPUS, "success_tags.csv"),
           ("teams.csv", "team_pubs.csv")),
     Stage("overlaps", (),
-          ("teams.csv", "team_pubs.csv", "canonical_publications.jsonl",
-           "success_tags.csv"),
+          ("teams.csv", "team_pubs.csv", *CORPUS, "success_tags.csv"),
           ("overlaps.csv", "impulses.csv", "overlap_anomalies.csv")),
     Stage("stats", ("margin_years", "year_min", "year_max"),
-          ("canonical_publications.jsonl", "success_tags.csv", "teams.csv",
-           "team_pubs.csv", "overlaps.csv", "impulses.csv"),
+          (*CORPUS, "success_tags.csv", "teams.csv", "team_pubs.csv", "overlaps.csv",
+           "impulses.csv"),
           tuple(f"{stem}.csv" for stem in FIGURE_STEMS) + ("table_s1.csv",)),
 )
 
@@ -97,9 +98,8 @@ _BY_NAME = {stage.name: stage for stage in STAGE_TABLE}
 _PRODUCER = {name: stage.name for stage in STAGE_TABLE for name in stage.outputs}
 
 # artifacts `explain` reads, in pipeline order
-_EXPLAIN_INPUTS = ("canonical_publications.jsonl", "success_tags.csv", "pair_timelines.csv",
-                   "persistent_edges.csv", "teams.csv", "team_pubs.csv", "overlaps.csv",
-                   "impulses.csv")
+_EXPLAIN_INPUTS = (*CORPUS, "success_tags.csv", "pair_timelines.csv", "persistent_edges.csv",
+                   "teams.csv", "team_pubs.csv", "overlaps.csv", "impulses.csv")
 
 
 def producers(inputs) -> tuple[str, ...]:
@@ -194,7 +194,7 @@ def _sha256(path: Path) -> str:
 # load follows a digest check of the artifact against the manifest, which is
 # why the canonical corpus is read back without validation.
 _LOADERS = {
-    "pubs": lambda p: read_publications_jsonl(p._artifact("canonical_publications.jsonl")),
+    "pubs": lambda p: read_publications_jsonl(*map(p._artifact, CORPUS)),
     "citations": lambda p: load_citations(p._artifact("canonical_citations.csv"),
                                           p._load("pubs")),
     "tags": lambda p: read_success_tags_csv(p._artifact("success_tags.csv")),
@@ -251,10 +251,17 @@ class Pipeline:
             return Path(getattr(self.config, EXTERNAL_INPUTS[name]))
         return self._artifact(name)
 
+    def _input_digests(self, stage: str) -> dict[str, str | None]:
+        """The digest of each input of ``stage`` by name, None for one not on disk."""
+        paths = {name: self._input_path(name) for name in _BY_NAME[stage].inputs}
+        return {name: _sha256(path) if path.exists() else None for name, path in paths.items()}
+
     def _refusal(self, stage: str, user: str, input_digests: dict | None = None):
         """The first reason the manifest entry of ``stage`` no longer holds, as
         the error refusing it to ``user``, or None. The reasons: no entry, the
-        configuration digest, the input digests (only when given), an output
+        configuration digest, the input digests (only when given; an input
+        whose digest is None is not on disk and not compared), outputs
+        recorded under other names than the stage writes now, an output
         missing, an output digest changed."""
         entry = self.manifest.get(stage)
         if entry is None:
@@ -263,8 +270,14 @@ class Pipeline:
             keys = ", ".join(_BY_NAME[stage].config_keys)
             return StaleCacheError(f"stage '{stage}' ran with other settings of {keys}; rerun "
                                    f"'{stage}' with these settings, or use the ones it ran with")
-        if input_digests is not None and entry["inputs"] != input_digests:
+        if input_digests is not None and (
+                entry["inputs"].keys() != input_digests.keys()
+                or any(digest not in (None, entry["inputs"][name])
+                       for name, digest in input_digests.items())):
             return StaleCacheError(f"an input of stage '{stage}' changed; rerun '{stage}'")
+        if entry["outputs"].keys() != set(_BY_NAME[stage].outputs):
+            return StaleCacheError(f"the manifest entry of stage '{stage}' names other "
+                                   f"outputs than the stage writes; rerun '{stage}'")
         for name, digest in entry["outputs"].items():
             path = self._artifact(name)
             if not path.exists():
@@ -276,12 +289,21 @@ class Pipeline:
         return None
 
     def _check_prereq(self, user: str, prereqs: tuple[str, ...]):
-        """Refuse unless each prerequisite stage ran under the current values of
-        its configuration keys and its outputs are on disk unchanged."""
-        for prereq in prereqs:
-            refusal = self._refusal(prereq, user)
+        """Refuse unless every stage behind ``prereqs``, theirs included, still
+        holds: it ran under the current values of its configuration keys, on
+        the inputs now on disk, and its outputs are on disk unchanged.
+
+        The walk is breadth first, so the nearest stale stage is the one named.
+        An input not on disk is not compared: the stage producing it is
+        walked too and reports it missing, and a corpus file the settings do
+        not name (``explain --out DIR`` alone) cannot be compared.
+        """
+        stages = list(prereqs)
+        for stage in stages:  # grows while it is walked
+            refusal = self._refusal(stage, user, self._input_digests(stage))
             if refusal is not None:
                 raise refusal
+            stages += [p for p in producers(_BY_NAME[stage].inputs) if p not in stages]
 
     # --- running ---
 
@@ -307,13 +329,13 @@ class Pipeline:
 
     def _run_stage(self, stage: str) -> str:
         spec = _BY_NAME[stage]
-        inputs = {name: self._input_path(name) for name in spec.inputs}
-        for name, path in inputs.items():
-            if not path.exists():
+        input_digests = self._input_digests(stage)
+        for name, digest in input_digests.items():
+            if digest is None:
                 hint = ("" if name in EXTERNAL_INPUTS
                         else "; rerun the stage that produces it")
-                raise MissingArtifactError(f"stage '{stage}' input {path} is missing{hint}")
-        input_digests = {name: _sha256(path) for name, path in sorted(inputs.items())}
+                raise MissingArtifactError(f"stage '{stage}' input {self._input_path(name)} "
+                                           f"is missing{hint}")
         if self._refusal(stage, f"stage '{stage}'", input_digests) is None:
             return "cached"
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -341,7 +363,7 @@ class Pipeline:
         pubs = load_publications(self.config.pubs_path, self.config.year_min,
                                  self.config.year_max)
         citations = load_citations(self.config.citations_path, pubs)
-        write_publications_jsonl(pubs, self._artifact("canonical_publications.jsonl"))
+        write_publications_jsonl(pubs, *map(self._artifact, CORPUS))
         write_citations_csv(citations, self._artifact("canonical_citations.csv"))
         write_rejects_csv(pubs.rejects, self._artifact("rejects.csv"))
         write_csv(self._artifact("citation_drops.csv"), ["reason", "count"],

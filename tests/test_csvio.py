@@ -54,7 +54,8 @@ def test_artifact_round_trip(wired_run, tmp_path, name):
 
 def test_teams_round_trip(wired_run, tmp_path):
     teams = read_teams_csv(wired_run / "teams.csv", wired_run / "team_pubs.csv")
-    pubs = read_publications_jsonl(wired_run / "canonical_publications.jsonl")
+    pubs = read_publications_jsonl(wired_run / "canonical_publications.jsonl",
+                                   wired_run / "canonical_affiliations.jsonl")
     tags = read_success_tags_csv(wired_run / "success_tags.csv")
     assert len(teams) > 0
     write_teams_csv(teams, success_profiles(teams, pubs, tags), tmp_path / "teams.csv")

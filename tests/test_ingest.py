@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -13,37 +14,68 @@ from teammine.pipeline import Pipeline, PipelineConfig
 from teammine.presets import random_planted_config, wired_overlap_config
 from teammine.synthgen import SynthConfig, generate_corpus
 
-from helpers import pub_json, tag_table, write_citations, write_jsonl
+from helpers import pub, pub_json, table, tag_table, write_citations, write_jsonl
 from ingest_reference import reference_parser
 
 YEARS = (2008, 2020)
 
 
-def publication_to_dict(rec) -> dict:
-    """The reference dict form of a record; the canonical line is its
-    ``json.dumps(..., sort_keys=True, separators=(",", ":"))``."""
-    def affiliation(aff):
-        out = {key: value for key, value in (("org_id", aff.org_id), ("city_id", aff.city_id),
-                                             ("country", aff.country)) if value is not None}
-        if aff.lat is not None:
-            out["lat"] = aff.lat
-            out["lon"] = aff.lon
-        return out
+def canonical_values(records) -> tuple[list, list]:
+    """The reference form of the canonical corpus: one
+    ``[pub_id, year, doc_type, fields, [[author_id, [index, ...]], ...]]`` per
+    record, and the affiliation table, which lists each affiliation object
+    once (by identity, so 0.0 and -0.0 stay apart) in the order the records
+    first use it, absent values left out."""
+    table: list[dict] = []
+    index: dict[int, int] = {}
+    lines = []
+    for rec in records:
+        authors = []
+        for entry in rec.authors:
+            positions = []
+            for aff in entry.affiliations:
+                if id(aff) not in index:
+                    index[id(aff)] = len(table)
+                    values = {"org_id": aff.org_id, "city_id": aff.city_id,
+                              "country": aff.country, "lat": aff.lat, "lon": aff.lon}
+                    table.append({key: value for key, value in values.items()
+                                  if value is not None})
+                positions.append(index[id(aff)])
+            authors.append([entry.author_id, positions])
+        lines.append([rec.pub_id, rec.year, rec.doc_type.value, list(rec.fields), authors])
+    return lines, table
 
-    return {
-        "pub_id": rec.pub_id,
-        "year": rec.year,
-        "doc_type": rec.doc_type.value,
-        "fields": list(rec.fields),
-        "authors": [{"author_id": a.author_id,
-                     "affiliations": [affiliation(aff) for aff in a.affiliations]}
-                    for a in rec.authors],
-    }
+
+def reference_canonical(records) -> tuple[bytes, bytes]:
+    """The bytes of both canonical files: each value of ``canonical_values``
+    as ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, one a line."""
+    return tuple("".join(json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
+                         for value in values).encode()
+                 for values in canonical_values(records))
 
 
-def reference_canonical(records) -> bytes:
-    return "".join(json.dumps(publication_to_dict(rec), sort_keys=True, separators=(",", ":"))
-                   + "\n" for rec in records).encode()
+def write_canonical(pubs, directory) -> tuple:
+    """Write ``pubs`` as the two canonical files in ``directory``; their paths."""
+    paths = (directory / "canonical.jsonl", directory / "affiliations.jsonl")
+    write_publications_jsonl(pubs, *paths)
+    return paths
+
+
+def _assert_canonical(pubs, paths, tmp_path):
+    """The canonical files at ``paths`` hold ``reference_canonical(pubs)``,
+    read back as ``pubs`` (by ``repr``, so -0.0 stays apart from 0.0 and a
+    float from an int) with the same author id objects, and writing what was
+    read reproduces both files byte for byte."""
+    assert tuple(path.read_bytes() for path in paths) == reference_canonical(pubs)
+    read = read_publications_jsonl(*paths)
+    assert repr(read.records) == repr(pubs.records)
+    assert read.rejects == [] and read.input_lines == len(read)
+    assert all(a.author_id is b.author_id
+               for x, y in zip(read, pubs) for a, b in zip(x.authors, y.authors))
+    rewritten = tmp_path / "rewritten"
+    rewritten.mkdir(exist_ok=True)
+    for path, again in zip(paths, write_canonical(read, rewritten)):
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_hundred_valid_articles(tmp_path):
@@ -226,18 +258,6 @@ def test_planted_reject_rate(tmp_path):
     assert len(pubs) / pubs.input_lines == pytest.approx(0.867, abs=0.0005)
 
 
-def test_idempotent_canonical_roundtrip(tmp_path):
-    records = [pub_json(f"p{i}", 2010 + i % 3, ["a1", "a2", "a3"]) for i in range(20)]
-    raw = tmp_path / "pubs.jsonl"
-    write_jsonl(raw, records)
-    pubs = load_publications(raw, *YEARS)
-    first = tmp_path / "canonical1.jsonl"
-    second = tmp_path / "canonical2.jsonl"
-    write_publications_jsonl(pubs, first)
-    write_publications_jsonl(load_publications(first, *YEARS), second)
-    assert first.read_bytes() == second.read_bytes()
-
-
 def test_stored_records_satisfy_invariants(tmp_path):
     config = SynthConfig(seed=1, year_min=1, year_max=8, teams=(),
                          n_background_authors=40, background_pubs=300)
@@ -326,25 +346,19 @@ def test_integer_coordinate_too_large_for_float_rejected(tmp_path, key, sign):
 
 # --- the canonical reader ---
 
-def _assert_reader_matches_loader(canonical):
-    loaded = load_publications(canonical, -10**6, 10**6)
-    read = read_publications_jsonl(canonical)
-    assert read.records == loaded.records
-    assert read.rejects == [] and read.input_lines == len(read)
-    assert all(a.author_id is b.author_id
-               for x, y in zip(read, loaded) for a, b in zip(x.authors, y.authors))
-
-
 @pytest.mark.parametrize("preset", [wired_overlap_config, random_planted_config])
 def test_reader_matches_loader_on_run_corpus(tmp_path, preset):
     config = preset()
-    generate_corpus(config, tmp_path / "corpus")
+    raw = tmp_path / "corpus" / "publications.jsonl"
+    generate_corpus(config, raw.parent)
     out = tmp_path / "out"
-    Pipeline(PipelineConfig(pubs_path=str(tmp_path / "corpus" / "publications.jsonl"),
+    Pipeline(PipelineConfig(pubs_path=str(raw),
                             citations_path=str(tmp_path / "corpus" / "citations.csv"),
                             out_dir=str(out), year_min=config.year_min,
                             year_max=config.year_max)).run("ingest")
-    _assert_reader_matches_loader(out / "canonical_publications.jsonl")
+    loaded = load_publications(raw, config.year_min, config.year_max)
+    paths = (out / "canonical_publications.jsonl", out / "canonical_affiliations.jsonl")
+    _assert_canonical(loaded, paths, tmp_path)
 
 
 def test_reader_matches_loader_on_every_affiliation_shape(tmp_path):
@@ -359,10 +373,10 @@ def test_reader_matches_loader_on_every_affiliation_shape(tmp_path):
     ]
     raw = tmp_path / "pubs.jsonl"
     write_jsonl(raw, records)
-    canonical = tmp_path / "canonical.jsonl"
-    write_publications_jsonl(load_publications(raw, *YEARS), canonical)
-    _assert_reader_matches_loader(canonical)
-    p3 = read_publications_jsonl(canonical).get("p3")
+    loaded = load_publications(raw, *YEARS)
+    paths = write_canonical(loaded, tmp_path)
+    _assert_canonical(loaded, paths, tmp_path)
+    p3 = read_publications_jsonl(*paths).get("p3")
     assert [len(a.affiliations) for a in p3.authors] == [3, 3]
     assert p3.authors[0].affiliations[2].lat == 1.0
     assert isinstance(p3.authors[0].affiliations[0].lon, float)
@@ -520,11 +534,9 @@ def test_fuzz_load_publications(tmp_path, lines):
         _assert_names_line(exc, data)
         return
     assert len(pubs) + len(pubs.rejects) == pubs.input_lines
-    for rec in pubs:  # every string can go into a UTF-8 artifact
-        json.dumps(publication_to_dict(rec), ensure_ascii=False).encode()
-    canonical = tmp_path / "canonical.jsonl"
-    write_publications_jsonl(pubs, canonical)
-    assert read_publications_jsonl(canonical).records == pubs.records
+    # every string can go into a UTF-8 artifact
+    json.dumps(canonical_values(pubs.records), ensure_ascii=False).encode()
+    _assert_canonical(pubs, write_canonical(pubs, tmp_path), tmp_path)
 
 
 # --- the parser against the reference checks ---
@@ -555,10 +567,7 @@ def _assert_matches_reference(tmp_path, data: bytes):
         pubs = load_publications(path, *YEARS)
     except IngestError:
         return
-    canonical = tmp_path / "canonical.jsonl"
-    write_publications_jsonl(pubs, canonical)
-    assert canonical.read_bytes() == reference_canonical(pubs)
-    assert repr(read_publications_jsonl(canonical).records) == repr(pubs.records)
+    _assert_canonical(pubs, write_canonical(pubs, tmp_path), tmp_path)
 
 
 @_FUZZ
@@ -592,7 +601,7 @@ def test_negative_zero_keeps_its_sign(tmp_path):
     pubs = load_publications(raw, *YEARS)
     assert [repr(r.authors[0].affiliations[0].lat) for r in pubs] == ["0.0", "-0.0"] * 2
     _assert_matches_reference(tmp_path, raw.read_bytes())
-    assert (tmp_path / "canonical.jsonl").read_bytes().count(b'"lat":-0.0') == 2
+    assert (tmp_path / "affiliations.jsonl").read_bytes().count(b'"lat":-0.0') == 2
 
 
 @pytest.mark.parametrize("key", ingest._AFFILIATION_KEYS)
@@ -619,7 +628,7 @@ def test_extra_affiliation_keys_are_ignored(tmp_path):
     _assert_matches_reference(tmp_path, raw.read_bytes())
     pubs = load_publications(raw, *YEARS)
     assert pubs.get("p1").authors[0] is pubs.get("p2").authors[0]
-    assert b"rank" not in reference_canonical(pubs)
+    assert b"rank" not in b"".join(reference_canonical(pubs))
 
 
 # --- interning ---
@@ -651,10 +660,9 @@ def test_loader_and_reader_share_repeated_values(tmp_path):
     _shared_affiliation_corpus(raw)
     loaded = load_publications(raw, *YEARS)
     _assert_shares_repeated_values(loaded)
-    canonical = tmp_path / "canonical.jsonl"
-    write_publications_jsonl(loaded, canonical)
-    _assert_shares_repeated_values(read_publications_jsonl(canonical))
-    assert canonical.read_bytes() == reference_canonical(loaded)
+    paths = write_canonical(loaded, tmp_path)
+    _assert_shares_repeated_values(read_publications_jsonl(*paths))
+    _assert_canonical(loaded, paths, tmp_path)
 
 
 def _interned_ids(pubs) -> set[int]:
@@ -665,10 +673,9 @@ def _interned_ids(pubs) -> set[int]:
 def test_two_loads_share_no_objects(tmp_path):
     raw = tmp_path / "raw.jsonl"
     _shared_affiliation_corpus(raw)
-    canonical = tmp_path / "canonical.jsonl"
-    write_publications_jsonl(load_publications(raw, *YEARS), canonical)
+    paths = write_canonical(load_publications(raw, *YEARS), tmp_path)
     loads = [load_publications(raw, *YEARS), load_publications(raw, *YEARS),
-             read_publications_jsonl(canonical), read_publications_jsonl(canonical)]
+             read_publications_jsonl(*paths), read_publications_jsonl(*paths)]
     seen: set[int] = set()
     for pubs in loads:  # so no memo outlives the load that made it
         ids = _interned_ids(pubs)
@@ -754,6 +761,32 @@ def test_corpus_stats_empty_corpus(tmp_path):
     stats = corpus_stats(pubs, tag_table({}))
     assert stats.empty
     assert all(row[1] == 0 and row[2] == 0.0 for row in stats.rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from(list(DocType)), st.booleans(), st.booleans()),
+                     max_size=20))
+def test_corpus_stats_matches_counts_keyed_by_doc_type(rows):
+    """Against the counts keyed by the DocType members themselves; and no
+    member is hashed, which runs in Python once per record."""
+    pubs = table(pub(f"p{i}", 2010, ["a1"], doc_type=dt) for i, (dt, _, _) in enumerate(rows))
+    tags = tag_table({f"p{i}": (0, top10, top1) for i, (_, top10, top1) in enumerate(rows)})
+    counts = {dt: [0, 0, 0] for dt in DocType}
+    for dt, top10, top1 in rows:
+        counts[dt][0] += 1
+        counts[dt][1] += top10
+        counts[dt][2] += top1
+    totals = [sum(row[column] for row in counts.values()) for column in range(3)]
+
+    def pct(part: int, whole: int) -> float:
+        return float(Fraction(100 * part, whole)) if whole else 0.0
+
+    expected = [(dt.value, c_all, pct(c_all, totals[0]), c10, pct(c10, totals[1]),
+                 c1, pct(c1, totals[2])) for dt, (c_all, c10, c1) in counts.items()]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DocType, "__hash__", None)
+        stats = corpus_stats(pubs, tags)
+    assert repr(stats.rows) == repr(expected) and stats.empty == (not rows)
 
 
 def test_proceedings_paper_aliases(tmp_path):

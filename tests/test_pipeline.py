@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -11,8 +12,8 @@ from teammine import pipeline as pipeline_module
 from teammine.cli import main
 from teammine.errors import (ConfigError, IngestError, MissingArtifactError,
                              StaleCacheError, UnknownTeamError)
-from teammine.pipeline import (EXTERNAL_INPUTS, FIGURE_STEMS, STAGE_TABLE, STAGES, Pipeline,
-                               PipelineConfig, producers)
+from teammine.pipeline import (CORPUS, EXTERNAL_INPUTS, FIGURE_STEMS, STAGE_TABLE, STAGES,
+                               Pipeline, PipelineConfig, producers)
 from teammine.presets import PRESETS, wired_overlap_config
 from teammine.synthgen import fig_s1_corpus, generate_corpus
 
@@ -104,7 +105,8 @@ def _first_line_again(text: str) -> str:
 @pytest.mark.parametrize("artifact,edit,stage,prereq", [
     ("persistent_edges.csv", lambda text: text + "Z,Q,1-2\n", "mine", "persist"),
     ("canonical_publications.jsonl", _first_line_again, "stats", "ingest"),
-], ids=["persistent_edges.csv", "canonical_publications.jsonl"])
+    ("canonical_affiliations.jsonl", _first_line_again, "stats", "ingest"),
+], ids=["persistent_edges.csv", "canonical_publications.jsonl", "canonical_affiliations.jsonl"])
 def test_stale_prereq_artifact_refused(s1_corpus, tmp_path, artifact, edit, stage, prereq):
     out = tmp_path / "out"
     run_pipeline(s1_corpus, out, 1, 8)
@@ -118,6 +120,65 @@ def test_stale_prereq_artifact_refused(s1_corpus, tmp_path, artifact, edit, stag
         Pipeline(config).run(stage)
     assert Pipeline(config).run("all")[prereq] == "ran"
     assert path.read_bytes() == original
+
+
+def test_out_dir_from_the_one_file_corpus_reruns_ingest(s1_corpus, tmp_path):
+    """An out dir written while the canonical corpus was one file, affiliation
+    objects inline: its manifest names no affiliation table. A single stage
+    refuses, and `all` reruns ingest and each stage that reads the corpus once."""
+    out = tmp_path / "out"
+    run_pipeline(s1_corpus, out, 1, 8)
+    fresh = artifact_bytes(out)
+    # records with their affiliation objects inline, as the one-file corpus held them
+    one_file = (s1_corpus / "publications.jsonl").read_bytes()
+    (out / "canonical_publications.jsonl").write_bytes(one_file)
+    (out / "canonical_affiliations.jsonl").unlink()
+    manifest = json.loads((out / "manifest.json").read_text())
+    for entry in manifest.values():
+        for digests in (entry["inputs"], entry["outputs"]):
+            digests.pop("canonical_affiliations.jsonl", None)
+            if "canonical_publications.jsonl" in digests:
+                digests["canonical_publications.jsonl"] = hashlib.sha256(one_file).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    config = PipelineConfig(pubs_path=str(s1_corpus / "publications.jsonl"),
+                            citations_path=str(s1_corpus / "citations.csv"),
+                            out_dir=str(out), year_min=1, year_max=8, margin_years=0)
+    with pytest.raises(StaleCacheError, match="names other outputs.*rerun 'ingest'"):
+        Pipeline(config).run("tag")
+    reads_corpus = {stage.name for stage in STAGE_TABLE if set(CORPUS) & set(stage.inputs)}
+    assert Pipeline(config).run("all") == {
+        name: "ran" if name == "ingest" or name in reads_corpus else "cached"
+        for name in STAGES}
+    assert artifact_bytes(out) == fresh
+    assert set(Pipeline(config).run("all").values()) == {"cached"}
+
+
+def test_single_stage_refuses_prereq_built_from_older_inputs(tmp_path, capsys):
+    """Every stage behind a single stage is checked against the inputs now on
+    disk, not only the direct producers' outputs."""
+    corpus, out, fresh = tmp_path / "corpus", tmp_path / "out", tmp_path / "fresh"
+    fig_s1_corpus(corpus)
+    settings = ["--pubs", str(corpus / "publications.jsonl"),
+                "--citations", str(corpus / "citations.csv"),
+                "--set", "year_min=1", "--set", "year_max=8", "--set", "margin_years=0"]
+    assert main(["all", "--out", str(out), *settings]) == 0
+    pubs = corpus / "publications.jsonl"
+    pubs.write_bytes(b"".join(pubs.read_bytes().splitlines(keepends=True)[:-1]))
+    capsys.readouterr()
+    for command in (["teams"], ["explain", "--team-id", "1"]):
+        assert main([*command, "--out", str(out), *settings]) == 2
+        assert "an input of stage 'ingest' changed; rerun 'ingest'" in capsys.readouterr().err
+    assert main(["ingest", "--out", str(out), *settings]) == 0
+    before = artifact_bytes(out)
+    capsys.readouterr()
+    for stage, stale in (("teams", "tag"), ("mine", "network")):  # network is behind persist
+        assert main([stage, "--out", str(out), *settings]) == 2
+        assert f"an input of stage '{stale}' changed; rerun '{stale}'" in capsys.readouterr().err
+    assert artifact_bytes(out) == before
+    assert main(["all", "--out", str(out), *settings]) == 0
+    assert main(["all", "--out", str(fresh), *settings]) == 0
+    assert artifact_bytes(out) == artifact_bytes(fresh)
+    assert artifact_bytes(out)["teams.csv"] != before["teams.csv"]
 
 
 def test_changed_config_reruns_stage(s1_corpus, tmp_path):
@@ -312,7 +373,7 @@ def test_manifest_records_input_digests(s1_corpus, tmp_path):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["ingest"]["inputs"].keys() == {"pubs_input", "citations_input"}
     for stage in ("tag", "network"):
-        assert "canonical_publications.jsonl" in manifest[stage]["inputs"]
+        assert set(CORPUS) <= manifest[stage]["inputs"].keys()
     for entry in manifest.values():
         for digest in list(entry["inputs"].values()) + list(entry["outputs"].values()):
             assert len(digest) == 64
