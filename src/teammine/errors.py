@@ -23,10 +23,6 @@ class InfeasibleConfigError(ConfigError):
     """Synthetic corpus configuration that cannot satisfy its own guarantees."""
 
 
-class SizeGuardError(TeammineError):
-    """Brute-force oracle invoked on an instance larger than its guard allows."""
-
-
 class InternalInconsistencyError(TeammineError):
     """Structural lemma violated; indicates a bug upstream of the caller."""
 

@@ -88,8 +88,7 @@ STAGE_TABLE = (
           ("teams.csv", "team_pubs.csv", *CORPUS, "success_tags.csv"),
           ("overlaps.csv", "impulses.csv", "overlap_anomalies.csv")),
     Stage("stats", ("margin_years", "year_min", "year_max"),
-          (*CORPUS, "success_tags.csv", "teams.csv", "team_pubs.csv", "overlaps.csv",
-           "impulses.csv"),
+          (*CORPUS, "success_tags.csv", "teams.csv", "team_pubs.csv", "impulses.csv"),
           tuple(f"{stem}.csv" for stem in FIGURE_STEMS) + ("table_s1.csv",)),
 )
 
@@ -188,24 +187,41 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-# in-memory key -> how to load it from the out dir (the success profiles are
-# rebuilt from the artifacts they derive from); the functions are looked up
-# when called, so a rebinding of the module-level names takes effect. Every
-# load follows a digest check of the artifact against the manifest, which is
-# why the canonical corpus is read back without validation.
+# in-memory key -> (the artifacts it is loaded or derived from, how to load
+# it from the out dir). A stage may load a key only when its inputs name all
+# of the key's artifacts, and `run` drops a key once no later stage's do.
+# The success profiles are rebuilt from the artifacts they derive from. The
+# functions are looked up when called, so a rebinding of the module-level
+# names takes effect. Every load follows a digest check of the artifacts
+# against the manifest, which is why the canonical corpus is read back
+# without validation.
 _LOADERS = {
-    "pubs": lambda p: read_publications_jsonl(*map(p._artifact, CORPUS)),
-    "citations": lambda p: load_citations(p._artifact("canonical_citations.csv"),
-                                          p._load("pubs")),
-    "tags": lambda p: read_success_tags_csv(p._artifact("success_tags.csv")),
-    "timelines": lambda p: read_pair_timelines_csv(p._artifact("pair_timelines.csv")),
-    "network": lambda p: read_persistent_edges_csv(p._artifact("persistent_edges.csv")),
-    "cliques": lambda p: read_cliques_csv(p._artifact("cliques.csv")),
-    "teams": lambda p: read_teams_csv(p._artifact("teams.csv"), p._artifact("team_pubs.csv")),
-    "profiles": lambda p: success_profiles(p._load("teams"), p._load("pubs"), p._load("tags")),
-    "relations": lambda p: read_overlaps_csv(p._artifact("overlaps.csv")),
-    "summaries": lambda p: read_impulses_csv(p._artifact("impulses.csv")),
+    "pubs": (CORPUS, lambda p: read_publications_jsonl(*map(p._artifact, CORPUS))),
+    "citations": (("canonical_citations.csv", *CORPUS),
+                  lambda p: load_citations(p._artifact("canonical_citations.csv"),
+                                           p._load("pubs"))),
+    "tags": (("success_tags.csv",),
+             lambda p: read_success_tags_csv(p._artifact("success_tags.csv"))),
+    "timelines": (("pair_timelines.csv",),
+                  lambda p: read_pair_timelines_csv(p._artifact("pair_timelines.csv"))),
+    "network": (("persistent_edges.csv",),
+                lambda p: read_persistent_edges_csv(p._artifact("persistent_edges.csv"))),
+    "cliques": (("cliques.csv",), lambda p: read_cliques_csv(p._artifact("cliques.csv"))),
+    "teams": (("teams.csv", "team_pubs.csv"),
+              lambda p: read_teams_csv(p._artifact("teams.csv"),
+                                       p._artifact("team_pubs.csv"))),
+    "profiles": (("teams.csv", "team_pubs.csv", *CORPUS, "success_tags.csv"),
+                 lambda p: success_profiles(p._load("teams"), p._load("pubs"),
+                                            p._load("tags"))),
+    "relations": (("overlaps.csv",), lambda p: read_overlaps_csv(p._artifact("overlaps.csv"))),
+    "summaries": (("impulses.csv",), lambda p: read_impulses_csv(p._artifact("impulses.csv"))),
 }
+
+
+def loadable(stages) -> set[str]:
+    """The in-memory keys that one of ``stages`` may load."""
+    return {key for key, (sources, _) in _LOADERS.items()
+            if any(set(sources) <= set(_BY_NAME[stage].inputs) for stage in stages)}
 
 
 class Pipeline:
@@ -229,6 +245,7 @@ class Pipeline:
                 raise TeammineError(f"manifest {self.manifest_path} is corrupt; "
                                     f"delete it and rerun")
         self._mem: dict[str, object] = {}
+        self._digests: dict[Path, str] = {}  # path -> SHA-256, reset per run and explain
 
     # --- manifest plumbing ---
 
@@ -251,10 +268,18 @@ class Pipeline:
             return Path(getattr(self.config, EXTERNAL_INPUTS[name]))
         return self._artifact(name)
 
+    def _digest(self, path: Path) -> str:
+        """The SHA-256 of ``path``, hashed once per ``run`` or ``explain_team``;
+        ``_run_stage`` records the digest of each output it rewrites."""
+        if path not in self._digests:
+            self._digests[path] = _sha256(path)
+        return self._digests[path]
+
     def _input_digests(self, stage: str) -> dict[str, str | None]:
         """The digest of each input of ``stage`` by name, None for one not on disk."""
         paths = {name: self._input_path(name) for name in _BY_NAME[stage].inputs}
-        return {name: _sha256(path) if path.exists() else None for name, path in paths.items()}
+        return {name: self._digest(path) if path.exists() else None
+                for name, path in paths.items()}
 
     def _refusal(self, stage: str, user: str, input_digests: dict | None = None):
         """The first reason the manifest entry of ``stage`` no longer holds, as
@@ -283,7 +308,7 @@ class Pipeline:
             if not path.exists():
                 return MissingArtifactError(f"artifact {name} from stage '{stage}' is missing; "
                                             f"rerun '{stage}'")
-            if _sha256(path) != digest:
+            if self._digest(path) != digest:
                 return StaleCacheError(f"artifact {name} no longer matches what stage "
                                        f"'{stage}' produced; rerun '{stage}'")
         return None
@@ -309,6 +334,7 @@ class Pipeline:
 
     def run(self, stage: str) -> dict[str, str]:
         """Run one stage or 'all'; returns stage -> 'ran' | 'cached'."""
+        self._digests = {}
         if stage == "all":
             stages = STAGES
         elif stage in STAGES:
@@ -320,8 +346,11 @@ class Pipeline:
         gc_was_enabled = gc.isenabled()
         gc.disable()  # the records are acyclic: collecting would only rescan a growing heap
         try:
-            for name in stages:
+            for i, name in enumerate(stages):
                 status[name] = self._run_stage(name)
+                # reference counting frees what no later stage can load
+                keep = loadable(stages[i + 1:])
+                self._mem = {key: value for key, value in self._mem.items() if key in keep}
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -340,7 +369,10 @@ class Pipeline:
             return "cached"
         self.out_dir.mkdir(parents=True, exist_ok=True)
         counts = getattr(self, f"_stage_{stage}")()
-        outputs = {name: _sha256(self._artifact(name)) for name in sorted(spec.outputs)}
+        outputs = {}
+        for name in sorted(spec.outputs):
+            path = self._artifact(name)
+            outputs[name] = self._digests[path] = _sha256(path)
         self.manifest[stage] = {
             "config": self._config_digest(stage),
             "inputs": input_digests,
@@ -354,7 +386,7 @@ class Pipeline:
 
     def _load(self, key: str):
         if key not in self._mem:
-            self._mem[key] = _LOADERS[key](self)
+            self._mem[key] = _LOADERS[key][1](self)
         return self._mem[key]
 
     # --- stage bodies ---
@@ -449,6 +481,7 @@ class Pipeline:
     # --- debugging aid ---
 
     def explain_team(self, team_id: int) -> str:
+        self._digests = {}
         self._check_prereq("explain", producers(_EXPLAIN_INPUTS))
         teams = self._load("teams")
         team = teams.get(team_id)

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from teammine.cliques import brute_force_cliques, enumerate_maximal_cliques
+from teammine.cliques import enumerate_maximal_cliques
 from teammine.intervals import merge_union
 from teammine.overlaps import OverlapKind, Timing, classify_all
 from teammine.persistence import PersistenceParams, persistent_periods
@@ -24,6 +24,7 @@ from teammine.presets import (hazard_config, random_planted_config, scale_config
 from teammine.success import (TOP1, TOP10, percentile_thresholds, tag_success)
 from teammine.synthgen import fig_s1_corpus, generate_corpus, verify_against_truth
 
+from clique_reference import brute_force_cliques
 from helpers import half_overlap_pairs, pub, run_pipeline, table
 
 

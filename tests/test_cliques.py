@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from teammine.cliques import (CliqueParams, TemporalClique, brute_force_cliques,
-                              enumerate_maximal_cliques)
-from teammine.errors import SizeGuardError
+from teammine.cliques import CliqueParams, TemporalClique, enumerate_maximal_cliques
 from teammine.intervals import covers, merge_union
+
+from clique_reference import SizeGuardError, brute_force_cliques
 
 
 def clique(members, start, end):

@@ -646,3 +646,113 @@ def test_benchmark_tracer_names_bound_in_pipeline(tmp_path):
     with tracer.Tracer("run", tmp_path / "spans.json") as trace:
         trace.install_pipeline()
         assert trace.missing == []
+
+
+def _load_sources(key: str) -> set[str]:
+    return set(pipeline_module._LOADERS[key][0])
+
+
+def test_cold_all_keeps_only_values_a_later_stage_loads(s1_corpus, tmp_path, monkeypatch):
+    """After each stage of a cold `all`, the in-memory values are the ones
+    some later stage may still load, and none is left once `all` returns."""
+    held = []
+    run_stage = Pipeline._run_stage
+
+    def recorded(self, stage):
+        held.append(set(self._mem))  # what the previous stage left
+        return run_stage(self, stage)
+
+    monkeypatch.setattr(Pipeline, "_run_stage", recorded)
+    pipeline = run_pipeline(s1_corpus, tmp_path / "out", 1, 8)
+    held = held[1:] + [set(pipeline._mem)]
+    for i, keys in enumerate(held):
+        later = STAGE_TABLE[i + 1:]
+        for key in keys:
+            assert any(_load_sources(key) <= set(stage.inputs) for stage in later), \
+                (STAGES[i], key)
+    assert dict(zip(STAGES, held)) == {
+        "ingest": {"pubs", "citations"},
+        "tag": {"pubs", "tags"},
+        "network": {"pubs", "tags", "timelines"},
+        "persist": {"pubs", "tags", "network"},
+        "mine": {"pubs", "tags", "cliques"},
+        "teams": {"pubs", "tags", "teams", "profiles"},
+        "overlaps": {"pubs", "tags", "teams", "profiles", "summaries"},
+        "stats": set(),
+    }
+
+
+@pytest.mark.parametrize("preset", ["fig_s1", "wired"])
+def test_each_stage_loads_exactly_its_inputs(tmp_path, monkeypatch, preset):
+    """Run alone on a fresh Pipeline, each stage loads values whose source
+    artifacts are, together, exactly the stage's declared out-dir inputs."""
+    corpus = tmp_path / "corpus"
+    if preset == "fig_s1":
+        fig_s1_corpus(corpus)
+        years = (1, 8)
+    else:
+        years = _corpus("wired", corpus)
+    run_pipeline(corpus, tmp_path / "out", *years)
+    touched = []
+    load = Pipeline._load
+
+    def recorded(self, key):
+        touched.append(key)
+        return load(self, key)
+
+    monkeypatch.setattr(Pipeline, "_load", recorded)
+    for stage in STAGE_TABLE:
+        touched.clear()
+        pipeline = Pipeline(PipelineConfig(
+            pubs_path=str(corpus / "publications.jsonl"),
+            citations_path=str(corpus / "citations.csv"), out_dir=str(tmp_path / "out"),
+            year_min=years[0], year_max=years[1], margin_years=0))
+        del pipeline.manifest[stage.name]  # so that the stage reruns
+        assert pipeline.run(stage.name) == {stage.name: "ran"}
+        sources = set().union(*map(_load_sources, touched))
+        declared = {name for name in stage.inputs if name not in EXTERNAL_INPUTS}
+        assert sources == declared, stage.name
+
+
+def test_each_file_hashed_once_per_command(s1_corpus, tmp_path, monkeypatch):
+    """A file is hashed at most once per command, and once more after the
+    stage writing it has rewritten it."""
+    calls = []
+    sha256 = pipeline_module._sha256
+
+    def counted(path):
+        calls.append(Path(path).name)
+        return sha256(path)
+
+    monkeypatch.setattr(pipeline_module, "_sha256", counted)
+    out = tmp_path / "out"
+    outputs = {stage.name: stage.outputs for stage in STAGE_TABLE}
+    behind_stats = {name for stage in STAGE_TABLE[:-1] for name in stage.outputs}
+    for stage, margin_years, tampered in (("all", 0, None), ("all", 0, None),
+                                          ("stats", 1, None), ("all", 1, "cliques.csv")):
+        if tampered:
+            (out / tampered).write_text((out / tampered).read_text() + "Z;Q,1,2\n")
+        calls.clear()
+        status = Pipeline(PipelineConfig(
+            pubs_path=str(s1_corpus / "publications.jsonl"),
+            citations_path=str(s1_corpus / "citations.csv"), out_dir=str(out),
+            year_min=1, year_max=8, margin_years=margin_years)).run(stage)
+        rewritten = {name for ran, state in status.items() if state == "ran"
+                     for name in outputs[ran]}
+        for name in set(calls):
+            assert calls.count(name) <= 1 + (name in rewritten), name
+        if stage == "stats":  # every stage behind stats was checked
+            assert behind_stats | {"publications.jsonl", "citations.csv"} <= set(calls)
+    assert calls.count("cliques.csv") == 2
+
+
+def test_second_run_of_one_pipeline_hashes_again(s1_corpus, tmp_path):
+    """Digests are not carried from one run to the next: an artifact edited
+    between two runs of the same Pipeline is noticed and rebuilt."""
+    out = tmp_path / "out"
+    pipeline = run_pipeline(s1_corpus, out, 1, 8)
+    edges = out / "persistent_edges.csv"
+    original = edges.read_bytes()
+    edges.write_text(edges.read_text() + "Z,Q,1-2\n")
+    assert pipeline.run("all")["persist"] == "ran"
+    assert edges.read_bytes() == original
