@@ -2,11 +2,13 @@
 
 A publication with a authors contributes its year once to each of the
 a*(a-1)/2 unordered pairs; single-author publications contribute nothing.
-Pairs are stored canonically with the lexicographically smaller id first.
+A pair is canonical with the lexicographically smaller id first, and the
+timelines are held per first author: ``timelines[a][b]`` is the sorted year
+list of the pair (a, b), with ``a < b``. No inner dict is empty.
 
-``pair_timelines.csv`` holds one row per pair in ``sorted((a, b))`` order,
-with the years joined by ``;``; each field is quoted by ``csvio``, as every
-artifact is.
+``pair_timelines.csv`` holds one row per pair in ``(a, b)`` order, with the
+years joined by ``;``; each field is quoted by ``csvio``, as every artifact
+is.
 """
 
 from __future__ import annotations
@@ -17,32 +19,46 @@ from pathlib import Path
 from teammine.csvio import encode_field, read_csv
 
 Pair = tuple[str, str]
+Timelines = dict[str, dict[str, list[int]]]  # a -> b -> sorted years, a < b
 
 
 def canonical_pair(a: str, b: str) -> Pair:
     return (a, b) if a < b else (b, a)
 
 
-def build_pair_timelines(pubs, author_cap: int = 0) -> dict[Pair, list[int]]:
-    """Year multiset per co-authoring pair, sorted ascending.
+def build_pair_timelines(pubs, author_cap: int = 0) -> Timelines:
+    """Year multiset per co-authoring pair, sorted ascending, held per first
+    author.
 
     author_cap, when above 0, excludes publications with more than that many
     authors from pair generation (hyper-authorship escape hatch); the
     publications themselves stay in the corpus for association and statistics.
     """
-    timelines: dict[Pair, list[int]] = {}
-    setdefault = timelines.setdefault
+    timelines: Timelines = {}
+    get = timelines.get
     for rec in pubs:
         authors = rec.authors
         if len(authors) < 2 or 0 < author_cap < len(authors):
             continue
         year = rec.year
-        # sorted ids make every combination a canonical pair
-        for pair in combinations(sorted([a.author_id for a in authors]), 2):
-            setdefault(pair, []).append(year)
-    for years in timelines.values():
-        if len(years) > 1:
-            years.sort()
+        last = None
+        # sorted ids make every combination a canonical pair, grouped by a
+        for a, b in combinations(sorted([entry.author_id for entry in authors]), 2):
+            if a is not last:
+                last = a
+                inner = get(a)
+                if inner is None:
+                    inner = timelines[a] = {}
+            years = inner.get(b)
+            if years is None:
+                # most pairs keep this one year, so the list is not grown
+                inner[b] = [year]
+            else:
+                years.append(year)
+    for inner in timelines.values():
+        for years in inner.values():
+            if len(years) > 1:
+                years.sort()
     return timelines
 
 
@@ -60,26 +76,23 @@ class _Fields(dict):
         return field
 
 
-def write_pair_timelines_csv(timelines: dict[Pair, list[int]], path: str | Path):
-    """Rows grouped by first author, which gives ``sorted(timelines)`` order
-    without sorting every pair; one write per first author."""
+def write_pair_timelines_csv(timelines: Timelines, path: str | Path):
+    """Rows in ``(a, b)`` order: the first authors sorted, then each one's
+    second authors; one write per first author."""
     years_fields = _Fields()
-    groups: dict[str, list[str]] = {}  # a -> [b, years field, b, years field, ...]
-    for (a, b), years in timelines.items():
-        group = groups.get(a)
-        if group is None:
-            group = groups[a] = []
-        # most pairs share a single year, so that year is the memo key
-        group += b, years_fields[years[0] if len(years) == 1 else tuple(years)]
     ids = _Fields()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("author_a,author_b,years\r\n")
-        for a in sorted(groups):
-            group = groups[a]
+        for a in sorted(timelines):
             head = ids[a]
-            fh.write("".join([f"{head},{ids[b]},{field}\r\n"
-                              for b, field in sorted(zip(group[::2], group[1::2]))]))
+            # most pairs share a single year, so that year is the memo key
+            fh.write("".join([
+                f"{head},{ids[b]},{years_fields[years[0] if len(years) == 1 else tuple(years)]}\r\n"
+                for b, years in sorted(timelines[a].items())]))
 
 
-def read_pair_timelines_csv(path: str | Path) -> dict[Pair, list[int]]:
-    return {(a, b): [int(y) for y in years.split(";")] for a, b, years in read_csv(path)}
+def read_pair_timelines_csv(path: str | Path) -> Timelines:
+    timelines: Timelines = {}
+    for a, b, years in read_csv(path):
+        timelines.setdefault(a, {})[b] = [int(y) for y in years.split(";")]
+    return timelines

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from teammine.csvio import read_csv, write_csv
 from teammine.intervals import Interval, format_intervals, merge_union, parse_intervals
-from teammine.pairs import Pair
+from teammine.pairs import Pair, Timelines
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def persistent_periods(years: list[int], params: PersistenceParams = Persistence
     return merge_union(marked)
 
 
-def build_persistent_network(timelines: dict[Pair, list[int]],
+def build_persistent_network(timelines: Timelines,
                              params: PersistenceParams = PersistenceParams()) -> dict[Pair, list[Interval]]:
     """Persistent collaboration network: pairs that have at least one period.
 
@@ -63,12 +63,13 @@ def build_persistent_network(timelines: dict[Pair, list[int]],
     """
     min_pubs = params.min_pubs
     network: dict[Pair, list[Interval]] = {}
-    for pair, years in timelines.items():
-        if len(years) < min_pubs:
-            continue
-        periods = persistent_periods(years, params)
-        if periods:
-            network[pair] = periods
+    for a, inner in timelines.items():
+        for b, years in inner.items():
+            if len(years) < min_pubs:
+                continue
+            periods = persistent_periods(years, params)
+            if periods:
+                network[a, b] = periods
     return network
 
 

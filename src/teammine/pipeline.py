@@ -422,7 +422,7 @@ class Pipeline:
         timelines = build_pair_timelines(self._load("pubs"), self.config.author_cap)
         write_pair_timelines_csv(timelines, self._artifact("pair_timelines.csv"))
         self._mem["timelines"] = timelines
-        return {"pairs": len(timelines)}
+        return {"pairs": sum(map(len, timelines.values()))}
 
     def _stage_persist(self) -> dict:
         params = PersistenceParams(window_len=self.config.window_len,
@@ -501,7 +501,7 @@ class Pipeline:
             for j in range(i + 1, len(members)):
                 pair = canonical_pair(members[i], members[j])
                 periods = "; ".join(f"[{s},{e}]" for s, e in network.get(pair, []))
-                years = ", ".join(str(y) for y in timelines.get(pair, []))
+                years = ", ".join(str(y) for y in timelines.get(pair[0], {}).get(pair[1], []))
                 lines.append(f"    {pair[0]}--{pair[1]}: periods {periods or 'none'}; "
                              f"co-publication years: {years or 'none'}")
         lines.append(f"  publications ({len(team.pubs)}):")

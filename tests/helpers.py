@@ -62,6 +62,11 @@ def pub_json(pub_id: str, year: int, author_ids, doc_type="Article", fields=("F0
                         for a in author_ids]}
 
 
+def flat_timelines(timelines) -> dict[tuple[str, str], list[int]]:
+    """Nested ``{a: {b: years}}`` timelines as one ``{(a, b): years}`` dict."""
+    return {(a, b): years for a, inner in timelines.items() for b, years in inner.items()}
+
+
 def half_overlap_pairs(teams) -> list[tuple[int, int]]:
     """Ordered (focal, other) team id pairs whose shared members reach half
     of the larger member set, found by testing every pair of teams."""

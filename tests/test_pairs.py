@@ -4,20 +4,21 @@ from hypothesis import strategies as st
 
 from teammine.csvio import write_csv
 from teammine.ingest import PublicationRecord
-from teammine.pairs import build_pair_timelines, canonical_pair, write_pair_timelines_csv
+from teammine.pairs import (build_pair_timelines, canonical_pair, read_pair_timelines_csv,
+                            write_pair_timelines_csv)
 
-from helpers import pub, table
+from helpers import flat_timelines, pub, table
 
 
 def test_triangle():
     pubs = table([pub("p1", 5, ["A", "B", "C"])])
-    timelines = build_pair_timelines(pubs)
+    timelines = flat_timelines(build_pair_timelines(pubs))
     assert timelines == {("A", "B"): [5], ("A", "C"): [5], ("B", "C"): [5]}
 
 
 def test_multiplicity():
     pubs = table([pub("p1", 2, ["A", "B"]), pub("p2", 2, ["B", "A"])])
-    assert build_pair_timelines(pubs) == {("A", "B"): [2, 2]}
+    assert flat_timelines(build_pair_timelines(pubs)) == {("A", "B"): [2, 2]}
 
 
 def test_single_author_pubs_contribute_nothing():
@@ -27,7 +28,7 @@ def test_single_author_pubs_contribute_nothing():
 
 def test_author_cap_excludes_large_pubs():
     pubs = table([pub("p1", 3, ["A", "B", "C", "D"]), pub("p2", 4, ["A", "B"])])
-    timelines = build_pair_timelines(pubs, author_cap=3)
+    timelines = flat_timelines(build_pair_timelines(pubs, author_cap=3))
     assert timelines == {("A", "B"): [4]}
 
 
@@ -46,7 +47,7 @@ def corpora(draw):
 @given(corpora())
 @settings(max_examples=60, deadline=None)
 def test_pair_count_sum_invariant(records):
-    timelines = build_pair_timelines(table(records))
+    timelines = flat_timelines(build_pair_timelines(table(records)))
     expected = sum(len(r.authors) * (len(r.authors) - 1) // 2 for r in records)
     assert sum(len(years) for years in timelines.values()) == expected
 
@@ -99,8 +100,16 @@ def odd_corpora(draw):
 @given(odd_corpora(), st.integers(0, 5))
 @settings(max_examples=150, deadline=None)
 def test_matches_nested_loop_reference(records, author_cap):
-    assert (build_pair_timelines(table(records), author_cap)
+    assert (flat_timelines(build_pair_timelines(table(records), author_cap))
             == nested_loop_timelines(records, author_cap))
+
+
+@given(odd_corpora(), st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_inner_ids_sort_after_outer_and_no_inner_is_empty(records, author_cap):
+    for a, inner in build_pair_timelines(table(records), author_cap).items():
+        assert inner
+        assert all(a < b for b in inner)
 
 
 @pytest.fixture(scope="module")
@@ -108,12 +117,16 @@ def csv_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("pair_timelines")
 
 
-@given(st.dictionaries(st.tuples(odd_ids, odd_ids),
-                       st.lists(st.integers(-5, 5), min_size=1, max_size=5).map(sorted),
-                       max_size=25))
+year_lists = st.lists(st.integers(-5, 5), min_size=1, max_size=5).map(sorted)
+
+
+@given(st.dictionaries(odd_ids, st.dictionaries(odd_ids, year_lists, min_size=1, max_size=5),
+                       max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_writer_matches_write_csv_of_sorted_rows(csv_dir, timelines):
     write_pair_timelines_csv(timelines, csv_dir / "grouped.csv")
+    flat = flat_timelines(timelines)
     write_csv(csv_dir / "sorted.csv", ["author_a", "author_b", "years"],
-              [(a, b, ";".join(map(str, timelines[a, b]))) for a, b in sorted(timelines)])
+              [(a, b, ";".join(map(str, flat[a, b]))) for a, b in sorted(flat)])
     assert (csv_dir / "grouped.csv").read_bytes() == (csv_dir / "sorted.csv").read_bytes()
+    assert read_pair_timelines_csv(csv_dir / "grouped.csv") == timelines

@@ -6,6 +6,8 @@ from teammine.intervals import merge_union
 from teammine.persistence import (PersistenceParams, build_persistent_network,
                                   persistent_periods)
 
+from helpers import flat_timelines
+
 PARAMS = PersistenceParams()
 
 
@@ -59,12 +61,12 @@ def test_params_validated():
 
 
 def test_network_drops_non_persistent_pairs():
-    timelines = {("C", "D"): [1, 4, 6]}
+    timelines = {"C": {"D": [1, 4, 6]}}
     assert build_persistent_network(timelines) == {}
 
 
 def test_network_multiple_periods():
-    timelines = {("A", "B"): [1, 2, 3, 11, 12, 13]}
+    timelines = {"A": {"B": [1, 2, 3, 11, 12, 13]}}
     network = build_persistent_network(timelines)
     assert network == {("A", "B"): [(1, 3), (11, 13)]}
 
@@ -116,12 +118,13 @@ def test_periods_disjoint_with_gaps(years):
         assert s2 > e1 + 1
 
 
-@given(st.dictionaries(st.tuples(st.sampled_from("abc"), st.sampled_from("xyz")),
-                       year_multisets, max_size=9),
+@given(st.dictionaries(st.sampled_from("abc"),
+                       st.dictionaries(st.sampled_from("xyz"), year_multisets,
+                                       min_size=1, max_size=3), max_size=3),
        st.integers(1, 6), st.integers(1, 4))
 @settings(max_examples=200, deadline=None)
 def test_network_matches_periods_of_every_pair(timelines, window_len, min_pubs):
     params = PersistenceParams(window_len=window_len, min_pubs=min_pubs)
-    expected = {pair: periods for pair, years in timelines.items()
+    expected = {pair: periods for pair, years in flat_timelines(timelines).items()
                 if (periods := persistent_periods(years, params))}
     assert build_persistent_network(timelines, params) == expected

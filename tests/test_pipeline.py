@@ -4,17 +4,23 @@ import importlib
 import importlib.util
 import json
 import random
+import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teammine import pipeline as pipeline_module
 from teammine.cli import main
+from teammine.csvio import read_csv
 from teammine.errors import (ConfigError, IngestError, MissingArtifactError,
                              StaleCacheError, UnknownTeamError)
+from teammine.ingest import read_publications_jsonl
+from teammine.pairs import canonical_pair
 from teammine.pipeline import (CORPUS, EXTERNAL_INPUTS, FIGURE_STEMS, STAGE_TABLE, STAGES,
                                Pipeline, PipelineConfig, producers)
-from teammine.presets import PRESETS, wired_overlap_config
+from teammine.presets import PRESETS, random_planted_config, wired_overlap_config
 from teammine.synthgen import fig_s1_corpus, generate_corpus
 
 from helpers import pub_json, run_pipeline, write_citations, write_jsonl
@@ -517,6 +523,9 @@ def _negative_year_corpus(corpus: Path) -> tuple[int, int]:
 def _corpus(kind: str, corpus: Path) -> tuple[int, int]:
     if kind == "negative_years":
         return _negative_year_corpus(corpus)
+    if kind == "fig_s1":
+        fig_s1_corpus(corpus)
+        return 1, 8
     config = wired_overlap_config()
     generate_corpus(config, corpus)
     return config.year_min, config.year_max
@@ -627,6 +636,85 @@ def test_shuffled_input_lines_keep_artifacts(tmp_path, preset):
     assert outputs[0] == outputs[1]
 
 
+# characters that sort before and after letters, need CSV quoting, or are not
+# ASCII; no id holds ';', which separates the members in cliques.csv and teams.csv
+_ID_CHARS = "aZ0, \"\u00e9-"
+
+# artifact -> the columns that hold author ids, ';'-joined
+_AUTHOR_COLUMNS = {"pair_timelines.csv": (0, 1), "persistent_edges.csv": (0, 1),
+                   "cliques.csv": (0,), "teams.csv": (1,)}
+
+
+def _order_preserving_renaming(ids, rng: random.Random) -> dict[str, str]:
+    new = set()
+    while len(new) < len(ids):
+        new.add("".join(rng.choice(_ID_CHARS) for _ in range(rng.randint(1, 5))))
+    return dict(zip(sorted(ids), sorted(new)))
+
+
+@pytest.fixture(scope="module")
+def renaming_runs(tmp_path_factory):
+    """A small planted and a wired corpus, each with the out dir of its `all`."""
+    runs = {}
+    for name, config in (("planted", random_planted_config(n_teams=30, background_pubs=150,
+                                                           n_background_authors=60)),
+                         ("wired", wired_overlap_config())):
+        corpus = tmp_path_factory.mktemp(name)
+        generate_corpus(config, corpus)
+        run_pipeline(corpus, corpus / "out", config.year_min, config.year_max)
+        runs[name] = corpus, (config.year_min, config.year_max)
+    return runs
+
+
+@given(st.sampled_from(["planted", "wired"]), st.randoms(use_true_random=True))
+@settings(max_examples=8, deadline=None)
+def test_order_preserving_renaming_only_renames(renaming_runs, tmp_path_factory, name, rng):
+    """Renaming the authors by an order-preserving map renames them in the
+    pair timelines, persistent edges, cliques and teams, and leaves every
+    artifact without author ids byte-identical."""
+    corpus, years = renaming_runs[name]
+    records = [json.loads(line) for line in
+               (corpus / "publications.jsonl").read_text(encoding="utf-8").splitlines()]
+    rename = _order_preserving_renaming(
+        {entry["author_id"] for record in records for entry in record["authors"]}, rng)
+    for record in records:
+        for entry in record["authors"]:
+            entry["author_id"] = rename[entry["author_id"]]
+    renamed = tmp_path_factory.mktemp("renamed")
+    write_jsonl(renamed / "publications.jsonl", records)
+    shutil.copyfile(corpus / "citations.csv", renamed / "citations.csv")
+    run_pipeline(renamed, renamed / "out", *years)
+    for artifact, columns in _AUTHOR_COLUMNS.items():
+        expected = list(read_csv(corpus / "out" / artifact))
+        assert expected, artifact
+        for row in expected:
+            for column in columns:
+                row[column] = ";".join(rename[a] for a in row[column].split(";"))
+        assert list(read_csv(renamed / "out" / artifact)) == expected, artifact
+    before, after = artifact_bytes(corpus / "out"), artifact_bytes(renamed / "out")
+    for artifact in set(_AUTHOR_COLUMNS) | {"canonical_publications.jsonl"}:
+        del before[artifact], after[artifact]
+    assert before == after
+
+
+@pytest.mark.parametrize("preset", ["fig_s1", "wired"])
+def test_network_count_is_timeline_rows_and_distinct_pairs(tmp_path, preset):
+    """The manifest's `network` count `pairs` is the number of data rows in
+    pair_timelines.csv and the number of distinct canonical author pairs in the
+    corpus the stage reads."""
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    years = _corpus(preset, corpus)
+    run_pipeline(corpus, out, *years)
+    count = json.loads((out / "manifest.json").read_text())["network"]["counts"]["pairs"]
+    pubs = read_publications_jsonl(out / "canonical_publications.jsonl",
+                                   out / "canonical_affiliations.jsonl")
+    distinct = set()
+    for rec in pubs:
+        ids = [entry.author_id for entry in rec.authors]
+        distinct.update(canonical_pair(a, b) for i, a in enumerate(ids) for b in ids[i + 1:])
+    assert count == len(list(read_csv(out / "pair_timelines.csv"))) == len(distinct) > 0
+
+
 def test_benchmark_tracer_names_bound_in_pipeline(tmp_path):
     """Every function the benchmark times per layer is the one its module
     defines, bound under the same name in ``teammine.pipeline``."""
@@ -687,11 +775,7 @@ def test_each_stage_loads_exactly_its_inputs(tmp_path, monkeypatch, preset):
     """Run alone on a fresh Pipeline, each stage loads values whose source
     artifacts are, together, exactly the stage's declared out-dir inputs."""
     corpus = tmp_path / "corpus"
-    if preset == "fig_s1":
-        fig_s1_corpus(corpus)
-        years = (1, 8)
-    else:
-        years = _corpus("wired", corpus)
+    years = _corpus(preset, corpus)
     run_pipeline(corpus, tmp_path / "out", *years)
     touched = []
     load = Pipeline._load

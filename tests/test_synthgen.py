@@ -13,7 +13,7 @@ from teammine.synthgen import (GroundTruth, PlantedTeam, SynthConfig,
                                validate_config, verify_against_truth)
 from teammine.teams import TeamTable
 
-from helpers import team, tag_table
+from helpers import flat_timelines, team, tag_table
 
 
 def small_config(**kwargs):
@@ -102,7 +102,7 @@ def test_fig_s1_corpus(tmp_path):
     assert truth.n_authors == 6
     pubs = load_publications(tmp_path / "publications.jsonl", 1, 8)
     assert len(pubs) == 18
-    timelines = build_pair_timelines(pubs)
+    timelines = flat_timelines(build_pair_timelines(pubs))
     assert persistent_periods(timelines[("A", "B")]) == [(2, 6)]
     assert persistent_periods(timelines[("C", "D")]) == []
     assert persistent_periods(timelines[("B", "C")]) == [(1, 7)]
