@@ -37,17 +37,19 @@ def _build_config(args) -> PipelineConfig:
 
 _CONFIG_KEY_HELP = """\
 configuration keys (file lines `key = value`, or --set key=value):
-  pubs_path, citations_path, out_dir   input files and artifact directory
-  year_min, year_max                   data window, default 2008..2020
-  window_len, min_pubs                 persistence rule, default 5-year window
-                                       with 3 joint publications
-  min_size                             smallest team size, default 2
-  citation_window                      calendar_inclusive [Y,Y+2] (default)
-                                       or calendar_after [Y+1,Y+3]
-  author_cap                           skip pair generation above this many
-                                       authors (0 = no cap)
-  margin_years                         drop teams touching the window edges
-                                       from figure tables (default 4)
+  key                 default             meaning
+  pubs_path           publications.jsonl  input publications
+  citations_path      citations.csv       input citations
+  out_dir             out                 artifact directory
+  year_min, year_max  2008, 2020          data window (inclusive)
+  window_len          5                   persistence window, calendar years
+  min_pubs            3                   joint publications required per window
+  min_size            2                   smallest team size
+  citation_window     calendar_inclusive  [Y,Y+2]; calendar_after = [Y+1,Y+3]
+  author_cap          0                   skip pair generation above this many
+                                          authors (0 = no cap)
+  margin_years        4                   drop teams touching the window edges
+                                          from figure tables
 """
 
 
@@ -75,6 +77,8 @@ def _cmd_stage(args) -> int:
 def _cmd_synth(args) -> int:
     out = Path(args.out)
     if args.preset == "fig_s1":
+        if args.seed is not None:
+            raise ConfigError("preset fig_s1 is a fixed corpus and takes no --seed")
         truth = fig_s1_corpus(out)
     else:
         builder = PRESETS[args.preset]

@@ -34,13 +34,7 @@ from teammine.intervals import Interval
 from teammine.pairs import Pair
 
 
-@dataclass(frozen=True)
-class CliqueParams:
-    min_size: int = 2
-
-    def __post_init__(self):
-        if self.min_size < 2:
-            raise ValueError("min_size must be >= 2")
+MIN_SIZE = 2  # the study's smallest team
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -150,7 +144,7 @@ def _mine_component(adj: Adjacency, members: list[str], full: int, offset: int,
 
 
 def enumerate_maximal_cliques(network: dict[Pair, list[Interval]],
-                              params: CliqueParams = CliqueParams()) -> list[TemporalClique]:
+                              min_size: int = MIN_SIZE) -> list[TemporalClique]:
     """All temporal maximal cliques, sorted by member tuple then span."""
     if not network:
         return []
@@ -159,7 +153,7 @@ def enumerate_maximal_cliques(network: dict[Pair, list[Interval]],
     full = (1 << (last - offset + 1)) - 1
     adj = _build_adjacency(network, offset)
     return sorted(cl for comp in _components(adj)
-                  for cl in _mine_component(adj, comp, full, offset, params.min_size))
+                  for cl in _mine_component(adj, comp, full, offset, min_size))
 
 
 def write_cliques_csv(cliques: list[TemporalClique], path: str | Path):

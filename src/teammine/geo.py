@@ -8,13 +8,8 @@ EARTH_RADIUS_KM = 6371.0
 
 
 def great_circle_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Haversine distance in kilometers."""
-    for lat in (lat1, lat2):
-        if not -90.0 <= lat <= 90.0:
-            raise ValueError(f"latitude {lat} out of range")
-    for lon in (lon1, lon2):
-        if not -180.0 <= lon <= 180.0:
-            raise ValueError(f"longitude {lon} out of range")
+    """Haversine distance in kilometers; ingest's ``coordinates`` rule keeps
+    every latitude in [-90, 90] and longitude in [-180, 180]."""
     phi1, phi2 = radians(lat1), radians(lat2)
     dphi = radians(lat2 - lat1)
     dlam = radians(lon2 - lon1)

@@ -23,9 +23,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -36,20 +36,15 @@ from teammine.csvio import write_csv
 from teammine.errors import IngestError
 
 
-class DocType(Enum):
-    ARTICLE = "Article"
-    REVIEW = "Review"
-    LETTER = "Letter"
-    PROCEEDINGS_PAPER = "Proceedings Paper"
-
-
+# accepted spelling -> the canonical document type a record holds; the
+# canonical types, in first-listed order, are the rows of table_s1.csv
 _DOC_TYPE_ALIASES = {
-    "Article": DocType.ARTICLE,
-    "Review": DocType.REVIEW,
-    "Letter": DocType.LETTER,
-    "Proceedings Paper": DocType.PROCEEDINGS_PAPER,
-    "Proceeding Paper": DocType.PROCEEDINGS_PAPER,
-    "ProceedingsPaper": DocType.PROCEEDINGS_PAPER,
+    "Article": "Article",
+    "Review": "Review",
+    "Letter": "Letter",
+    "Proceedings Paper": "Proceedings Paper",
+    "Proceeding Paper": "Proceedings Paper",
+    "ProceedingsPaper": "Proceedings Paper",
 }
 
 
@@ -76,7 +71,7 @@ class AuthorEntry(NamedTuple):
 class PublicationRecord:
     pub_id: str
     year: int
-    doc_type: DocType
+    doc_type: str  # a value of _DOC_TYPE_ALIASES
     fields: tuple[str, ...]
     authors: tuple[AuthorEntry, ...]
 
@@ -385,6 +380,9 @@ def load_publications(path: str | Path, year_min: int, year_max: int) -> Publica
     return PublicationTable(records=records, rejects=rejects, input_lines=lines)
 
 
+_INTEGER = re.compile("-?[0-9]+")  # not int()'s spaces, '+', '_' or non-ASCII digits
+
+
 def load_citations(path: str | Path, pubs: PublicationTable) -> CitationTable:
     """Read citation events, dropping rows that cannot be used downstream.
 
@@ -419,12 +417,10 @@ def load_citations(path: str | Path, pubs: PublicationTable) -> CitationTable:
                     drop("missing_year")
                     continue
                 citing_year = citing.year
+            elif _INTEGER.fullmatch(year_raw):
+                citing_year = int(year_raw)
             else:
-                try:
-                    citing_year = int(year_raw)
-                except ValueError as exc:
-                    raise IngestError(f"citing_year {year_raw!r} is not an integer",
-                                      line=line_no) from exc
+                raise IngestError(f"citing_year {year_raw!r} is not an integer", line=line_no)
             if citing_year < cited.year:
                 drop("year_before_cited")
                 continue
@@ -468,7 +464,7 @@ def write_publications_jsonl(pubs: Iterable[PublicationRecord], path: str | Path
     indices: dict[int, str] = {}      # id(affiliation) -> its index, as text
     entry_texts: dict[int, str] = {}  # id(entry) -> its JSON array
     kept: list[AuthorEntry] = []      # keeps each id() above from being reused
-    # (id(doc_type), fields) -> the text from the year's "," to the authors' "[":
+    # (doc_type, fields) -> the text from the year's "," to the authors' "[":
     middles: dict[tuple, str] = {}
 
     with open(path, "w", encoding="utf-8", newline="") as fh, \
@@ -488,10 +484,10 @@ def write_publications_jsonl(pubs: Iterable[PublicationRecord], path: str | Path
         for rec in pubs:
             authors = ",".join([entry_texts.get(id(entry)) or entry_text(entry)
                                 for entry in rec.authors])
-            middle = middles.get((id(rec.doc_type), rec.fields))
+            middle = middles.get((rec.doc_type, rec.fields))
             if middle is None:
-                middle = middles[id(rec.doc_type), rec.fields] = (
-                    f",{encode(rec.doc_type.value)},{encode(list(rec.fields))},[")
+                middle = middles[rec.doc_type, rec.fields] = (
+                    f",{encode(rec.doc_type)},{encode(list(rec.fields))},[")
             write(f"[{encode_basestring_ascii(rec.pub_id)},{rec.year}{middle}{authors}]]\n")
 
 
@@ -515,7 +511,7 @@ def read_publications_jsonl(path: str | Path, affiliations_path: str | Path) -> 
     with open(affiliations_path, "r", encoding="utf-8") as fh:
         affiliations = [Affiliation._make(map(decode(line)[0].get, _AFFILIATION_KEYS))
                         for line in fh]
-    doc_types = _DOC_TYPE_ALIASES
+    doc_types = _DOC_TYPE_ALIASES  # so records share one string per type
     entries: dict[tuple, AuthorEntry] = {}
     field_lists: dict[tuple, tuple[str, ...]] = {}
     records = []
@@ -563,13 +559,10 @@ class CorpusStats:
 
 def corpus_stats(pubs: PublicationTable, tags) -> CorpusStats:
     """Document type prevalence over all / top-10% / top-1% publications."""
-    order = [DocType.ARTICLE, DocType.REVIEW, DocType.LETTER, DocType.PROCEEDINGS_PAPER]
-    # keyed by the member's value attribute: Enum.__hash__ and the `value`
-    # property both run in Python, once per record
-    counts = {dt._value_: [0, 0, 0] for dt in order}
+    counts = {doc_type: [0, 0, 0] for doc_type in _DOC_TYPE_ALIASES.values()}
     for rec in pubs:
         top10, top1 = tags.flags(rec.pub_id)
-        row = counts[rec.doc_type._value_]
+        row = counts[rec.doc_type]
         row[0] += 1
         row[1] += top10
         row[2] += top1

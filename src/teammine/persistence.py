@@ -13,7 +13,6 @@ several disconnected periods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from teammine.csvio import read_csv, write_csv
@@ -21,17 +20,13 @@ from teammine.intervals import Interval, format_intervals, merge_union, parse_in
 from teammine.pairs import Pair, Timelines
 
 
-@dataclass(frozen=True)
-class PersistenceParams:
-    window_len: int = 5
-    min_pubs: int = 3
-
-    def __post_init__(self):
-        if self.window_len < 1 or self.min_pubs < 1:
-            raise ValueError("window_len and min_pubs must be >= 1")
+# the study's rule: 3 joint publications within a 5-year window
+WINDOW_LEN = 5
+MIN_PUBS = 3
 
 
-def persistent_periods(years: list[int], params: PersistenceParams = PersistenceParams()) -> list[Interval]:
+def persistent_periods(years: list[int], window_len: int = WINDOW_LEN,
+                       min_pubs: int = MIN_PUBS) -> list[Interval]:
     """Disjoint persistent periods for one pair's sorted year multiset.
 
     Only windows starting at a co-publication year need to be inspected: any
@@ -44,30 +39,29 @@ def persistent_periods(years: list[int], params: PersistenceParams = Persistence
     for i in range(n):
         if i > 0 and years[i] == years[i - 1]:
             continue
-        limit = years[i] + params.window_len - 1
+        limit = years[i] + window_len - 1
         if j < i:
             j = i
         while j < n and years[j] <= limit:
             j += 1
-        if j - i >= params.min_pubs:
+        if j - i >= min_pubs:
             marked.append((years[i], years[j - 1]))
     return merge_union(marked)
 
 
-def build_persistent_network(timelines: Timelines,
-                             params: PersistenceParams = PersistenceParams()) -> dict[Pair, list[Interval]]:
+def build_persistent_network(timelines: Timelines, window_len: int = WINDOW_LEN,
+                             min_pubs: int = MIN_PUBS) -> dict[Pair, list[Interval]]:
     """Persistent collaboration network: pairs that have at least one period.
 
     A pair with fewer than ``min_pubs`` years fills no window, so it is skipped
     without a sweep.
     """
-    min_pubs = params.min_pubs
     network: dict[Pair, list[Interval]] = {}
     for a, inner in timelines.items():
         for b, years in inner.items():
             if len(years) < min_pubs:
                 continue
-            periods = persistent_periods(years, params)
+            periods = persistent_periods(years, window_len, min_pubs)
             if periods:
                 network[a, b] = periods
     return network

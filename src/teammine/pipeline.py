@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 from teammine.analytics import compute_all_figures, filter_margin
-from teammine.cliques import (CliqueParams, enumerate_maximal_cliques,
-                              read_cliques_csv, write_cliques_csv)
+from teammine.cliques import (MIN_SIZE, enumerate_maximal_cliques, read_cliques_csv,
+                              write_cliques_csv)
 from teammine.csvio import write_csv
 from teammine.errors import (ConfigError, MissingArtifactError, StaleCacheError,
                              TeammineError, UnknownTeamError)
@@ -32,10 +32,10 @@ from teammine.overlaps import (classify_all, read_impulses_csv, read_overlaps_cs
                                summarize_all, write_impulses_csv, write_overlaps_csv)
 from teammine.pairs import (build_pair_timelines, canonical_pair,
                             read_pair_timelines_csv, write_pair_timelines_csv)
-from teammine.persistence import (PersistenceParams, build_persistent_network,
+from teammine.persistence import (MIN_PUBS, WINDOW_LEN, build_persistent_network,
                                   read_persistent_edges_csv,
                                   write_persistent_edges_csv)
-from teammine.success import (WINDOWS, compute_tags, read_success_tags_csv,
+from teammine.success import (WINDOW_INCLUSIVE, WINDOWS, compute_tags, read_success_tags_csv,
                               write_success_tags_csv, write_thresholds_csv)
 from teammine.teams import (assemble_teams, associate_all, compute_all_metrics,
                             read_teams_csv, success_profiles, write_team_pubs_csv,
@@ -113,10 +113,10 @@ class PipelineConfig:
     out_dir: str = "out"
     year_min: int = 2008
     year_max: int = 2020
-    window_len: int = 5
-    min_pubs: int = 3
-    min_size: int = 2
-    citation_window: str = "calendar_inclusive"
+    window_len: int = WINDOW_LEN
+    min_pubs: int = MIN_PUBS
+    min_size: int = MIN_SIZE
+    citation_window: str = WINDOW_INCLUSIVE
     author_cap: int = 0        # 0 = no cap
     margin_years: int = 4
 
@@ -124,7 +124,7 @@ class PipelineConfig:
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         config = cls()
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 for line_no, line in enumerate(fh, start=1):
                     line = line.strip()
                     if not line or line.startswith("#"):
@@ -152,21 +152,18 @@ class PipelineConfig:
             setattr(self, key, value)
 
     def validate(self):
-        """Refuse values that a stage would reject only once it runs."""
-        try:
-            PersistenceParams(window_len=self.window_len, min_pubs=self.min_pubs)
-            CliqueParams(min_size=self.min_size)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        """Refuse values outside the range a stage can run with; the stages
+        check none of them again."""
+        for key, low in (("window_len", 1), ("min_pubs", 1), ("min_size", 2),
+                         ("author_cap", 0), ("margin_years", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}; got {getattr(self, key)}")
         if self.citation_window not in WINDOWS:
             raise ConfigError(f"citation_window must be one of {', '.join(WINDOWS)}; "
                               f"got {self.citation_window!r}")
         if self.year_min > self.year_max:
             raise ConfigError(f"year_min ({self.year_min}) must not exceed "
                               f"year_max ({self.year_max})")
-        for key in ("author_cap", "margin_years"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0; got {getattr(self, key)}")
 
 
 def _is_manifest(manifest: object) -> bool:
@@ -425,16 +422,14 @@ class Pipeline:
         return {"pairs": sum(map(len, timelines.values()))}
 
     def _stage_persist(self) -> dict:
-        params = PersistenceParams(window_len=self.config.window_len,
-                                   min_pubs=self.config.min_pubs)
-        network = build_persistent_network(self._load("timelines"), params)
+        network = build_persistent_network(self._load("timelines"), self.config.window_len,
+                                           self.config.min_pubs)
         write_persistent_edges_csv(network, self._artifact("persistent_edges.csv"))
         self._mem["network"] = network
         return {"persistent_pairs": len(network)}
 
     def _stage_mine(self) -> dict:
-        params = CliqueParams(min_size=self.config.min_size)
-        cliques = enumerate_maximal_cliques(self._load("network"), params)
+        cliques = enumerate_maximal_cliques(self._load("network"), self.config.min_size)
         write_cliques_csv(cliques, self._artifact("cliques.csv"))
         self._mem["cliques"] = cliques
         return {"cliques": len(cliques)}

@@ -20,7 +20,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from teammine.csvio import read_csv, write_csv
-from teammine.errors import InternalInconsistencyError
 from teammine.ingest import CitationTable, PublicationTable
 
 TOP1 = Fraction(1, 100)
@@ -70,9 +69,8 @@ class SuccessTagTable:
 
 def three_year_citations(pubs: PublicationTable, citations: CitationTable,
                          mode: str = WINDOW_INCLUSIVE) -> dict[str, int]:
-    """Citation count per pub_id inside its three-calendar-year window."""
-    if mode not in WINDOWS:
-        raise ValueError(f"unknown citation window mode {mode!r}")
+    """Citation count per pub_id inside its three-calendar-year window;
+    ``mode`` is one of ``WINDOWS``, as ``PipelineConfig.validate`` ensures."""
     offset = 0 if mode == WINDOW_INCLUSIVE else 1
     counts = {rec.pub_id: 0 for rec in pubs}
     years = {rec.pub_id: rec.year for rec in pubs}
@@ -85,52 +83,52 @@ def three_year_citations(pubs: PublicationTable, citations: CitationTable,
     return counts
 
 
-def percentile_thresholds(pubs: PublicationTable, counts: dict[str, int],
-                          q: Fraction) -> dict[tuple[str, int], PercentileThreshold]:
-    """Minimum qualifying citation count per (field, year) cell."""
+Thresholds = dict[tuple[str, int], tuple[PercentileThreshold, PercentileThreshold]]
+
+
+def percentile_thresholds(pubs: PublicationTable, counts: dict[str, int]) -> Thresholds:
+    """The top-10% and top-1% thresholds, the minimum qualifying citation
+    count, of each (field, year) cell, in cell order; one sort per cell."""
     cells: dict[tuple[str, int], list[int]] = {}
     for rec in pubs:
         c = counts[rec.pub_id]
         for field_id in rec.fields:
             cells.setdefault((field_id, rec.year), []).append(c)
-    out: dict[tuple[str, int], PercentileThreshold] = {}
+    out: Thresholds = {}
     for key in sorted(cells):
         cell = sorted(cells[key], reverse=True)
         n = len(cell)
-        k = -((-q.numerator * n) // q.denominator)  # ceil(q * n), exact
-        threshold = max(cell[k - 1], 1)
-        out[key] = PercentileThreshold(field_id=key[0], year=key[1], q=q,
-                                       threshold=threshold, population=n)
+        # the count ranked ceil(q * n): index ceil(q * n) - 1, in integers
+        out[key] = tuple(
+            PercentileThreshold(*key, q, max(cell[(q.numerator * n - 1) // q.denominator], 1), n)
+            for q in (TOP10, TOP1))
     return out
 
 
 def tag_success(pubs: PublicationTable, counts: dict[str, int],
-                thresholds_top10: dict[tuple[str, int], PercentileThreshold],
-                thresholds_top1: dict[tuple[str, int], PercentileThreshold]) -> SuccessTagTable:
-    """Tag each publication; a multi-field publication qualifies via any field."""
+                thresholds: Thresholds) -> SuccessTagTable:
+    """Tag each publication; a multi-field publication qualifies via any field.
+    Every cell of ``pubs`` has thresholds when they were computed from it."""
     tags = []
     for rec in pubs:
         c = counts[rec.pub_id]
         top10 = top1 = False
         for field_id in rec.fields:
-            key = (field_id, rec.year)
-            if key not in thresholds_top10 or key not in thresholds_top1:
-                raise InternalInconsistencyError(f"no threshold for cell {key}")
-            top10 = top10 or c >= thresholds_top10[key].threshold
-            top1 = top1 or c >= thresholds_top1[key].threshold
+            th10, th1 = thresholds[field_id, rec.year]
+            top10 = top10 or c >= th10.threshold
+            top1 = top1 or c >= th1.threshold
         tags.append(SuccessTag(pub_id=rec.pub_id, citations_3y=c, top10=top10, top1=top1))
     return SuccessTagTable(tags)
 
 
 def compute_tags(pubs: PublicationTable, citations: CitationTable,
                  mode: str = WINDOW_INCLUSIVE) -> tuple[SuccessTagTable, list[PercentileThreshold]]:
-    """Full tagging pass: counts, both percentile thresholds, tags."""
+    """Full tagging pass: counts, thresholds, tags; the top-10% thresholds of
+    every cell come before the top-1% ones."""
     counts = three_year_citations(pubs, citations, mode=mode)
-    th10 = percentile_thresholds(pubs, counts, TOP10)
-    th1 = percentile_thresholds(pubs, counts, TOP1)
-    tags = tag_success(pubs, counts, th10, th1)
-    all_thresholds = [th10[k] for k in sorted(th10)] + [th1[k] for k in sorted(th1)]
-    return tags, all_thresholds
+    thresholds = percentile_thresholds(pubs, counts)
+    tags = tag_success(pubs, counts, thresholds)
+    return tags, [pair[i] for i in (0, 1) for pair in thresholds.values()]
 
 
 def write_success_tags_csv(tags: SuccessTagTable, path: str | Path):

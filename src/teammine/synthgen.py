@@ -39,7 +39,7 @@ from pathlib import Path
 from teammine.errors import InfeasibleConfigError
 from teammine.intervals import Interval, covers, intersect, merge_union
 from teammine.pairs import canonical_pair
-from teammine.persistence import PersistenceParams
+from teammine.persistence import MIN_PUBS, WINDOW_LEN
 
 _COUNTRIES = ("US", "CN", "NL", "DE", "GB", "FR", "JP", "BR", "IN", "AU")
 _FIELD = "F0"
@@ -149,8 +149,6 @@ def _pair_interval_map(teams: tuple[PlantedTeam, ...]) -> dict[tuple[str, str], 
 
 def validate_config(config: SynthConfig):
     """Check the construction guarantees; raise InfeasibleConfigError if one fails."""
-    params = PersistenceParams()
-
     def fail(rule: str, detail: str):
         raise InfeasibleConfigError(f"{rule}: {detail}")
 
@@ -169,7 +167,7 @@ def validate_config(config: SynthConfig):
                 fail("team_intervals", f"team {idx} interval [{start},{end}] "
                                        f"outside the year window")
             length = end - start + 1
-            if team.pubs_per_year * min(params.window_len, length) < params.min_pubs:
+            if team.pubs_per_year * min(WINDOW_LEN, length) < MIN_PUBS:
                 fail("pubs_per_year", f"team {idx} interval [{start},{end}] cannot "
                                       f"satisfy persistence with "
                                       f"{team.pubs_per_year} publications per year")
@@ -185,7 +183,7 @@ def validate_config(config: SynthConfig):
     for pair, intervals in pair_intervals.items():
         merged = merge_union(intervals)
         for (s1, e1), (s2, e2) in zip(merged, merged[1:]):
-            if s2 - e1 < params.window_len:
+            if s2 - e1 < WINDOW_LEN:
                 fail("pair_gap", f"pair {pair} intervals [{s1},{e1}] and [{s2},{e2}] "
                                  f"are close enough to bridge")
         for period in merged:
@@ -379,7 +377,7 @@ def generate_corpus(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
         })
 
     # background noise, capped so no background pair can turn persistent
-    pair_cap = PersistenceParams().min_pubs - 1
+    pair_cap = MIN_PUBS - 1
     pool = [f"bg{i}" for i in range(config.n_background_authors)]
     pair_budget: dict[tuple[str, str], int] = {}
     for bi in range(config.background_pubs):

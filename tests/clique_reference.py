@@ -3,7 +3,7 @@ tried, so ``teammine.cliques.enumerate_maximal_cliques`` can be checked
 against it on small networks.
 """
 
-from teammine.cliques import CliqueParams, TemporalClique
+from teammine.cliques import MIN_SIZE, TemporalClique
 from teammine.intervals import Interval
 from teammine.pairs import Pair
 
@@ -13,7 +13,7 @@ class SizeGuardError(Exception):
 
 
 def brute_force_cliques(network: dict[Pair, list[Interval]],
-                        params: CliqueParams = CliqueParams(),
+                        min_size: int = MIN_SIZE,
                         max_authors: int = 14,
                         max_span: int = 10) -> list[TemporalClique]:
     """Ground-truth oracle: try every (member subset, span) combination.
@@ -90,7 +90,7 @@ def brute_force_cliques(network: dict[Pair, list[Interval]],
                     break
             if dominated:
                 break
-        if dominated or subset.bit_count() < params.min_size:
+        if dominated or subset.bit_count() < min_size:
             continue
         members = tuple(authors[i] for i in range(n) if subset >> i & 1)
         out.append(TemporalClique(members, y_min + x, y_min + y))

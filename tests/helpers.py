@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from teammine.ingest import (Affiliation, AuthorEntry, DocType, PublicationRecord,
-                             PublicationTable)
+from teammine.ingest import Affiliation, AuthorEntry, PublicationRecord, PublicationTable
 from teammine.pipeline import Pipeline, PipelineConfig
 from teammine.success import SuccessTag, SuccessTagTable
 from teammine.teams import Team
@@ -24,7 +23,7 @@ def author(author_id: str, affs=None) -> AuthorEntry:
     return AuthorEntry(author_id=author_id, affiliations=tuple(affs))
 
 
-def pub(pub_id: str, year: int, author_ids, doc_type=DocType.ARTICLE,
+def pub(pub_id: str, year: int, author_ids, doc_type="Article",
         fields=("F0",), authors=None) -> PublicationRecord:
     if authors is None:
         authors = tuple(author(a) for a in author_ids)

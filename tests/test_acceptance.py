@@ -17,11 +17,11 @@ import pytest
 from teammine.cliques import enumerate_maximal_cliques
 from teammine.intervals import merge_union
 from teammine.overlaps import OverlapKind, Timing, classify_all
-from teammine.persistence import PersistenceParams, persistent_periods
+from teammine.persistence import MIN_PUBS, WINDOW_LEN, persistent_periods
 from teammine.pipeline import FIGURE_STEMS
 from teammine.presets import (hazard_config, random_planted_config, scale_config,
                               shift_config, wired_overlap_config)
-from teammine.success import (TOP1, TOP10, percentile_thresholds, tag_success)
+from teammine.success import percentile_thresholds, tag_success
 from teammine.synthgen import fig_s1_corpus, generate_corpus, verify_against_truth
 
 from clique_reference import brute_force_cliques
@@ -74,25 +74,24 @@ def test_criterion_2_clique_oracle_equivalence():
 
 
 def test_criterion_3_persistence_oracle_equivalence():
-    def literal_oracle(years, params):
+    def literal_oracle(years):
         if not years:
             return []
         marked = []
-        for t in range(min(years) - params.window_len + 1, max(years) + 1):
-            inside = [y for y in years if t <= y <= t + params.window_len - 1]
-            if len(inside) >= params.min_pubs:
+        for t in range(min(years) - WINDOW_LEN + 1, max(years) + 1):
+            inside = [y for y in years if t <= y <= t + WINDOW_LEN - 1]
+            if len(inside) >= MIN_PUBS:
                 marked.append((min(inside), max(inside)))
         return merge_union(marked)
 
     rng = random.Random(555)
-    params = PersistenceParams()
     start = time.perf_counter()
     checked = 0
     for _ in range(10000):
         n = rng.randint(0, 12)
         base = rng.randint(1, 40)
         years = sorted(rng.randint(base, base + 14) for _ in range(n))
-        assert persistent_periods(years, params) == literal_oracle(years, params)
+        assert persistent_periods(years) == literal_oracle(years)
         checked += 1
     elapsed = time.perf_counter() - start
     assert checked >= 10000
@@ -139,9 +138,7 @@ def test_criterion_5_percentile_tagging():
     # all-distinct cell: exactly 1.00% tagged
     pubs = table([pub(f"p{i}", 2010, ["a1"]) for i in range(10000)])
     counts = {f"p{i}": 20000 - i for i in range(10000)}
-    th1 = percentile_thresholds(pubs, counts, TOP1)
-    th10 = percentile_thresholds(pubs, counts, TOP10)
-    tags = tag_success(pubs, counts, th10, th1)
+    tags = tag_success(pubs, counts, percentile_thresholds(pubs, counts))
     n_top1 = sum(1 for t in tags if t.top1)
     assert n_top1 == 100
     assert n_top1 / len(pubs) == 0.01
@@ -151,9 +148,7 @@ def test_criterion_5_percentile_tagging():
     counts.update({f"p{99 + i}": 500 for i in range(25)})
     counts.update({f"p{124 + i}": 400 - i % 300 for i in range(10000 - 124)})
     pubs = table([pub(p, 2010, ["a1"]) for p in counts])
-    th1 = percentile_thresholds(pubs, counts, TOP1)
-    th10 = percentile_thresholds(pubs, counts, TOP10)
-    tags = tag_success(pubs, counts, th10, th1)
+    tags = tag_success(pubs, counts, percentile_thresholds(pubs, counts))
     n_top1 = sum(1 for t in tags if t.top1)
     assert n_top1 == 124
     assert all(t.top10 for t in tags if t.top1)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from teammine.cliques import CliqueParams, TemporalClique, enumerate_maximal_cliques
+from teammine.cliques import TemporalClique, enumerate_maximal_cliques
 from teammine.intervals import covers, merge_union
 
 from clique_reference import SizeGuardError, brute_force_cliques
@@ -80,14 +80,8 @@ def test_brute_force_size_guards():
 
 def test_min_size_filters_pairs():
     network = {("A", "B"): [(1, 5)], ("A", "C"): [(1, 4)], ("B", "C"): [(1, 4)]}
-    params = CliqueParams(min_size=3)
-    assert enumerate_maximal_cliques(network, params) == [clique(["A", "B", "C"], 1, 4)]
-    assert brute_force_cliques(network, params) == [clique(["A", "B", "C"], 1, 4)]
-
-
-def test_params_fixed():
-    with pytest.raises(ValueError):
-        CliqueParams(min_size=1)
+    assert enumerate_maximal_cliques(network, 3) == [clique(["A", "B", "C"], 1, 4)]
+    assert brute_force_cliques(network, 3) == [clique(["A", "B", "C"], 1, 4)]
 
 
 def test_oracle_equivalence_random_instances():

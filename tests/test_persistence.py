@@ -1,24 +1,20 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teammine.intervals import merge_union
-from teammine.persistence import (PersistenceParams, build_persistent_network,
+from teammine.persistence import (MIN_PUBS, WINDOW_LEN, build_persistent_network,
                                   persistent_periods)
 
 from helpers import flat_timelines
 
-PARAMS = PersistenceParams()
-
-
-def literal_window_union(years, params=PARAMS):
+def literal_window_union(years, window_len=WINDOW_LEN, min_pubs=MIN_PUBS):
     """Independent oracle: inspect every integer window start literally."""
     if not years:
         return []
     marked = []
-    for t in range(min(years) - params.window_len + 1, max(years) + 1):
-        inside = [y for y in years if t <= y <= t + params.window_len - 1]
-        if len(inside) >= params.min_pubs:
+    for t in range(min(years) - window_len + 1, max(years) + 1):
+        inside = [y for y in years if t <= y <= t + window_len - 1]
+        if len(inside) >= min_pubs:
             marked.append((min(inside), max(inside)))
     return merge_union(marked)
 
@@ -53,13 +49,6 @@ def test_empty_and_short():
     assert persistent_periods([4, 4]) == []
 
 
-def test_params_validated():
-    with pytest.raises(ValueError):
-        PersistenceParams(window_len=0)
-    with pytest.raises(ValueError):
-        PersistenceParams(min_pubs=0)
-
-
 def test_network_drops_non_persistent_pairs():
     timelines = {"C": {"D": [1, 4, 6]}}
     assert build_persistent_network(timelines) == {}
@@ -87,8 +76,8 @@ def test_matches_literal_oracle(years):
 @given(year_multisets, st.integers(1, 3), st.integers(2, 4))
 @settings(max_examples=200, deadline=None)
 def test_matches_literal_oracle_other_params(years, window_len, min_pubs):
-    params = PersistenceParams(window_len=window_len, min_pubs=min_pubs)
-    assert persistent_periods(years, params) == literal_window_union(years, params)
+    assert (persistent_periods(years, window_len, min_pubs)
+            == literal_window_union(years, window_len, min_pubs))
 
 
 @given(year_multisets)
@@ -124,7 +113,6 @@ def test_periods_disjoint_with_gaps(years):
        st.integers(1, 6), st.integers(1, 4))
 @settings(max_examples=200, deadline=None)
 def test_network_matches_periods_of_every_pair(timelines, window_len, min_pubs):
-    params = PersistenceParams(window_len=window_len, min_pubs=min_pubs)
     expected = {pair: periods for pair, years in flat_timelines(timelines).items()
-                if (periods := persistent_periods(years, params))}
-    assert build_persistent_network(timelines, params) == expected
+                if (periods := persistent_periods(years, window_len, min_pubs))}
+    assert build_persistent_network(timelines, window_len, min_pubs) == expected

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import random
+import re
 import shutil
 from pathlib import Path
 
@@ -12,15 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teammine import pipeline as pipeline_module
-from teammine.cli import main
+from teammine.cli import _CONFIG_KEY_HELP, main
 from teammine.csvio import read_csv
 from teammine.errors import (ConfigError, IngestError, MissingArtifactError,
                              StaleCacheError, UnknownTeamError)
 from teammine.ingest import read_publications_jsonl
+from teammine.intervals import format_intervals, parse_intervals
 from teammine.pairs import canonical_pair
 from teammine.pipeline import (CORPUS, EXTERNAL_INPUTS, FIGURE_STEMS, STAGE_TABLE, STAGES,
                                Pipeline, PipelineConfig, producers)
 from teammine.presets import PRESETS, random_planted_config, wired_overlap_config
+from teammine.success import read_success_tags_csv
 from teammine.synthgen import fig_s1_corpus, generate_corpus
 
 from helpers import pub_json, run_pipeline, write_citations, write_jsonl
@@ -263,6 +266,36 @@ def test_config_file_and_overrides(tmp_path):
         PipelineConfig.from_file(bad)
 
 
+def test_config_file_with_byte_order_mark(tmp_path):
+    config_file = tmp_path / "run.conf"
+    config_file.write_bytes(b"\xef\xbb\xbfyear_min = 1\nyear_max = 8\n")
+    config = PipelineConfig.from_file(config_file)
+    assert (config.year_min, config.year_max) == (1, 8)
+
+
+def _stated_defaults(rows) -> dict[str, str]:
+    """key -> default from (keys, defaults) cells such as ("year_min, year_max", "2008, 2020")."""
+    stated = {}
+    for keys, defaults in rows:
+        keys, defaults = keys.strip().split(", "), defaults.strip().split(", ")
+        assert len(keys) == len(defaults), keys
+        stated.update(zip(keys, defaults))
+    return stated
+
+
+def test_config_docs_state_every_key_and_its_default():
+    """The README table and the CLI help each give every PipelineConfig key with its default."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    table_rows = [line.split("|")[1:3] for line in section.splitlines()
+                  if line.startswith("| ") and not line.startswith("| key ")]
+    help_rows = [re.split(r"\s{2,}", line.strip())[:2] for line in _CONFIG_KEY_HELP.splitlines()
+                 if line.startswith("  ") and not line.startswith(("   ", "  key "))]
+    expected = {key: str(value) for key, value in vars(PipelineConfig()).items()}
+    assert _stated_defaults(table_rows) == expected
+    assert _stated_defaults(help_rows) == expected
+
+
 def test_unknown_stage_rejected(tmp_path):
     with pytest.raises(ConfigError):
         Pipeline(PipelineConfig(out_dir=str(tmp_path))).run("everything")
@@ -372,6 +405,14 @@ def test_cli_synth_seeded_preset(tmp_path):
     out = tmp_path / "w"
     assert main(["synth", "--preset", "wired", "--out", str(out), "--seed", "4"]) == 0
     assert (out / "truth.json").exists()
+
+
+def test_cli_fig_s1_takes_no_seed(tmp_path, capsys):
+    out = tmp_path / "s1"
+    assert main(["synth", "--preset", "fig_s1", "--out", str(out), "--seed", "9"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "--seed" in err[0]
+    assert not out.exists()
 
 
 def test_manifest_records_input_digests(s1_corpus, tmp_path):
@@ -653,7 +694,7 @@ def _order_preserving_renaming(ids, rng: random.Random) -> dict[str, str]:
 
 
 @pytest.fixture(scope="module")
-def renaming_runs(tmp_path_factory):
+def small_runs(tmp_path_factory):
     """A small planted and a wired corpus, each with the out dir of its `all`."""
     runs = {}
     for name, config in (("planted", random_planted_config(n_teams=30, background_pubs=150,
@@ -668,11 +709,11 @@ def renaming_runs(tmp_path_factory):
 
 @given(st.sampled_from(["planted", "wired"]), st.randoms(use_true_random=True))
 @settings(max_examples=8, deadline=None)
-def test_order_preserving_renaming_only_renames(renaming_runs, tmp_path_factory, name, rng):
+def test_order_preserving_renaming_only_renames(small_runs, tmp_path_factory, name, rng):
     """Renaming the authors by an order-preserving map renames them in the
     pair timelines, persistent edges, cliques and teams, and leaves every
     artifact without author ids byte-identical."""
-    corpus, years = renaming_runs[name]
+    corpus, years = small_runs[name]
     records = [json.loads(line) for line in
                (corpus / "publications.jsonl").read_text(encoding="utf-8").splitlines()]
     rename = _order_preserving_renaming(
@@ -695,6 +736,65 @@ def test_order_preserving_renaming_only_renames(renaming_runs, tmp_path_factory,
     for artifact in set(_AUTHOR_COLUMNS) | {"canonical_publications.jsonl"}:
         del before[artifact], after[artifact]
     assert before == after
+
+
+def _shift_years(corpus: Path, target: Path, k: int):
+    """The corpus with every publication and citation year moved by ``k``."""
+    records = [json.loads(line) for line in
+               (corpus / "publications.jsonl").read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        record["year"] += k
+    write_jsonl(target / "publications.jsonl", records)
+    write_citations(target / "citations.csv",
+                    [(citing, cited, year and int(year) + k)
+                     for citing, cited, year in read_csv(corpus / "citations.csv")])
+
+
+@given(st.sampled_from(["planted", "wired"]), st.integers(-30, 30).filter(bool))
+@settings(max_examples=6, deadline=None)
+def test_year_shift_moves_only_years(small_runs, tmp_path_factory, name, k):
+    """Moving every year and the data window by k, which may be negative,
+    moves the team intervals, the threshold years and fig1a's years by k,
+    and leaves every table keyed by age, duration, country, metric or
+    document type byte-identical."""
+    corpus, (year_min, year_max) = small_runs[name]
+    shifted = tmp_path_factory.mktemp("shifted")
+    _shift_years(corpus, shifted, k)
+    run_pipeline(shifted, shifted / "out", year_min + k, year_max + k)
+    before, after = corpus / "out", shifted / "out"
+    teams = list(read_csv(before / "teams.csv"))
+    for row in teams:
+        row[2] = format_intervals([(s + k, e + k) for s, e in parse_intervals(row[2])])
+        row[3], row[4] = str(int(row[3]) + k), str(int(row[4]) + k)
+    assert list(read_csv(after / "teams.csv")) == teams
+    for artifact, column in (("thresholds.csv", 1), ("fig1a.csv", 1)):
+        rows = list(read_csv(before / artifact))
+        for row in rows:
+            row[column] = str(int(row[column]) + k)
+        assert list(read_csv(after / artifact)) == rows, artifact
+    names = ["table_s1.csv", *(f"{stem}.csv" for stem in FIGURE_STEMS if stem != "fig1a")]
+    assert {name: (after / name).read_bytes() for name in names} == \
+        {name: (before / name).read_bytes() for name in names}
+
+
+@given(st.data())
+@settings(max_examples=6, deadline=None)
+def test_added_citation_keeps_success_tags(small_runs, tmp_path_factory, data):
+    """One more citation inside a top-1% publication's three-year window
+    adds one to its count and takes neither of its tags away."""
+    corpus, years = small_runs["wired"]
+    before = read_success_tags_csv(corpus / "out" / "success_tags.csv")
+    pub_id = data.draw(st.sampled_from(sorted(t.pub_id for t in before if t.top1)))
+    pubs = read_publications_jsonl(*(corpus / "out" / name for name in CORPUS))
+    citing_year = pubs.get(pub_id).year + data.draw(st.integers(0, 2))
+    cited = tmp_path_factory.mktemp("cited")
+    shutil.copyfile(corpus / "publications.jsonl", cited / "publications.jsonl")
+    write_citations(cited / "citations.csv", [*read_csv(corpus / "citations.csv"),
+                                              ("extra", pub_id, citing_year)])
+    run_pipeline(cited, cited / "out", *years, stage="ingest").run("tag")
+    after = read_success_tags_csv(cited / "out" / "success_tags.csv")
+    assert after.get(pub_id).citations_3y == before.get(pub_id).citations_3y + 1
+    assert after.flags(pub_id) == (True, True)
 
 
 @pytest.mark.parametrize("preset", ["fig_s1", "wired"])

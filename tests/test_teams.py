@@ -25,13 +25,6 @@ def test_great_circle_one_degree_meridian():
     assert great_circle_km(0.0, 0.0, 1.0, 0.0) == pytest.approx(111.19, abs=0.01)
 
 
-def test_great_circle_validates_coordinates():
-    with pytest.raises(ValueError):
-        great_circle_km(91.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        great_circle_km(0.0, 181.0, 0.0, 0.0)
-
-
 def test_assemble_merges_identical_member_sets():
     cliques = [TemporalClique(("A", "B"), 1, 3), TemporalClique(("A", "B"), 7, 9)]
     teams = assemble_teams(cliques)
