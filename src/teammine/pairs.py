@@ -4,7 +4,11 @@ A publication with a authors contributes its year once to each of the
 a*(a-1)/2 unordered pairs; single-author publications contribute nothing.
 A pair is canonical with the lexicographically smaller id first, and the
 timelines are held per first author: ``timelines[a][b]`` is the sorted year
-list of the pair (a, b), with ``a < b``. No inner dict is empty.
+tuple of the pair (a, b), with ``a < b``. No inner dict is empty.
+
+Most pairs co-publish in one year only, so every one-year pair of a year
+holds the same ``(year,)`` tuple; a pair's second year moves it to a list of
+its own, and the build ends by sorting each list into a tuple.
 
 ``pair_timelines.csv`` holds one row per pair in ``(a, b)`` order, with the
 years joined by ``;``; each field is quoted by ``csvio``, as every artifact
@@ -19,7 +23,7 @@ from pathlib import Path
 from teammine.csvio import encode_field, read_csv
 
 Pair = tuple[str, str]
-Timelines = dict[str, dict[str, list[int]]]  # a -> b -> sorted years, a < b
+Timelines = dict[str, dict[str, tuple[int, ...]]]  # a -> b -> sorted years, a < b
 
 
 def canonical_pair(a: str, b: str) -> Pair:
@@ -27,20 +31,24 @@ def canonical_pair(a: str, b: str) -> Pair:
 
 
 def build_pair_timelines(pubs, author_cap: int = 0) -> Timelines:
-    """Year multiset per co-authoring pair, sorted ascending, held per first
-    author.
+    """Year multiset per co-authoring pair, as a tuple sorted ascending, held
+    per first author.
 
     author_cap, when above 0, excludes publications with more than that many
     authors from pair generation (hyper-authorship escape hatch); the
     publications themselves stay in the corpus for association and statistics.
     """
-    timelines: Timelines = {}
+    timelines: dict[str, dict] = {}
     get = timelines.get
+    one_year: dict[int, tuple[int]] = {}  # year -> the (year,) every one-year pair shares
     for rec in pubs:
         authors = rec.authors
         if len(authors) < 2 or 0 < author_cap < len(authors):
             continue
         year = rec.year
+        single = one_year.get(year)
+        if single is None:
+            single = one_year[year] = (year,)
         last = None
         # sorted ids make every combination a canonical pair, grouped by a
         for a, b in combinations(sorted([entry.author_id for entry in authors]), 2):
@@ -51,14 +59,16 @@ def build_pair_timelines(pubs, author_cap: int = 0) -> Timelines:
                     inner = timelines[a] = {}
             years = inner.get(b)
             if years is None:
-                # most pairs keep this one year, so the list is not grown
-                inner[b] = [year]
+                inner[b] = single
+            elif type(years) is tuple:
+                inner[b] = [years[0], year]
             else:
                 years.append(year)
     for inner in timelines.values():
-        for years in inner.values():
-            if len(years) > 1:
+        for b, years in inner.items():
+            if type(years) is list:
                 years.sort()
+                inner[b] = tuple(years)
     return timelines
 
 
@@ -85,14 +95,18 @@ def write_pair_timelines_csv(timelines: Timelines, path: str | Path):
         fh.write("author_a,author_b,years\r\n")
         for a in sorted(timelines):
             head = ids[a]
-            # most pairs share a single year, so that year is the memo key
-            fh.write("".join([
-                f"{head},{ids[b]},{years_fields[years[0] if len(years) == 1 else tuple(years)]}\r\n"
-                for b, years in sorted(timelines[a].items())]))
+            fh.write("".join([f"{head},{ids[b]},{years_fields[years]}\r\n"
+                              for b, years in sorted(timelines[a].items())]))
 
 
 def read_pair_timelines_csv(path: str | Path) -> Timelines:
+    """The timelines as the builder holds them, with one tuple per distinct
+    ``years`` text, so the one-year pairs of a year share it again."""
     timelines: Timelines = {}
-    for a, b, years in read_csv(path):
-        timelines.setdefault(a, {})[b] = [int(y) for y in years.split(";")]
+    parsed: dict[str, tuple[int, ...]] = {}
+    for a, b, text in read_csv(path):
+        years = parsed.get(text)
+        if years is None:
+            years = parsed[text] = tuple(map(int, text.split(";")))
+        timelines.setdefault(a, {})[b] = years
     return timelines

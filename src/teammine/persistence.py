@@ -9,10 +9,15 @@ intervals, merged when they overlap or touch (end + 1 == next start).
 A period can therefore be shorter than the window (bounded by actual
 co-authorship years) or longer (chained windows), and one pair can hold
 several disconnected periods.
+
+The sweep reads ``pairs.Timelines``, one sorted year tuple per pair. A pair
+with fewer than ``min_pubs`` years fills no window; such pairs are nearly all
+of a co-authorship network, and they are skipped without a sweep.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from pathlib import Path
 
 from teammine.csvio import read_csv, write_csv
@@ -25,7 +30,7 @@ WINDOW_LEN = 5
 MIN_PUBS = 3
 
 
-def persistent_periods(years: list[int], window_len: int = WINDOW_LEN,
+def persistent_periods(years: Sequence[int], window_len: int = WINDOW_LEN,
                        min_pubs: int = MIN_PUBS) -> list[Interval]:
     """Disjoint persistent periods for one pair's sorted year multiset.
 
@@ -51,11 +56,7 @@ def persistent_periods(years: list[int], window_len: int = WINDOW_LEN,
 
 def build_persistent_network(timelines: Timelines, window_len: int = WINDOW_LEN,
                              min_pubs: int = MIN_PUBS) -> dict[Pair, list[Interval]]:
-    """Persistent collaboration network: pairs that have at least one period.
-
-    A pair with fewer than ``min_pubs`` years fills no window, so it is skipped
-    without a sweep.
-    """
+    """Persistent collaboration network: pairs that have at least one period."""
     network: dict[Pair, list[Interval]] = {}
     for a, inner in timelines.items():
         for b, years in inner.items():

@@ -496,7 +496,7 @@ class Pipeline:
             for j in range(i + 1, len(members)):
                 pair = canonical_pair(members[i], members[j])
                 periods = "; ".join(f"[{s},{e}]" for s, e in network.get(pair, []))
-                years = ", ".join(str(y) for y in timelines.get(pair[0], {}).get(pair[1], []))
+                years = ", ".join(str(y) for y in timelines.get(pair[0], {}).get(pair[1], ()))
                 lines.append(f"    {pair[0]}--{pair[1]}: periods {periods or 'none'}; "
                              f"co-publication years: {years or 'none'}")
         lines.append(f"  publications ({len(team.pubs)}):")

@@ -16,7 +16,8 @@ def random_planted_config(seed: int = 7, n_teams: int = 100,
                           background_pubs: int = 500,
                           n_background_authors: int = 200) -> SynthConfig:
     """Disjoint-member teams of sizes 2..6 and durations 1..8 over a 13-year
-    window, with light sub-persistent background noise."""
+    window, with light sub-persistent background noise; each team year plants
+    a top-10% success with probability 0.1."""
     rng = random.Random(seed * 1_000_003)
     year_min, year_max = 1, 13
     teams = []
@@ -36,6 +37,7 @@ def random_planted_config(seed: int = 7, n_teams: int = 100,
         teams=tuple(teams),
         n_background_authors=n_background_authors,
         background_pubs=background_pubs,
+        success_hazard=0.1,
     )
 
 

@@ -116,16 +116,21 @@ def associate_all(teams: TeamTable, pubs: PublicationTable):
 
 
 def city_coordinates(pubs: PublicationTable) -> dict[str, tuple[float, float]]:
-    """Canonical representative point per city: smallest (lat, lon) observed."""
+    """Canonical representative point per city: smallest (lat, lon) observed,
+    the first seen on ties (``0.0 == -0.0``).
+
+    Each distinct author entry is visited once, in first-seen order: a repeat
+    of an entry repeats its points, which can only tie."""
     coords: dict[str, tuple[float, float]] = {}
-    for rec in pubs:
-        for author in rec.authors:
-            for aff in author.affiliations:
-                if aff.city_id is None or not aff.has_geo():
-                    continue
-                point = (aff.lat, aff.lon)
-                if aff.city_id not in coords or point < coords[aff.city_id]:
-                    coords[aff.city_id] = point
+    # by id(), as the canonical writer does: pubs keeps every entry alive, so no id is reused
+    entries = {id(entry): entry for rec in pubs for entry in rec.authors}
+    for entry in entries.values():
+        for aff in entry.affiliations:
+            if aff.city_id is None or not aff.has_geo():
+                continue
+            point = (aff.lat, aff.lon)
+            if aff.city_id not in coords or point < coords[aff.city_id]:
+                coords[aff.city_id] = point
     return coords
 
 

@@ -61,7 +61,7 @@ def pub_json(pub_id: str, year: int, author_ids, doc_type="Article", fields=("F0
                         for a in author_ids]}
 
 
-def flat_timelines(timelines) -> dict[tuple[str, str], list[int]]:
+def flat_timelines(timelines) -> dict[tuple[str, str], tuple[int, ...]]:
     """Nested ``{a: {b: years}}`` timelines as one ``{(a, b): years}`` dict."""
     return {(a, b): years for a, inner in timelines.items() for b, years in inner.items()}
 

@@ -50,12 +50,12 @@ def test_empty_and_short():
 
 
 def test_network_drops_non_persistent_pairs():
-    timelines = {"C": {"D": [1, 4, 6]}}
+    timelines = {"C": {"D": (1, 4, 6)}}
     assert build_persistent_network(timelines) == {}
 
 
 def test_network_multiple_periods():
-    timelines = {"A": {"B": [1, 2, 3, 11, 12, 13]}}
+    timelines = {"A": {"B": (1, 2, 3, 11, 12, 13)}}
     network = build_persistent_network(timelines)
     assert network == {("A", "B"): [(1, 3), (11, 13)]}
 
@@ -108,7 +108,7 @@ def test_periods_disjoint_with_gaps(years):
 
 
 @given(st.dictionaries(st.sampled_from("abc"),
-                       st.dictionaries(st.sampled_from("xyz"), year_multisets,
+                       st.dictionaries(st.sampled_from("xyz"), year_multisets.map(tuple),
                                        min_size=1, max_size=3), max_size=3),
        st.integers(1, 6), st.integers(1, 4))
 @settings(max_examples=200, deadline=None)

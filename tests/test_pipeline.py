@@ -20,6 +20,7 @@ from teammine.errors import (ConfigError, IngestError, MissingArtifactError,
 from teammine.ingest import read_publications_jsonl
 from teammine.intervals import format_intervals, parse_intervals
 from teammine.pairs import canonical_pair
+from teammine.persistence import MIN_PUBS, WINDOW_LEN, persistent_periods
 from teammine.pipeline import (CORPUS, EXTERNAL_INPUTS, FIGURE_STEMS, STAGE_TABLE, STAGES,
                                Pipeline, PipelineConfig, producers)
 from teammine.presets import PRESETS, random_planted_config, wired_overlap_config
@@ -775,6 +776,46 @@ def test_year_shift_moves_only_years(small_runs, tmp_path_factory, name, k):
     names = ["table_s1.csv", *(f"{stem}.csv" for stem in FIGURE_STEMS if stem != "fig1a")]
     assert {name: (after / name).read_bytes() for name in names} == \
         {name: (before / name).read_bytes() for name in names}
+
+
+def _below_persistence(years) -> list[int]:
+    """The sorted years kept one by one while every window of WINDOW_LEN
+    years holds at most MIN_PUBS - 1 of them."""
+    kept: list[int] = []
+    for year in sorted(years):
+        if sum(k > year - WINDOW_LEN for k in kept) < MIN_PUBS - 1:
+            kept.append(year)
+    return kept
+
+
+@given(st.sampled_from(["planted", "wired"]),
+       st.lists(st.sampled_from(["0fresh", "Mfresh", "~fresh"]), min_size=2, max_size=2,
+                unique=True),
+       st.lists(st.integers(0, 99), min_size=1, max_size=12), st.randoms(use_true_random=False))
+@settings(max_examples=6, deadline=None)
+def test_sub_persistent_pair_keeps_teams(small_runs, tmp_path_factory, name, pair, offsets, rng):
+    """A pair of fresh authors with at most MIN_PUBS - 1 joint publications
+    in every WINDOW_LEN-year window, on publications with fresh org, city and
+    field ids, leaves the persistent edges, cliques and teams byte-identical:
+    the paper's persistence rule rejects the pair."""
+    corpus, (year_min, year_max) = small_runs[name]
+    years = _below_persistence(year_min + k % (year_max - year_min + 1) for k in offsets)
+    assert persistent_periods(years) == []
+    records = [json.loads(line) for line in
+               (corpus / "publications.jsonl").read_text(encoding="utf-8").splitlines()]
+    for i, year in enumerate(years):
+        aff = {"org_id": f"fresh_org{i}", "city_id": f"fresh_city{i}", "country": "NL",
+               "lat": 10.0 + i, "lon": 20.0}
+        records.insert(rng.randint(0, len(records)),
+                       pub_json(f"fresh{i}", year, pair, fields=(f"fresh_field{i}",), affs=[aff]))
+    added = tmp_path_factory.mktemp("added")
+    write_jsonl(added / "publications.jsonl", records)
+    shutil.copyfile(corpus / "citations.csv", added / "citations.csv")
+    run_pipeline(added, added / "out", year_min, year_max)
+    assert f"{min(pair)},{max(pair)},".encode() in (added / "out" / "pair_timelines.csv").read_bytes()
+    for artifact in ("persistent_edges.csv", "cliques.csv", "teams.csv", "team_pubs.csv"):
+        assert (added / "out" / artifact).read_bytes() == \
+            (corpus / "out" / artifact).read_bytes(), artifact
 
 
 @given(st.data())

@@ -138,6 +138,48 @@ def test_city_coordinates_lexicographic_tie_rule():
     assert city_coordinates(pubs) == {"c1": (10.0, 99.0)}
 
 
+def entry_by_entry_city_coordinates(pubs):
+    """Reference: every author entry of every record, repeats included."""
+    coords = {}
+    for rec in pubs:
+        for entry in rec.authors:
+            for aff in entry.affiliations:
+                if aff.city_id is None or not aff.has_geo():
+                    continue
+                point = (aff.lat, aff.lon)
+                if aff.city_id not in coords or point < coords[aff.city_id]:
+                    coords[aff.city_id] = point
+    return coords
+
+
+# few values, so cities tie often, 0.0 and -0.0 among them
+_coordinates = st.sampled_from([0.0, -0.0, 1.5])
+
+
+@st.composite
+def shared_entry_corpora(draw):
+    """Records whose authors are drawn from a pool of entry objects, so an
+    entry repeats as the same object, as the loader's memo makes it."""
+    affs = draw(st.lists(st.builds(
+        affiliation, org=st.just("o"), city=st.sampled_from(["c1", "c2"]),
+        lat=st.none() | _coordinates, lon=_coordinates), min_size=1, max_size=6))
+    pool = draw(st.lists(st.builds(author, st.sampled_from("ABCD"),
+                                   st.lists(st.sampled_from(affs), min_size=1, max_size=3)),
+                         min_size=1, max_size=6))
+    return table(pub(f"p{i}", 1, (), authors=authors) for i, authors in enumerate(
+        draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=4), max_size=8))))
+
+
+@given(shared_entry_corpora())
+@example(table([pub("p0", 1, (), authors=[
+    author("A", [affiliation(city="c1", lat=0.0, lon=1.5)]),
+    author("B", [affiliation(city="c1", lat=-0.0, lon=1.5)])])]))
+@settings(max_examples=100, deadline=None)
+def test_city_coordinates_matches_entry_by_entry_reference(pubs):
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr(city_coordinates(pubs)) == repr(entry_by_entry_city_coordinates(pubs))
+
+
 def test_metrics_permutation_invariant():
     affs_a = (affiliation(org="o1", city="c1", lat=0.0, lon=0.0),)
     affs_b = (affiliation(org="o2", city="c2", lat=1.0, lon=0.0),)
