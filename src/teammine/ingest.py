@@ -10,12 +10,15 @@ Publications arrive as line-delimited JSON, one record per line::
                                     "country": "NL", "lat": 52.2, "lon": 4.5}]}]}
 
 Citations arrive as CSV with header ``citing_pub_id,cited_pub_id,citing_year``.
+A UTF-8 byte order mark at the start of either file is skipped.
 
 Structurally broken lines (invalid UTF-8 or JSON, missing keys, wrong types,
 an author id containing the member separator ``;``) abort the load with the
 offending line number. Records that parse but violate a domain rule (filtered
 document type, year outside the window, author without a usable affiliation,
-...) are rejected and counted per reason, never stored.
+...) are rejected and counted per reason, never stored. Unusable citation rows
+are dropped and counted per reason; of a kept row, only the citing year is
+held, per cited publication, as success tagging needs nothing else.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from teammine.csvio import write_csv
+from teammine.csvio import read_csv, write_csv
 from teammine.errors import IngestError
 
 
@@ -76,13 +79,6 @@ class PublicationRecord:
     authors: tuple[AuthorEntry, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class CitationEvent:
-    citing_pub_id: str
-    cited_pub_id: str
-    citing_year: int
-
-
 @dataclass
 class PublicationTable:
     """Validated records in input order, plus the reject report for the load."""
@@ -100,23 +96,14 @@ class PublicationTable:
     def __iter__(self):
         return iter(self.records)
 
-    def __contains__(self, pub_id: str) -> bool:
-        return pub_id in self._by_id
-
     def get(self, pub_id: str) -> PublicationRecord | None:
         return self._by_id.get(pub_id)
 
 
 @dataclass
 class CitationTable:
-    events: list[CitationEvent] = field(default_factory=list)
+    citing_years: dict[str, list[int]] = field(default_factory=dict)  # in row order
     drop_counts: dict[str, int] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
 
 
 def _utf8_lines(fh):
@@ -344,7 +331,7 @@ def load_publications(path: str | Path, year_min: int, year_max: int) -> Publica
     seen_ids: set[str] = set()
     lines = 0
     parse = _record_parser()
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, line in enumerate(_utf8_lines(fh), start=1):
             if not line.strip():
                 continue
@@ -383,24 +370,21 @@ def load_publications(path: str | Path, year_min: int, year_max: int) -> Publica
 _INTEGER = re.compile("-?[0-9]+")  # not int()'s spaces, '+', '_' or non-ASCII digits
 
 
-def load_citations(path: str | Path, pubs: PublicationTable) -> CitationTable:
-    """Read citation events, dropping rows that cannot be used downstream.
+def load_citations(path: str | Path, pubs: PublicationTable,
+                   canonical_path: str | Path) -> CitationTable:
+    """Read citation rows, dropping those that cannot be used downstream, and
+    write each kept row to ``canonical_path`` as it is read.
 
-    Kept events always reference a known cited publication. The citing side may
-    live outside the corpus; its year is then required on the row.
+    A kept row always references a known cited publication. The citing side
+    may live outside the corpus; its year is then required on the row.
     """
-    events: list[CitationEvent] = []
+    citing_years: dict[str, list[int]] = {}
     drops: dict[str, int] = {}
 
     def drop(reason: str):
         drops[reason] = drops.get(reason, 0) + 1
 
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        rows = _csv_rows(fh)
-        _, header = next(rows, (1, None))
-        if header != ["citing_pub_id", "cited_pub_id", "citing_year"]:
-            raise IngestError("citation file must start with header "
-                              "'citing_pub_id,cited_pub_id,citing_year'", line=1)
+    def kept(rows):
         for line_no, row in rows:
             if not row:
                 continue
@@ -424,8 +408,17 @@ def load_citations(path: str | Path, pubs: PublicationTable) -> CitationTable:
             if citing_year < cited.year:
                 drop("year_before_cited")
                 continue
-            events.append(CitationEvent(citing_id, cited_id, citing_year))
-    return CitationTable(events=events, drop_counts=drops)
+            citing_years.setdefault(cited.pub_id, []).append(citing_year)
+            yield citing_id, cited_id, citing_year
+
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+        rows = _csv_rows(fh)
+        _, header = next(rows, (1, None))
+        if header != ["citing_pub_id", "cited_pub_id", "citing_year"]:
+            raise IngestError("citation file must start with header "
+                              "'citing_pub_id,cited_pub_id,citing_year'", line=1)
+        write_csv(canonical_path, header, kept(rows))
+    return CitationTable(citing_years=citing_years, drop_counts=drops)
 
 
 # --- canonical artifacts ----------------------------------------------------
@@ -533,9 +526,15 @@ def read_publications_jsonl(path: str | Path, affiliations_path: str | Path) -> 
     return PublicationTable(records=records, input_lines=len(records))
 
 
-def write_citations_csv(citations: Iterable[CitationEvent], path: str | Path):
-    write_csv(path, ["citing_pub_id", "cited_pub_id", "citing_year"],
-              ((ev.citing_pub_id, ev.cited_pub_id, ev.citing_year) for ev in citations))
+def read_citations_csv(path: str | Path) -> CitationTable:
+    """Read back the citing years of a canonical citation file written by
+    ``load_citations``, checking nothing; like ``read_publications_jsonl``,
+    the pipeline calls it only after matching the file's digest with the
+    manifest. Its drop counts are empty."""
+    citing_years: dict[str, list[int]] = {}
+    for _, cited_id, year in read_csv(path):
+        citing_years.setdefault(cited_id, []).append(int(year))
+    return CitationTable(citing_years=citing_years)
 
 
 def write_rejects_csv(rejects: Iterable[tuple[int, str]], path: str | Path):

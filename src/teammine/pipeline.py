@@ -25,15 +25,15 @@ from teammine.csvio import write_csv
 from teammine.errors import (ConfigError, MissingArtifactError, StaleCacheError,
                              TeammineError, UnknownTeamError)
 from teammine.ingest import (corpus_stats, load_citations, load_publications,
-                             read_publications_jsonl, write_citations_csv,
+                             read_citations_csv, read_publications_jsonl,
                              write_corpus_stats_csv, write_publications_jsonl,
                              write_rejects_csv)
 from teammine.overlaps import (classify_all, read_impulses_csv, read_overlaps_csv,
                                summarize_all, write_impulses_csv, write_overlaps_csv)
-from teammine.pairs import (build_pair_timelines, canonical_pair,
-                            read_pair_timelines_csv, write_pair_timelines_csv)
+from teammine.pairs import (build_pair_timelines, read_pair_timelines_csv,
+                            write_pair_timelines_csv)
 from teammine.persistence import (MIN_PUBS, WINDOW_LEN, build_persistent_network,
-                                  read_persistent_edges_csv,
+                                  persistent_periods, read_persistent_edges_csv,
                                   write_persistent_edges_csv)
 from teammine.success import (WINDOW_INCLUSIVE, WINDOWS, compute_tags, read_success_tags_csv,
                               write_success_tags_csv, write_thresholds_csv)
@@ -96,7 +96,7 @@ STAGES = tuple(stage.name for stage in STAGE_TABLE)
 _BY_NAME = {stage.name: stage for stage in STAGE_TABLE}
 _PRODUCER = {name: stage.name for stage in STAGE_TABLE for name in stage.outputs}
 
-# artifacts `explain` reads, in pipeline order
+# artifacts explain checks, in pipeline order
 _EXPLAIN_INPUTS = (*CORPUS, "success_tags.csv", "pair_timelines.csv", "persistent_edges.csv",
                    "teams.csv", "team_pubs.csv", "overlaps.csv", "impulses.csv")
 
@@ -190,13 +190,12 @@ def _sha256(path: Path) -> str:
 # The success profiles are rebuilt from the artifacts they derive from. The
 # functions are looked up when called, so a rebinding of the module-level
 # names takes effect. Every load follows a digest check of the artifacts
-# against the manifest, which is why the canonical corpus is read back
-# without validation.
+# against the manifest, which is why the canonical corpus and citations are
+# read back without validation.
 _LOADERS = {
     "pubs": (CORPUS, lambda p: read_publications_jsonl(*map(p._artifact, CORPUS))),
-    "citations": (("canonical_citations.csv", *CORPUS),
-                  lambda p: load_citations(p._artifact("canonical_citations.csv"),
-                                           p._load("pubs"))),
+    "citations": (("canonical_citations.csv",),
+                  lambda p: read_citations_csv(p._artifact("canonical_citations.csv"))),
     "tags": (("success_tags.csv",),
              lambda p: read_success_tags_csv(p._artifact("success_tags.csv"))),
     "timelines": (("pair_timelines.csv",),
@@ -391,16 +390,16 @@ class Pipeline:
     def _stage_ingest(self) -> dict:
         pubs = load_publications(self.config.pubs_path, self.config.year_min,
                                  self.config.year_max)
-        citations = load_citations(self.config.citations_path, pubs)
+        citations = load_citations(self.config.citations_path, pubs,
+                                   self._artifact("canonical_citations.csv"))
         write_publications_jsonl(pubs, *map(self._artifact, CORPUS))
-        write_citations_csv(citations, self._artifact("canonical_citations.csv"))
         write_rejects_csv(pubs.rejects, self._artifact("rejects.csv"))
         write_csv(self._artifact("citation_drops.csv"), ["reason", "count"],
                   sorted(citations.drop_counts.items()))
         self._mem["pubs"] = pubs
         self._mem["citations"] = citations
         counts = {"publications": len(pubs), "rejects": len(pubs.rejects),
-                  "citations": len(citations)}
+                  "citations": sum(map(len, citations.citing_years.values()))}
         for reason, count in sorted(citations.drop_counts.items()):
             counts[f"drop_{reason}"] = count
         return counts
@@ -411,9 +410,8 @@ class Pipeline:
         write_success_tags_csv(tags, self._artifact("success_tags.csv"))
         write_thresholds_csv(thresholds, self._artifact("thresholds.csv"))
         self._mem["tags"] = tags
-        top10 = sum(1 for t in tags if t.top10)
-        top1 = sum(1 for t in tags if t.top1)
-        return {"tagged_top10": top10, "tagged_top1": top1, "cells": len(thresholds) // 2}
+        return {"tagged_top10": len(tags.top10), "tagged_top1": len(tags.top1),
+                "cells": len(thresholds) // 2}
 
     def _stage_network(self) -> dict:
         timelines = build_pair_timelines(self._load("pubs"), self.config.author_cap)
@@ -484,21 +482,23 @@ class Pipeline:
             raise UnknownTeamError(f"no team with id {team_id}")
         pubs = self._load("pubs")
         tags = self._load("tags")
-        timelines = self._load("timelines")
-        network = self._load("network")
+        members = set(team.members)
+        timelines = build_pair_timelines(
+            [rec for rec in pubs
+             if sum(entry.author_id in members for entry in rec.authors) >= 2],
+            self.config.author_cap)
         lines = [f"team {team.team_id}: {', '.join(team.members)}"]
         lines.append("  intervals: " + "; ".join(f"[{s},{e}]" for s, e in team.intervals))
         lines.append(f"  duration: [{team.duration_start},{team.duration_end}] "
                      f"({team.duration} years)")
         lines.append("  pair persistence:")
-        members = team.members
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pair = canonical_pair(members[i], members[j])
-                periods = "; ".join(f"[{s},{e}]" for s, e in network.get(pair, []))
-                years = ", ".join(str(y) for y in timelines.get(pair[0], {}).get(pair[1], ()))
-                lines.append(f"    {pair[0]}--{pair[1]}: periods {periods or 'none'}; "
-                             f"co-publication years: {years or 'none'}")
+        for i, a in enumerate(team.members):  # sorted, so each pair is canonical
+            for b in team.members[i + 1:]:
+                years = timelines.get(a, {}).get(b, ())
+                periods = "; ".join(f"[{s},{e}]" for s, e in persistent_periods(
+                    years, self.config.window_len, self.config.min_pubs))
+                lines.append(f"    {a}--{b}: periods {periods or 'none'}; "
+                             f"co-publication years: {', '.join(map(str, years)) or 'none'}")
         lines.append(f"  publications ({len(team.pubs)}):")
         for pub_id in team.pubs:
             rec = pubs.get(pub_id)

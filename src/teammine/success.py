@@ -11,6 +11,10 @@ is the count of the ceil(q*N)-th ranked publication, floored at 1 so that
 all-zero cells produce no "highly cited" publications. Every publication tied
 at the threshold qualifies. Publications listing several fields qualify
 through any one of them.
+
+Counting needs only the citing years of each publication, which
+``ingest.CitationTable`` holds; the tags are the count of each publication
+and the two sets of ids that qualify.
 """
 
 from __future__ import annotations
@@ -31,14 +35,6 @@ WINDOWS = (WINDOW_INCLUSIVE, WINDOW_AFTER)
 
 
 @dataclass(frozen=True, slots=True)
-class SuccessTag:
-    pub_id: str
-    citations_3y: int
-    top10: bool
-    top1: bool
-
-
-@dataclass(frozen=True, slots=True)
 class PercentileThreshold:
     field_id: str
     year: int
@@ -47,39 +43,29 @@ class PercentileThreshold:
     population: int
 
 
+@dataclass
 class SuccessTagTable:
-    def __init__(self, tags: list[SuccessTag]):
-        self.tags = tags
-        self._by_id = {t.pub_id: t for t in tags}
-
-    def __len__(self) -> int:
-        return len(self.tags)
-
-    def __iter__(self):
-        return iter(self.tags)
-
-    def get(self, pub_id: str) -> SuccessTag | None:
-        return self._by_id.get(pub_id)
+    counts: dict[str, int]  # pub_id -> three-year citations, in record order
+    top10: set[str]
+    top1: set[str]
 
     def flags(self, pub_id: str) -> tuple[bool, bool]:
         """(top10, top1) of a publication; an untagged one is neither."""
-        tag = self._by_id.get(pub_id)
-        return (False, False) if tag is None else (tag.top10, tag.top1)
+        return pub_id in self.top10, pub_id in self.top1
 
 
 def three_year_citations(pubs: PublicationTable, citations: CitationTable,
                          mode: str = WINDOW_INCLUSIVE) -> dict[str, int]:
-    """Citation count per pub_id inside its three-calendar-year window;
-    ``mode`` is one of ``WINDOWS``, as ``PipelineConfig.validate`` ensures."""
+    """Citation count per pub_id, in record order, inside its
+    three-calendar-year window; ``mode`` is one of ``WINDOWS``, as
+    ``PipelineConfig.validate`` ensures."""
     offset = 0 if mode == WINDOW_INCLUSIVE else 1
-    counts = {rec.pub_id: 0 for rec in pubs}
-    years = {rec.pub_id: rec.year for rec in pubs}
-    for ev in citations:
-        base = years.get(ev.cited_pub_id)
-        if base is None:
-            continue
-        if base + offset <= ev.citing_year <= base + offset + 2:
-            counts[ev.cited_pub_id] += 1
+    citing_years = citations.citing_years.get
+    counts = {}
+    for rec in pubs:
+        first = rec.year + offset
+        counts[rec.pub_id] = sum(first <= year <= first + 2
+                                 for year in citing_years(rec.pub_id, ()))
     return counts
 
 
@@ -109,16 +95,17 @@ def tag_success(pubs: PublicationTable, counts: dict[str, int],
                 thresholds: Thresholds) -> SuccessTagTable:
     """Tag each publication; a multi-field publication qualifies via any field.
     Every cell of ``pubs`` has thresholds when they were computed from it."""
-    tags = []
+    top10: set[str] = set()
+    top1: set[str] = set()
     for rec in pubs:
         c = counts[rec.pub_id]
-        top10 = top1 = False
         for field_id in rec.fields:
             th10, th1 = thresholds[field_id, rec.year]
-            top10 = top10 or c >= th10.threshold
-            top1 = top1 or c >= th1.threshold
-        tags.append(SuccessTag(pub_id=rec.pub_id, citations_3y=c, top10=top10, top1=top1))
-    return SuccessTagTable(tags)
+            if c >= th10.threshold:
+                top10.add(rec.pub_id)
+            if c >= th1.threshold:
+                top1.add(rec.pub_id)
+    return SuccessTagTable(counts, top10, top1)
 
 
 def compute_tags(pubs: PublicationTable, citations: CitationTable,
@@ -133,12 +120,19 @@ def compute_tags(pubs: PublicationTable, citations: CitationTable,
 
 def write_success_tags_csv(tags: SuccessTagTable, path: str | Path):
     write_csv(path, ["pub_id", "citations_3y", "top10", "top1"],
-              ((t.pub_id, t.citations_3y, int(t.top10), int(t.top1)) for t in tags))
+              ((pub_id, c, int(pub_id in tags.top10), int(pub_id in tags.top1))
+               for pub_id, c in tags.counts.items()))
 
 
 def read_success_tags_csv(path: str | Path) -> SuccessTagTable:
-    return SuccessTagTable([SuccessTag(pub_id, int(citations), bool(int(top10)), bool(int(top1)))
-                            for pub_id, citations, top10, top1 in read_csv(path)])
+    tags = SuccessTagTable({}, set(), set())
+    for pub_id, c, top10, top1 in read_csv(path):
+        tags.counts[pub_id] = int(c)
+        if top10 == "1":
+            tags.top10.add(pub_id)
+        if top1 == "1":
+            tags.top1.add(pub_id)
+    return tags
 
 
 def write_thresholds_csv(thresholds: list[PercentileThreshold], path: str | Path):

@@ -563,10 +563,9 @@ def verify_against_truth(teams, relations, tags, truth: GroundTruth) -> VerifyRe
     if report.n_truth_overlaps:
         report.overlap_match_rate = report.overlap_matches / report.n_truth_overlaps
 
-    report.n_pubs_checked = len(tags)
-    for tag in tags:
-        expected = truth.tags.get(tag.pub_id, (False, False))
-        if (tag.top10, tag.top1) == tuple(expected):
+    report.n_pubs_checked = len(tags.counts)
+    for pub_id in tags.counts:
+        if tags.flags(pub_id) == tuple(truth.tags.get(pub_id, (False, False))):
             report.tag_matches += 1
     if report.n_pubs_checked:
         report.tag_match_rate = report.tag_matches / report.n_pubs_checked

@@ -6,7 +6,7 @@ from pathlib import Path
 
 from teammine.ingest import Affiliation, AuthorEntry, PublicationRecord, PublicationTable
 from teammine.pipeline import Pipeline, PipelineConfig
-from teammine.success import SuccessTag, SuccessTagTable
+from teammine.success import SuccessTagTable
 from teammine.teams import Team
 
 DEFAULT_AFF = {"org": "org0", "city": "city0", "country": "NL",
@@ -36,8 +36,9 @@ def table(records) -> PublicationTable:
 
 
 def tag_table(entries: dict[str, tuple[int, bool, bool]]) -> SuccessTagTable:
-    return SuccessTagTable([SuccessTag(pub_id, c, t10, t1)
-                            for pub_id, (c, t10, t1) in entries.items()])
+    return SuccessTagTable({pub_id: c for pub_id, (c, _, _) in entries.items()},
+                           {pub_id for pub_id, (_, t10, _) in entries.items() if t10},
+                           {pub_id for pub_id, (_, _, t1) in entries.items() if t1})
 
 
 def team(team_id: int, members, intervals, pubs=(), metrics=None) -> Team:

@@ -3,13 +3,16 @@ whose first broken rule ``teammine.ingest`` must report.
 
 ``reference_parser`` stands in for ``ingest._record_parser``, so a load can be
 repeated with every record decided here and compared with the real one.
+``reference_citations`` and ``reference_three_year_citations`` keep every
+kept citation row as a (citing, cited, year) event and count from the list.
 """
 
 import sys
 
 from teammine.errors import IngestError
-from teammine.ingest import (Affiliation, AuthorEntry, _affiliations_reject_reason,
-                             _coordinate, _record_reject_reason)
+from teammine.ingest import (_INTEGER, Affiliation, AuthorEntry, _affiliations_reject_reason,
+                             _coordinate, _csv_rows, _record_reject_reason)
+from teammine.success import WINDOW_INCLUSIVE
 
 
 def _require(cond: bool, message: str, line: int):
@@ -93,3 +96,57 @@ def reference_parser(year_min: int, year_max: int):
                 _domain_reject_reason(year, doc_type, fields, authors, year_min, year_max))
 
     return parse
+
+
+def reference_citations(path, pubs) -> tuple[list[tuple[str, str, int]], dict[str, int]]:
+    """The (citing_pub_id, cited_pub_id, citing_year) events of the rows
+    ``ingest.load_citations`` keeps, in row order, and its drop counts."""
+    events = []
+    drops: dict[str, int] = {}
+
+    def drop(reason: str):
+        drops[reason] = drops.get(reason, 0) + 1
+
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+        rows = _csv_rows(fh)
+        _, header = next(rows, (1, None))
+        if header != ["citing_pub_id", "cited_pub_id", "citing_year"]:
+            raise IngestError("citation file must start with header "
+                              "'citing_pub_id,cited_pub_id,citing_year'", line=1)
+        for line_no, row in rows:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise IngestError(f"expected 3 columns, got {len(row)}", line=line_no)
+            citing_id, cited_id, year_raw = row
+            cited = pubs.get(cited_id)
+            if cited is None:
+                drop("unknown_cited")
+                continue
+            if year_raw == "":
+                citing = pubs.get(citing_id)
+                if citing is None:
+                    drop("missing_year")
+                    continue
+                citing_year = citing.year
+            elif _INTEGER.fullmatch(year_raw):
+                citing_year = int(year_raw)
+            else:
+                raise IngestError(f"citing_year {year_raw!r} is not an integer", line=line_no)
+            if citing_year < cited.year:
+                drop("year_before_cited")
+                continue
+            events.append((citing_id, cited_id, citing_year))
+    return events, drops
+
+
+def reference_three_year_citations(pubs, events, mode: str) -> dict[str, int]:
+    """Citation count per pub_id in record order, one event at a time."""
+    offset = 0 if mode == WINDOW_INCLUSIVE else 1
+    counts = {rec.pub_id: 0 for rec in pubs}
+    years = {rec.pub_id: rec.year for rec in pubs}
+    for _, cited_id, citing_year in events:
+        base = years.get(cited_id)
+        if base is not None and base + offset <= citing_year <= base + offset + 2:
+            counts[cited_id] += 1
+    return counts

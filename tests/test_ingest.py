@@ -1,13 +1,16 @@
+import codecs
 import csv
 import io
 import json
 import re
+import shutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from teammine import ingest
+from teammine.csvio import read_csv
 from teammine.errors import IngestError
 from teammine.ingest import (corpus_stats, load_citations, load_publications,
                              read_publications_jsonl, write_publications_jsonl)
@@ -15,7 +18,8 @@ from teammine.pipeline import Pipeline, PipelineConfig
 from teammine.presets import random_planted_config, wired_overlap_config
 from teammine.synthgen import SynthConfig, generate_corpus
 
-from helpers import pub, pub_json, table, tag_table, write_citations, write_jsonl
+from helpers import (pub, pub_json, run_pipeline, table, tag_table, write_citations,
+                     write_jsonl)
 from ingest_reference import reference_parser
 
 YEARS = (2008, 2020)
@@ -363,6 +367,38 @@ def test_reader_matches_loader_on_run_corpus(tmp_path, preset):
     _assert_canonical(loaded, paths, tmp_path)
 
 
+@pytest.mark.parametrize("name", ["publications.jsonl", "citations.csv"])
+def test_byte_order_mark_changes_no_artifact(tmp_path, name):
+    config = random_planted_config()
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    generate_corpus(config, plain)
+    shutil.copytree(plain, marked)
+    (marked / name).write_bytes(codecs.BOM_UTF8 + (plain / name).read_bytes())
+    artifacts = []
+    for corpus in (plain, marked):
+        out = corpus / "out"
+        run_pipeline(corpus, out, config.year_min, config.year_max)
+        artifacts.append({path.name: path.read_bytes()
+                          for path in [*out.glob("*.csv"), *out.glob("*.jsonl")]})
+    assert len(artifacts[0]) > 30
+    assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.parametrize("name,lines", [
+    ("pubs.jsonl", [json.dumps(pub_json("p1", 2010, ["a1"])).encode(), b"{"]),
+    ("cites.csv", [b"citing_pub_id,cited_pub_id,citing_year", b"x1,p1,notayear"]),
+])
+def test_byte_order_mark_keeps_line_numbers(tmp_path, name, lines):
+    pubs = _pubs_for_citations(tmp_path)
+    path = tmp_path / name
+    path.write_bytes(codecs.BOM_UTF8 + b"\n".join(lines) + b"\n")
+    with pytest.raises(IngestError, match="^line 2: "):
+        if name == "pubs.jsonl":
+            load_publications(path, *YEARS)
+        else:
+            _load_citations(path, pubs)
+
+
 def test_reader_matches_loader_on_every_affiliation_shape(tmp_path):
     geo_only = {"lat": 1, "lon": -2}
     org_only = {"org_id": "o9"}
@@ -392,19 +428,27 @@ def _pubs_for_citations(tmp_path):
     return load_publications(path, *YEARS)
 
 
+def _load_citations(path, pubs):
+    """``load_citations`` of ``path``, and the rows it wrote to the canonical
+    file beside it."""
+    canonical = path.with_name("canonical_citations.csv")
+    cites = load_citations(path, pubs, canonical)
+    return cites, list(read_csv(canonical))
+
+
 def test_empty_citation_file(tmp_path):
     pubs = _pubs_for_citations(tmp_path)
     path = tmp_path / "cites.csv"
     write_citations(path, [])
-    assert len(load_citations(path, pubs)) == 0
+    assert _load_citations(path, pubs)[1] == []
 
 
 def test_unknown_cited_dropped(tmp_path):
     pubs = _pubs_for_citations(tmp_path)
     path = tmp_path / "cites.csv"
     write_citations(path, [("x1", "nope", 2011)])
-    cites = load_citations(path, pubs)
-    assert len(cites) == 0
+    cites, rows = _load_citations(path, pubs)
+    assert cites.citing_years == {} and rows == []
     assert cites.drop_counts == {"unknown_cited": 1}
 
 
@@ -412,24 +456,25 @@ def test_all_window_events_stored(tmp_path):
     pubs = _pubs_for_citations(tmp_path)
     path = tmp_path / "cites.csv"
     write_citations(path, [("x1", "p1", 2010), ("x2", "p1", 2011), ("x3", "p1", 2015)])
-    cites = load_citations(path, pubs)
-    assert [(e.cited_pub_id, e.citing_year) for e in cites] == \
-        [("p1", 2010), ("p1", 2011), ("p1", 2015)]
+    cites, rows = _load_citations(path, pubs)
+    assert cites.citing_years == {"p1": [2010, 2011, 2015]}
+    assert rows == [["x1", "p1", "2010"], ["x2", "p1", "2011"], ["x3", "p1", "2015"]]
 
 
 def test_citing_year_defaults_to_citing_pub_year(tmp_path):
     pubs = _pubs_for_citations(tmp_path)
     path = tmp_path / "cites.csv"
     write_citations(path, [("p2", "p1", "")])
-    cites = load_citations(path, pubs)
-    assert cites.events[0].citing_year == 2012
+    cites, rows = _load_citations(path, pubs)
+    assert cites.citing_years == {"p1": [2012]}
+    assert rows == [["p2", "p1", "2012"]]
 
 
 def test_missing_year_unknown_citing_dropped(tmp_path):
     pubs = _pubs_for_citations(tmp_path)
     path = tmp_path / "cites.csv"
     write_citations(path, [("ghost", "p1", "")])
-    cites = load_citations(path, pubs)
+    cites, _ = _load_citations(path, pubs)
     assert cites.drop_counts == {"missing_year": 1}
 
 
@@ -437,8 +482,8 @@ def test_year_before_cited_dropped(tmp_path):
     pubs = _pubs_for_citations(tmp_path)
     path = tmp_path / "cites.csv"
     write_citations(path, [("x1", "p1", 2009)])
-    cites = load_citations(path, pubs)
-    assert len(cites) == 0
+    cites, rows = _load_citations(path, pubs)
+    assert cites.citing_years == {} and rows == []
     assert cites.drop_counts == {"year_before_cited": 1}
 
 
@@ -448,7 +493,7 @@ def test_malformed_citation_line_fatal(tmp_path):
     with open(path, "w") as fh:
         fh.write("citing_pub_id,cited_pub_id,citing_year\nx1,p1,notayear\n")
     with pytest.raises(IngestError, match="line 2"):
-        load_citations(path, pubs)
+        _load_citations(path, pubs)
 
 
 @pytest.mark.parametrize("year", ["2_012", " 2012 ", "+2012", "\u0662\u0660\u0661\u0662"])
@@ -460,10 +505,11 @@ def test_citing_year_is_ascii_digits(tmp_path, year):
     write_citations(path, [("x0", "p1", "-7"), ("x1", "p1", "02012"), ("x2", "p1", year)])
     message = f"line 4: citing_year {year!r} is not an integer"
     with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
-        load_citations(path, pubs)
+        _load_citations(path, pubs)
     write_citations(path, [("x0", "p1", "-7"), ("x1", "p1", "02012")])
-    cites = load_citations(path, pubs)
-    assert [e.citing_year for e in cites] == [2012]
+    cites, rows = _load_citations(path, pubs)
+    assert cites.citing_years == {"p1": [2012]}
+    assert rows == [["x1", "p1", "2012"]]
     assert cites.drop_counts == {"year_before_cited": 1}
 
 
@@ -472,7 +518,7 @@ def test_invalid_utf8_citation_line_is_ingest_error(tmp_path):
     path = tmp_path / "cites.csv"
     path.write_bytes(b"citing_pub_id,cited_pub_id,citing_year\nx1,p1,2010\nx2,\xff,2011\n")
     with pytest.raises(IngestError, match="line 3: invalid UTF-8"):
-        load_citations(path, pubs)
+        _load_citations(path, pubs)
 
 
 def test_oversized_citation_field_is_ingest_error(tmp_path):
@@ -481,15 +527,15 @@ def test_oversized_citation_field_is_ingest_error(tmp_path):
     path.write_text("citing_pub_id,cited_pub_id,citing_year\nx0,p1,2010\n"
                     f"x1,{'p' * 140_000},2011\n")
     with pytest.raises(IngestError, match="line 3: malformed CSV"):
-        load_citations(path, pubs)
+        _load_citations(path, pubs)
 
 
 def test_crlf_citation_lines(tmp_path):
     pubs = _pubs_for_citations(tmp_path)
     path = tmp_path / "cites.csv"
     path.write_bytes(b"citing_pub_id,cited_pub_id,citing_year\r\nx1,p1,2010\r\nx2,p2,\r\n")
-    cites = load_citations(path, pubs)
-    assert [(e.citing_pub_id, e.citing_year) for e in cites] == [("x1", 2010)]
+    cites, rows = _load_citations(path, pubs)
+    assert rows == [["x1", "p1", "2010"]]
     assert cites.drop_counts == {"missing_year": 1}
 
 
@@ -721,13 +767,13 @@ def test_fuzz_load_citations(tmp_path, lines):
     path = tmp_path / "cites.csv"
     path.write_bytes(data)
     try:
-        cites = load_citations(path, pubs)
+        _, rows = _load_citations(path, pubs)
     except IngestError as exc:
         _assert_names_line(exc, data)
         return
-    for event in cites:
-        assert event.cited_pub_id in pubs
-        assert event.citing_year >= pubs.get(event.cited_pub_id).year
+    for _, cited_id, citing_year in rows:
+        assert pubs.get(cited_id) is not None
+        assert int(citing_year) >= pubs.get(cited_id).year
 
 
 # --- document type prevalence ---

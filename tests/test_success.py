@@ -1,19 +1,27 @@
+import re
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from teammine.ingest import CitationEvent, CitationTable
-from teammine.success import (TOP1, TOP10, WINDOW_AFTER, compute_tags,
+from teammine.csvio import read_csv
+from teammine.errors import IngestError
+from teammine.ingest import CitationTable, load_citations
+from teammine.success import (TOP1, TOP10, WINDOW_AFTER, WINDOWS, compute_tags,
                               percentile_thresholds, tag_success,
                               three_year_citations)
 
-from helpers import pub, table
+from helpers import pub, table, write_citations
+from ingest_reference import reference_citations, reference_three_year_citations
 
 
 def cite_table(rows):
-    return CitationTable(events=[CitationEvent(f"x{i}", cited, year)
-                                 for i, (cited, year) in enumerate(rows)])
+    """The citations of (cited pub_id, citing year) rows."""
+    citing_years = {}
+    for cited, year in rows:
+        citing_years.setdefault(cited, []).append(year)
+    return CitationTable(citing_years=citing_years)
 
 
 def test_three_year_window_inclusive():
@@ -80,14 +88,13 @@ def test_tag_any_field_rule():
     counts.update({f"b{i}": 1 for i in range(9)})
     counts["p"] = 100  # rank 81 of 100 in Fa; rank 1 of 10 in Fb
     tags = tag_success(pubs, counts, percentile_thresholds(pubs, counts))
-    assert tags.get("p").top1
-    assert tags.get("p").top10
+    assert tags.flags("p") == (True, True)
 
 
 def test_all_zero_cell_tags_nothing():
     pubs, counts = _cell({f"p{i}": 0 for i in range(50)})
     tags = tag_success(pubs, counts, percentile_thresholds(pubs, counts))
-    assert all(not t.top1 and not t.top10 for t in tags)
+    assert tags.top1 == tags.top10 == set()
 
 
 @st.composite
@@ -109,8 +116,7 @@ def cell_corpora(draw):
 def test_top1_subset_of_top10(corpus):
     pubs, counts = corpus
     tags = tag_success(pubs, counts, percentile_thresholds(pubs, counts))
-    for tag in tags:
-        assert not tag.top1 or tag.top10
+    assert tags.top1 <= tags.top10
 
 
 @given(cell_corpora(), st.integers(2, 9))
@@ -121,7 +127,7 @@ def test_scaling_counts_keeps_tags(corpus, factor):
 
     def tagset(cs):
         tags = tag_success(pubs, cs, percentile_thresholds(pubs, cs))
-        return {(t.pub_id, t.top10, t.top1) for t in tags}
+        return tags.top10, tags.top1
 
     assert tagset(counts) == tagset(scaled)
 
@@ -154,8 +160,54 @@ def test_compute_tags_bundle():
     pubs = table([pub(f"p{i}", 2010, ["a1"]) for i in range(100)])
     cites = cite_table([(f"p{i}", 2010) for i in range(10) for _ in range(10 - i)])
     tags, thresholds = compute_tags(pubs, cites)
-    assert tags.get("p0").citations_3y == 10
-    assert tags.get("p0").top1
-    assert sum(1 for t in tags if t.top10) == 10
+    assert tags.counts["p0"] == 10
+    assert "p0" in tags.top1
+    assert len(tags.top10) == 10
     qs = {th.q for th in thresholds}
     assert qs == {Fraction(1, 100), Fraction(1, 10)}
+
+
+@st.composite
+def cited_corpora(draw):
+    """Records over two fields and five years, and citation rows naming them,
+    unknown ids, blank, early, late and, rarely, non-integer citing years."""
+    years = draw(st.lists(st.integers(2010, 2014), min_size=1, max_size=12))
+    records = [pub(f"p{i}", year, ["a1"],
+                   fields=draw(st.sampled_from([("F0",), ("F1",), ("F0", "F1")])))
+               for i, year in enumerate(years)]
+    ids = st.sampled_from([rec.pub_id for rec in records] + ["ghost", "x1"])
+    year_raw = st.integers(2008, 2019).map(str) | st.sampled_from(["", "02012", "-3"])
+    rows = draw(st.lists(st.tuples(ids, ids, year_raw), max_size=60))
+    if rows and draw(st.integers(0, 9)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.tuples(ids, ids, st.just("1e3"))))
+    return table(records), rows
+
+
+@given(cited_corpora())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_citing_years_match_event_list_oracle(tmp_path, corpus):
+    """The canonical rows and drop counts of ``load_citations``, and the
+    counts and tiers of ``compute_tags`` under both windows, are those of the
+    event-list oracle."""
+    pubs, rows = corpus
+    path, canonical = tmp_path / "cites.csv", tmp_path / "canonical.csv"
+    write_citations(path, rows)
+    try:
+        events, drops = reference_citations(path, pubs)
+    except IngestError as exc:
+        with pytest.raises(IngestError, match=f"^{re.escape(str(exc))}$"):
+            load_citations(path, pubs, canonical)
+        return
+    cites = load_citations(path, pubs, canonical)
+    assert list(read_csv(canonical)) == [[a, b, str(year)] for a, b, year in events]
+    assert cites.drop_counts == drops
+    for mode in WINDOWS:
+        counts = reference_three_year_citations(pubs, events, mode)
+        thresholds = percentile_thresholds(pubs, counts)
+        tiers = [{rec.pub_id for rec in pubs
+                  if any(counts[rec.pub_id] >= thresholds[f, rec.year][i].threshold
+                         for f in rec.fields)} for i in (0, 1)]
+        tags, _ = compute_tags(pubs, cites, mode)
+        assert list(tags.counts.items()) == list(counts.items())
+        assert [tags.top10, tags.top1] == tiers
