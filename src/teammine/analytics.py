@@ -1,10 +1,11 @@
 """Aggregate tables behind the study figures, one machine-readable CSV each.
 
-Every row carries its population N next to the value, and values derived from
-counts keep the integer count alongside so that value * N always reconstructs
-a whole number. Team age is 1-based: a team's first duration year is age 1,
-and duration is measured on the duration span (end - start + 1) even when the
-underlying intervals are disconnected.
+Each CSV row holds its keys, then ``value,n,flag``: the value, its population
+N, and why a value is missing. A value derived from a count gives the count
+back as value * N, divided by 100 in a table of percentages. Team age is
+1-based: a team's first duration year is age 1, and duration is measured on
+the duration span (end - start + 1) even when the underlying intervals are
+disconnected.
 """
 
 from __future__ import annotations
@@ -32,15 +33,15 @@ class SeriesRow:
 
 @dataclass
 class SeriesTable:
-    figure_id: str
     key_names: tuple[str, ...]
+    percent: bool  # whether add_fraction gives percentages rather than shares
     rows: list[SeriesRow] = field(default_factory=list)
 
-    def add_fraction(self, keys: tuple, count: int, n: int, percent: bool = False):
+    def add_fraction(self, keys: tuple, count: int, n: int):
         if n == 0:
             self.rows.append(SeriesRow(keys, None, 0, None, "no_population"))
             return
-        scale = 100 if percent else 1
+        scale = 100 if self.percent else 1
         self.rows.append(SeriesRow(keys, scale * count / n, n, count))
 
     def to_csv(self, path: str | Path):
@@ -84,15 +85,15 @@ def team_prevalence(pubs: PublicationTable, teams: list[Team], tags: SuccessTagT
             cell = by_country.setdefault(country, [0, 0])
             cell[0] += 1
             cell[1] += in_team
-    by_year_table = SeriesTable("fig1a", ("population", "year"))
+    by_year_table = SeriesTable(("population", "year"), percent=True)
     for name in ("all", "top10", "top1"):
         for year in range(year_min, year_max + 1):
             n, count = by_year.get((name, year), (0, 0))
-            by_year_table.add_fraction((name, year), count, n, percent=True)
-    by_country_table = SeriesTable("fig1b", ("country",))
+            by_year_table.add_fraction((name, year), count, n)
+    by_country_table = SeriesTable(("country",), percent=True)
     for country in sorted(by_country):
         n, count = by_country[country]
-        by_country_table.add_fraction((country,), count, n, percent=True)
+        by_country_table.add_fraction((country,), count, n)
     return by_year_table, by_country_table
 
 
@@ -108,7 +109,7 @@ def success_prob_by_age(teams: list[Team], profiles: dict[int, SuccessProfile],
             cell = cells.setdefault((team.duration, year - team.duration_start + 1), [0, 0])
             cell[0] += 1
             cell[1] += hit
-    table = SeriesTable("fig2a", ("duration", "age"))
+    table = SeriesTable(("duration", "age"), percent=False)
     for cohort, age in sorted(cells):
         n, count = cells[(cohort, age)]
         table.add_fraction((cohort, age), count, n)
@@ -128,11 +129,10 @@ def first_success_distribution(teams: list[Team], profiles: dict[int, SuccessPro
         cohorts.setdefault(team.duration, {})
         cohorts[team.duration][age] = cohorts[team.duration].get(age, 0) + 1
         totals[team.duration] = totals.get(team.duration, 0) + 1
-    table = SeriesTable("fig2b", ("duration", "age"))
+    table = SeriesTable(("duration", "age"), percent=True)
     for duration in sorted(cohorts):
         for age in range(1, duration + 1):
-            table.add_fraction((duration, age), cohorts[duration].get(age, 0),
-                               totals[duration], percent=True)
+            table.add_fraction((duration, age), cohorts[duration].get(age, 0), totals[duration])
     return table
 
 
@@ -149,13 +149,13 @@ def newly_successful_rate(teams: list[Team], profiles: dict[int, SuccessProfile]
         first = getattr(profiles[team.team_id], which).first_year
         first_ages.append((None if first is None else first - team.duration_start + 1,
                            team.duration))
-    table = SeriesTable("figs2add", ("q", "age"))
+    table = SeriesTable(("q", "age"), percent=True)
     label = "0.01" if which == "top1" else "0.10"
     for age in range(1, max_duration + 1):
         at_risk = sum(1 for first, duration in first_ages
                       if duration >= age and (first is None or first >= age))
         newly = sum(1 for first, duration in first_ages if first == age)
-        table.add_fraction((label, age), newly, at_risk, percent=True)
+        table.add_fraction((label, age), newly, at_risk)
     return table
 
 
@@ -187,7 +187,7 @@ def success_by_composition(teams: list[Team], profiles: dict[int, SuccessProfile
             cell = bins.setdefault((metric, bin_value), [0, 0])
             cell[0] += len(team.pubs)
             cell[1] += n_top
-    table = SeriesTable("fig3", ("metric", "bin"))
+    table = SeriesTable(("metric", "bin"), percent=False)
     for metric, bin_value in sorted(bins):
         n, count = bins[(metric, bin_value)]
         table.add_fraction((metric, bin_value), count, n)
@@ -227,8 +227,8 @@ def success_by_impulse_count(teams: list[Team], summaries: dict[int, ImpulseSumm
                 count = getattr(summary, impulse if stratum == "any" else f"{impulse}_{stratum}")
                 if count >= 1:
                     tally((impulse, stratum, count), team, successful, n_top)
-    table_a = SeriesTable("fig5a", ("impulse", "stratum", "count"))
-    table_b = SeriesTable("fig5b", ("impulse", "stratum", "count"))
+    table_a = SeriesTable(("impulse", "stratum", "count"), percent=False)
+    table_b = SeriesTable(("impulse", "stratum", "count"), percent=False)
     for key in sorted(team_cells):
         n, count = team_cells[key]
         table_a.add_fraction(key, count, n)
@@ -253,7 +253,7 @@ def success_by_impulse_rate(teams: list[Team], summaries: dict[int, ImpulseSumma
         cell[0] += 1
         cell[1] += n_top >= 1
         cell[2] += n_top >= 2
-    table = SeriesTable("fig5c", ("group", "bin", "measure"))
+    table = SeriesTable(("group", "bin", "measure"), percent=False)
     for group, bin_value in sorted(cells):
         n, ge1, ge2 = cells[(group, bin_value)]
         table.add_fraction((group, bin_value, "ge1"), ge1, n)
@@ -286,7 +286,7 @@ def first_success_shift(teams: list[Team], summaries: dict[int, ImpulseSummary],
         buckets = cohort_ages.setdefault(team.duration, {})
         for condition in conditions:
             buckets.setdefault(condition, []).append(age)
-    table = SeriesTable("fig5d", ("duration", "condition"))
+    table = SeriesTable(("duration", "condition"), percent=False)
     for duration in sorted(cohort_ages):
         buckets = cohort_ages[duration]
         closed = buckets.get("closed", [])

@@ -99,10 +99,12 @@ def _cmd_verify(args) -> int:
     except (ValueError, KeyError, TypeError, AttributeError):  # not a truth object
         raise TeammineError(f"truth file {args.truth} is not a truth.json written "
                             f"by 'teammine synth'") from None
-    for name in ("teams.csv", "team_pubs.csv", "overlaps.csv", "success_tags.csv"):
+    artifacts = ("teams.csv", "team_pubs.csv", "overlaps.csv", "success_tags.csv")
+    for name in artifacts:
         if not (out / name).exists():
             raise MissingArtifactError(f"artifact {out / name} is missing; "
                                        f"run 'teammine all' first")
+    Pipeline(PipelineConfig(out_dir=args.out)).check_outputs("verify", artifacts)
     teams = read_teams_csv(out / "teams.csv", out / "team_pubs.csv")
     relations = read_overlaps_csv(out / "overlaps.csv")
     tags = read_success_tags_csv(out / "success_tags.csv")

@@ -1,4 +1,8 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline.
+
+Only faults of the input, the configuration or the out dir raise; a team pair
+breaking an overlap lemma is a value of ``overlaps.classify_overlap``, counted
+in ``overlap_anomalies.csv``."""
 
 
 class TeammineError(Exception):
@@ -21,10 +25,6 @@ class ConfigError(TeammineError):
 
 class InfeasibleConfigError(ConfigError):
     """Synthetic corpus configuration that cannot satisfy its own guarantees."""
-
-
-class InternalInconsistencyError(TeammineError):
-    """Structural lemma violated; indicates a bug upstream of the caller."""
 
 
 class MissingArtifactError(TeammineError):

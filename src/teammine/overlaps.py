@@ -18,8 +18,9 @@ A simultaneous core's first-year output is almost surely shared with the focal
 team, and a preceding offshoot with a shared core would double-count the
 core's persistence impulse; both are recorded with impulse "none". Clique
 structure forces a core's span to contain the focal span (and an extension's
-to sit inside it); pairs violating that raise, and the batch classifier counts
-them as anomalies instead of classifying them.
+to sit inside it), and two teams never share one member set. A pair breaking
+such a lemma is classified as the lemma's name instead of a relation, and the
+batch classifier counts those names as anomalies.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from enum import Enum
 from pathlib import Path
 
 from teammine.csvio import read_csv, write_csv
-from teammine.errors import InternalInconsistencyError
 from teammine.teams import SuccessProfile, Team, TeamTable
 
 
@@ -128,15 +128,11 @@ def shared_core_test(focal: Team, offshoot: Team, teams: TeamTable,
     return False
 
 
-def _inconsistent(code: str, message: str):
-    exc = InternalInconsistencyError(message)
-    exc.code = code
-    raise exc
-
-
 def classify_overlap(focal: Team, other: Team, teams: TeamTable,
-                     index: dict[str, list[int]]) -> OverlapRelation:
-    """Classify one candidate pair; raises when clique-structure lemmas fail."""
+                     index: dict[str, list[int]]) -> OverlapRelation | str:
+    """Classify one candidate pair, or name the clique-structure lemma it
+    breaks: ``core_span``, ``extension_span``, ``duplicate_member_set`` or
+    ``infeasible_cell``."""
     members_f = set(focal.members)
     members_o = set(other.members)
     timing = _timing(focal, other)
@@ -147,8 +143,7 @@ def classify_overlap(focal: Team, other: Team, teams: TeamTable,
                     and (other.duration_start < focal.duration_start
                          or other.duration_end > focal.duration_end))
         if not spans_ok:
-            _inconsistent("core_span", f"core team {other.team_id} does not span "
-                                       f"focal team {focal.team_id}")
+            return "core_span"
     elif members_f < members_o:
         kind = OverlapKind.EXTENSION
         spans_ok = (focal.duration_start <= other.duration_start
@@ -156,28 +151,23 @@ def classify_overlap(focal: Team, other: Team, teams: TeamTable,
                     and (focal.duration_start < other.duration_start
                          or other.duration_end < focal.duration_end))
         if not spans_ok:
-            _inconsistent("extension_span", f"extension team {other.team_id} not "
-                                            f"inside focal team {focal.team_id}")
+            return "extension_span"
+    elif members_f == members_o:
+        return "duplicate_member_set"
+    elif shared_core_test(focal, other, teams, index):
+        kind = OverlapKind.OFFSHOOT_SHARED_CORE
     else:
-        if members_f == members_o:
-            _inconsistent("duplicate_member_set",
-                          f"teams {focal.team_id} and {other.team_id} share one member set")
-        if shared_core_test(focal, other, teams, index):
-            kind = OverlapKind.OFFSHOOT_SHARED_CORE
-        else:
-            kind = OverlapKind.OFFSHOOT_NO_SHARED_CORE
+        kind = OverlapKind.OFFSHOOT_NO_SHARED_CORE
     impulse = _IMPULSE_TABLE.get((kind, timing))
     if impulse is None:
-        _inconsistent("infeasible_cell",
-                      f"infeasible cell {kind.value}+{timing.value} for teams "
-                      f"{focal.team_id}/{other.team_id}")
+        return "infeasible_cell"
     return OverlapRelation(focal.team_id, other.team_id, kind, timing, impulse)
 
 
 def classify_all(teams: TeamTable) -> tuple[list[OverlapRelation], dict[str, int]]:
     """Relations for every candidate pair, plus anomaly counts.
 
-    Pairs that violate a structural lemma are excluded from the relation list
+    Pairs that break a structural lemma are excluded from the relation list
     and tallied by lemma; noise-free corpora must produce zero anomalies.
     """
     index = build_member_index(teams)
@@ -185,11 +175,11 @@ def classify_all(teams: TeamTable) -> tuple[list[OverlapRelation], dict[str, int
     anomalies: dict[str, int] = {}
     for focal in teams:
         for other_id in overlap_candidates_for(focal, teams, index):
-            try:
-                relations.append(classify_overlap(focal, teams.get(other_id), teams, index))
-            except InternalInconsistencyError as exc:
-                code = getattr(exc, "code", "other")
-                anomalies[code] = anomalies.get(code, 0) + 1
+            result = classify_overlap(focal, teams.get(other_id), teams, index)
+            if isinstance(result, str):
+                anomalies[result] = anomalies.get(result, 0) + 1
+            else:
+                relations.append(result)
     return relations, anomalies
 
 

@@ -299,14 +299,22 @@ class Pipeline:
         if entry["outputs"].keys() != set(_BY_NAME[stage].outputs):
             return StaleCacheError(f"the manifest entry of stage '{stage}' names other "
                                    f"outputs than the stage writes; rerun '{stage}'")
-        for name, digest in entry["outputs"].items():
-            path = self._artifact(name)
-            if not path.exists():
-                return MissingArtifactError(f"artifact {name} from stage '{stage}' is missing; "
-                                            f"rerun '{stage}'")
-            if self._digest(path) != digest:
-                return StaleCacheError(f"artifact {name} no longer matches what stage "
-                                       f"'{stage}' produced; rerun '{stage}'")
+        for name in entry["outputs"]:
+            refusal = self._output_refusal(stage, name)
+            if refusal is not None:
+                return refusal
+        return None
+
+    def _output_refusal(self, stage: str, name: str):
+        """Why the output ``name`` of ``stage`` is not what the manifest entry
+        of ``stage`` records, as the error refusing it, or None."""
+        path = self._artifact(name)
+        if not path.exists():
+            return MissingArtifactError(f"artifact {name} from stage '{stage}' is missing; "
+                                        f"rerun '{stage}'")
+        if self._digest(path) != self.manifest[stage]["outputs"].get(name):
+            return StaleCacheError(f"artifact {name} no longer matches what stage "
+                                   f"'{stage}' produced; rerun '{stage}'")
         return None
 
     def _check_prereq(self, user: str, prereqs: tuple[str, ...]):
@@ -325,6 +333,18 @@ class Pipeline:
             if refusal is not None:
                 raise refusal
             stages += [p for p in producers(_BY_NAME[stage].inputs) if p not in stages]
+
+    def check_outputs(self, user: str, names: tuple[str, ...]):
+        """Refuse unless each artifact of ``names`` is on disk as the manifest
+        entry of the stage producing it records. Unlike ``_check_prereq`` it
+        compares neither settings nor inputs, so it needs no configuration."""
+        self._digests = {}
+        for name in names:
+            stage = _PRODUCER[name]
+            refusal = (self._refusal(stage, user) if stage not in self.manifest
+                       else self._output_refusal(stage, name))
+            if refusal is not None:
+                raise refusal
 
     # --- running ---
 
@@ -411,7 +431,7 @@ class Pipeline:
         write_thresholds_csv(thresholds, self._artifact("thresholds.csv"))
         self._mem["tags"] = tags
         return {"tagged_top10": len(tags.top10), "tagged_top1": len(tags.top1),
-                "cells": len(thresholds) // 2}
+                "cells": len(thresholds)}
 
     def _stage_network(self) -> dict:
         timelines = build_pair_timelines(self._load("pubs"), self.config.author_cap)

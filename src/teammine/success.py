@@ -34,15 +34,6 @@ WINDOW_AFTER = "calendar_after"          # [Y+1, Y+3]
 WINDOWS = (WINDOW_INCLUSIVE, WINDOW_AFTER)
 
 
-@dataclass(frozen=True, slots=True)
-class PercentileThreshold:
-    field_id: str
-    year: int
-    q: Fraction
-    threshold: int
-    population: int
-
-
 @dataclass
 class SuccessTagTable:
     counts: dict[str, int]  # pub_id -> three-year citations, in record order
@@ -69,53 +60,37 @@ def three_year_citations(pubs: PublicationTable, citations: CitationTable,
     return counts
 
 
-Thresholds = dict[tuple[str, int], tuple[PercentileThreshold, PercentileThreshold]]
+# (field, year) cell -> (population, top-10% threshold, top-1% threshold)
+Thresholds = dict[tuple[str, int], tuple[int, int, int]]
 
 
-def percentile_thresholds(pubs: PublicationTable, counts: dict[str, int]) -> Thresholds:
-    """The top-10% and top-1% thresholds, the minimum qualifying citation
-    count, of each (field, year) cell, in cell order; one sort per cell."""
-    cells: dict[tuple[str, int], list[int]] = {}
+def tag_success(pubs: PublicationTable,
+                counts: dict[str, int]) -> tuple[SuccessTagTable, Thresholds]:
+    """The tags, and the thresholds of each (field, year) cell in cell order,
+    from one sort per cell. A threshold is the minimum qualifying citation
+    count; a publication is tagged when it qualifies in any of its cells."""
+    cells: dict[tuple[str, int], list[str]] = {}
     for rec in pubs:
-        c = counts[rec.pub_id]
         for field_id in rec.fields:
-            cells.setdefault((field_id, rec.year), []).append(c)
-    out: Thresholds = {}
+            cells.setdefault((field_id, rec.year), []).append(rec.pub_id)
+    tags = SuccessTagTable(counts, set(), set())
+    thresholds: Thresholds = {}
     for key in sorted(cells):
-        cell = sorted(cells[key], reverse=True)
-        n = len(cell)
+        ids = sorted(cells[key], key=counts.__getitem__, reverse=True)
+        n = len(ids)
         # the count ranked ceil(q * n): index ceil(q * n) - 1, in integers
-        out[key] = tuple(
-            PercentileThreshold(*key, q, max(cell[(q.numerator * n - 1) // q.denominator], 1), n)
-            for q in (TOP10, TOP1))
-    return out
-
-
-def tag_success(pubs: PublicationTable, counts: dict[str, int],
-                thresholds: Thresholds) -> SuccessTagTable:
-    """Tag each publication; a multi-field publication qualifies via any field.
-    Every cell of ``pubs`` has thresholds when they were computed from it."""
-    top10: set[str] = set()
-    top1: set[str] = set()
-    for rec in pubs:
-        c = counts[rec.pub_id]
-        for field_id in rec.fields:
-            th10, th1 = thresholds[field_id, rec.year]
-            if c >= th10.threshold:
-                top10.add(rec.pub_id)
-            if c >= th1.threshold:
-                top1.add(rec.pub_id)
-    return SuccessTagTable(counts, top10, top1)
+        th10, th1 = (max(counts[ids[(q.numerator * n - 1) // q.denominator]], 1)
+                     for q in (TOP10, TOP1))
+        thresholds[key] = (n, th10, th1)
+        for tier, th in ((tags.top10, th10), (tags.top1, th1)):
+            tier.update(pub_id for pub_id in ids if counts[pub_id] >= th)
+    return tags, thresholds
 
 
 def compute_tags(pubs: PublicationTable, citations: CitationTable,
-                 mode: str = WINDOW_INCLUSIVE) -> tuple[SuccessTagTable, list[PercentileThreshold]]:
-    """Full tagging pass: counts, thresholds, tags; the top-10% thresholds of
-    every cell come before the top-1% ones."""
-    counts = three_year_citations(pubs, citations, mode=mode)
-    thresholds = percentile_thresholds(pubs, counts)
-    tags = tag_success(pubs, counts, thresholds)
-    return tags, [pair[i] for i in (0, 1) for pair in thresholds.values()]
+                 mode: str = WINDOW_INCLUSIVE) -> tuple[SuccessTagTable, Thresholds]:
+    """Full tagging pass: the three-year counts, then ``tag_success``."""
+    return tag_success(pubs, three_year_citations(pubs, citations, mode=mode))
 
 
 def write_success_tags_csv(tags: SuccessTagTable, path: str | Path):
@@ -135,7 +110,9 @@ def read_success_tags_csv(path: str | Path) -> SuccessTagTable:
     return tags
 
 
-def write_thresholds_csv(thresholds: list[PercentileThreshold], path: str | Path):
+def write_thresholds_csv(thresholds: Thresholds, path: str | Path):
+    """Every cell's top-10% row, then every cell's top-1% row."""
     write_csv(path, ["field", "year", "q", "threshold", "population"],
-              ((th.field_id, th.year, f"{float(th.q):.2f}", th.threshold, th.population)
-               for th in thresholds))
+              ((field_id, year, q, cell[i], cell[0])
+               for i, q in ((1, "0.10"), (2, "0.01"))
+               for (field_id, year), cell in thresholds.items()))

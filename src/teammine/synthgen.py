@@ -18,14 +18,13 @@ Construction guarantees (checked up front, violations raise):
 * background pairs stay below the persistence minimum, so with a disjoint
   background author pool the planted teams are the only teams.
 
-Every generated publication, planted rejects aside, is an Article in field
-``F0``, so a (field, year) cell of the percentile rule is one publication
-year. Success planting controls citation counts per cell: intended successes
-receive distinct counts descending from the top, everything else zero, and
-single-author filler publications pad each cell so the intended set is
-exactly what the percentile rule tags. All randomness flows from one seed
-through a Mersenne Twister (``random.Random``), so corpora are byte-for-byte
-reproducible.
+Every generated publication is an Article in field ``F0``, so a (field,
+year) cell of the percentile rule is one publication year. Success planting
+controls citation counts per cell: intended successes receive distinct counts
+descending from the top, everything else zero, and single-author filler
+publications pad each cell so the intended set is exactly what the percentile
+rule tags. All randomness flows from one seed through a Mersenne Twister
+(``random.Random``), so corpora are byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ class SynthConfig:
     background_max_authors: int = 3
     success_hazard: float | None = None  # per-age success draw for teams without a plan
     success_q: str = "0.10"              # percentile the planted successes target
-    reject_fraction: float = 0.0         # fraction of input lines planted as rejects
 
 
 @dataclass
@@ -229,8 +227,6 @@ def validate_config(config: SynthConfig):
     if config.background_pubs and config.n_background_authors < config.background_max_authors:
         fail("background_pool", "background author pool smaller than the largest "
                                 "background publication")
-    if not 0.0 <= config.reject_fraction < 1.0:
-        fail("reject_fraction", "must lie in [0, 1)")
     if config.success_q not in ("0.01", "0.10"):
         fail("success_q", "must be '0.01' or '0.10'")
 
@@ -444,12 +440,7 @@ def generate_corpus(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
             if pub_id in top10 or pub_id in top1:
                 truth_tags[pub_id] = (pub_id in top10, pub_id in top1)
 
-    # serialize, with planted reject lines mixed in
     lines = [_pub_line(pub, book) for pub in pubs]
-    if config.reject_fraction > 0.0:
-        n_reject = round(len(lines) * config.reject_fraction / (1.0 - config.reject_fraction))
-        for ri in range(n_reject):
-            lines.append(_reject_line(ri, config.year_min))
     rng.shuffle(lines)
     with open(out_dir / "publications.jsonl", "w", encoding="utf-8", newline="") as fh:
         fh.writelines(lines)
@@ -622,20 +613,3 @@ def fig_s1_corpus(out_dir: str | Path) -> GroundTruth:
     )
     truth.to_json(out_dir / "truth.json")
     return truth
-
-
-def _reject_line(ri: int, year: int) -> str:
-    if ri % 2 == 0:
-        record = {
-            "pub_id": f"r{ri}", "year": year, "doc_type": "Editorial",
-            "fields": [_FIELD],
-            "authors": [{"author_id": f"rej{ri}",
-                         "affiliations": [{"org_id": "oR"}]}],
-        }
-    else:
-        record = {
-            "pub_id": f"r{ri}", "year": year, "doc_type": "Article",
-            "fields": [_FIELD],
-            "authors": [{"author_id": f"rej{ri}", "affiliations": [{}]}],
-        }
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"

@@ -253,11 +253,18 @@ def test_structural_rules_apply_in_order(tmp_path):
 
 
 def test_planted_reject_rate(tmp_path):
-    # 867 valid records plus planted rejects: 13.3% of input lines excluded
+    # 867 valid records plus 133 rejects: 13.3% of input lines excluded
     config = SynthConfig(seed=5, year_min=1, year_max=5,
-                         teams=(), n_background_authors=30, background_pubs=867,
-                         reject_fraction=0.133)
+                         teams=(), n_background_authors=30, background_pubs=867)
     generate_corpus(config, tmp_path)
+    with open(tmp_path / "publications.jsonl", "a", encoding="utf-8") as fh:
+        for i in range(133):  # a non-study document type, or an empty affiliation
+            doc_type, affiliation = (("Editorial", {"org_id": "oR"}) if i % 2 == 0
+                                     else ("Article", {}))
+            fh.write(json.dumps({"pub_id": f"r{i}", "year": 1, "doc_type": doc_type,
+                                 "fields": ["F0"],
+                                 "authors": [{"author_id": f"rej{i}",
+                                              "affiliations": [affiliation]}]}) + "\n")
     pubs = load_publications(tmp_path / "publications.jsonl", 1, 5)
     assert pubs.input_lines == 1000
     assert len(pubs.rejects) == 133

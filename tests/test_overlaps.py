@@ -1,8 +1,6 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teammine.errors import InternalInconsistencyError
 from teammine.overlaps import (Impulse, ImpulseSummary, OverlapKind, OverlapRelation, Timing,
                                build_member_index, classify_all, classify_overlap,
                                impulse_summary, shared_core_test, summarize_all,
@@ -110,20 +108,18 @@ def test_simultaneous_core_is_not_a_shared_core():
     assert not shared_core_test(focal, offshoot, teams, build_member_index(teams))
 
 
-def test_equal_member_sets_raise():
+def test_equal_member_sets_name_their_lemma():
     a = team(0, ["A", "B"], [(1, 4)])
     b = team(1, ["A", "B"], [(6, 9)])
     teams = team_table(a, b)
-    with pytest.raises(InternalInconsistencyError):
-        classify_overlap(a, b, teams, build_member_index(teams))
+    assert classify_overlap(a, b, teams, build_member_index(teams)) == "duplicate_member_set"
 
 
-def test_core_span_lemma_violation_raises_and_counts():
+def test_core_span_lemma_violation_is_named_and_counted():
     focal = team(0, ["A", "B", "C"], [(1, 6)])
     other = team(1, ["A", "B"], [(8, 9)])  # subset that starts after the focal team
     teams = team_table(focal, other)
-    with pytest.raises(InternalInconsistencyError):
-        classify_overlap(focal, other, teams, build_member_index(teams))
+    assert classify_overlap(focal, other, teams, build_member_index(teams)) == "core_span"
     relations, anomalies = classify_all(teams)
     assert relations == []
     assert anomalies == {"core_span": 1, "extension_span": 1}
@@ -133,8 +129,7 @@ def test_extension_span_lemma_violation():
     focal = team(0, ["A", "B"], [(3, 4)])
     other = team(1, ["A", "B", "C"], [(1, 6)])  # superset spilling outside
     teams = team_table(focal, other)
-    with pytest.raises(InternalInconsistencyError):
-        classify_overlap(focal, other, teams, build_member_index(teams))
+    assert classify_overlap(focal, other, teams, build_member_index(teams)) == "extension_span"
 
 
 # --- impulse summaries ---

@@ -397,6 +397,24 @@ def test_cli_verify_missing_files(s1_corpus, tmp_path, capsys):
     assert len(err) == 1 and "teams.csv is missing" in err[0]
 
 
+def test_cli_verify_reads_only_what_the_manifest_vouches_for(s1_corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    run_pipeline(s1_corpus, out, 1, 8)
+    overlaps = out / "overlaps.csv"
+    rows = overlaps.read_bytes().splitlines(keepends=True)
+    overlaps.write_bytes(b"".join(rows[:len(rows) // 2]))
+    truth = str(s1_corpus / "truth.json")
+    assert main(["verify", "--out", str(out), "--truth", truth]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: artifact overlaps.csv no longer matches what stage 'overlaps' produced; "
+        "rerun 'overlaps'"]
+    (out / "manifest.json").write_text("{}\n")
+    assert main(["verify", "--out", str(out), "--truth", truth]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: verify needs stage 'teams'; run 'teams' first"]
+    assert not (out / "verify_report.json").exists()
+
+
 def test_cli_removed_workers_key(tmp_path, capsys):
     assert main(["all", "--out", str(tmp_path / "out"), "--set", "workers=2"]) == 2
     assert "unknown configuration key 'workers'" in capsys.readouterr().err

@@ -1,5 +1,4 @@
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,8 +7,7 @@ from hypothesis import strategies as st
 from teammine.csvio import read_csv
 from teammine.errors import IngestError
 from teammine.ingest import CitationTable, load_citations
-from teammine.success import (TOP1, TOP10, WINDOW_AFTER, WINDOWS, compute_tags,
-                              percentile_thresholds, tag_success,
+from teammine.success import (TOP1, TOP10, WINDOW_AFTER, WINDOWS, compute_tags, tag_success,
                               three_year_citations)
 
 from helpers import pub, table, write_citations
@@ -46,18 +44,23 @@ def _cell(countmap):
     return pubs, dict(countmap)
 
 
+def _thresholds(pubs, counts):
+    """The (population, top-10%, top-1%) thresholds of each cell."""
+    return tag_success(pubs, counts)[1]
+
+
 def test_threshold_thousand_distinct():
     pubs, counts = _cell({f"p{i}": 1000 - i for i in range(1000)})
-    th = percentile_thresholds(pubs, counts)[("F0", 2010)][1]
-    assert th.threshold == 991
-    assert th.population == 1000
+    population, _, th = _thresholds(pubs, counts)[("F0", 2010)]
+    assert th == 991
+    assert population == 1000
 
 
 def test_threshold_all_zero_cell():
     pubs, counts = _cell({f"p{i}": 0 for i in range(5)})
-    th = percentile_thresholds(pubs, counts)[("F0", 2010)][1]
-    assert th.threshold == 1
-    assert sum(1 for c in counts.values() if c >= th.threshold) == 0
+    th = _thresholds(pubs, counts)[("F0", 2010)][2]
+    assert th == 1
+    assert sum(1 for c in counts.values() if c >= th) == 0
 
 
 def test_threshold_tie_at_cutoff():
@@ -66,16 +69,15 @@ def test_threshold_tie_at_cutoff():
     counts.update({f"t{i}": 50 for i in range(15)})
     counts.update({f"z{i}": 0 for i in range(80)})
     pubs, counts = _cell(counts)
-    th = percentile_thresholds(pubs, counts)[("F0", 2010)][0]
-    assert th.threshold == 50
-    assert sum(1 for c in counts.values() if c >= th.threshold) == 20
+    th = _thresholds(pubs, counts)[("F0", 2010)][1]
+    assert th == 50
+    assert sum(1 for c in counts.values() if c >= th) == 20
 
 
 def test_threshold_exact_rank_no_float_drift():
     # ceil(0.01 * 300) must be exactly 3, not 4
     pubs, counts = _cell({f"p{i}": 300 - i for i in range(300)})
-    th = percentile_thresholds(pubs, counts)[("F0", 2010)][1]
-    assert th.threshold == 298
+    assert _thresholds(pubs, counts)[("F0", 2010)][2] == 298
 
 
 def test_tag_any_field_rule():
@@ -87,13 +89,13 @@ def test_tag_any_field_rule():
     counts = {f"a{i}": 500 - i for i in range(99)}
     counts.update({f"b{i}": 1 for i in range(9)})
     counts["p"] = 100  # rank 81 of 100 in Fa; rank 1 of 10 in Fb
-    tags = tag_success(pubs, counts, percentile_thresholds(pubs, counts))
+    tags, _ = tag_success(pubs, counts)
     assert tags.flags("p") == (True, True)
 
 
 def test_all_zero_cell_tags_nothing():
     pubs, counts = _cell({f"p{i}": 0 for i in range(50)})
-    tags = tag_success(pubs, counts, percentile_thresholds(pubs, counts))
+    tags, _ = tag_success(pubs, counts)
     assert tags.top1 == tags.top10 == set()
 
 
@@ -115,7 +117,7 @@ def cell_corpora(draw):
 @settings(max_examples=60, deadline=None)
 def test_top1_subset_of_top10(corpus):
     pubs, counts = corpus
-    tags = tag_success(pubs, counts, percentile_thresholds(pubs, counts))
+    tags, _ = tag_success(pubs, counts)
     assert tags.top1 <= tags.top10
 
 
@@ -126,7 +128,7 @@ def test_scaling_counts_keeps_tags(corpus, factor):
     scaled = {p: c * factor for p, c in counts.items()}
 
     def tagset(cs):
-        tags = tag_success(pubs, cs, percentile_thresholds(pubs, cs))
+        tags, _ = tag_success(pubs, cs)
         return tags.top10, tags.top1
 
     assert tagset(counts) == tagset(scaled)
@@ -136,18 +138,18 @@ def test_scaling_counts_keeps_tags(corpus, factor):
 @settings(max_examples=60, deadline=None)
 def test_per_cell_qualifier_bounds(corpus, q):
     pubs, counts = corpus
-    index = (TOP10, TOP1).index(q)
-    for (field_id, year), pair in percentile_thresholds(pubs, counts).items():
-        th = pair[index]
-        assert th.q == q
+    index = 1 + (TOP10, TOP1).index(q)
+    for (field_id, year), cell_thresholds in _thresholds(pubs, counts).items():
+        th = cell_thresholds[index]
         cell = [counts[rec.pub_id] for rec in pubs
                 if field_id in rec.fields and rec.year == year]
-        qualifiers = sum(1 for c in cell if c >= th.threshold)
+        assert cell_thresholds[0] == len(cell)
+        qualifiers = sum(1 for c in cell if c >= th)
         k = -((-q.numerator * len(cell)) // q.denominator)
         if all(c == 0 for c in cell):
             assert qualifiers == 0
             continue
-        tie_excess = sum(1 for c in cell if c == th.threshold) - 1
+        tie_excess = sum(1 for c in cell if c == th) - 1
         ranked = sorted(cell, reverse=True)
         if ranked[k - 1] == 0:
             # zero-floored threshold: only the cited qualify, possibly under quota
@@ -163,8 +165,7 @@ def test_compute_tags_bundle():
     assert tags.counts["p0"] == 10
     assert "p0" in tags.top1
     assert len(tags.top10) == 10
-    qs = {th.q for th in thresholds}
-    assert qs == {Fraction(1, 100), Fraction(1, 10)}
+    assert thresholds == {("F0", 2010): (100, 1, 10)}
 
 
 @st.composite
@@ -204,10 +205,10 @@ def test_citing_years_match_event_list_oracle(tmp_path, corpus):
     assert cites.drop_counts == drops
     for mode in WINDOWS:
         counts = reference_three_year_citations(pubs, events, mode)
-        thresholds = percentile_thresholds(pubs, counts)
+        thresholds = _thresholds(pubs, counts)
         tiers = [{rec.pub_id for rec in pubs
-                  if any(counts[rec.pub_id] >= thresholds[f, rec.year][i].threshold
-                         for f in rec.fields)} for i in (0, 1)]
+                  if any(counts[rec.pub_id] >= thresholds[f, rec.year][i]
+                         for f in rec.fields)} for i in (1, 2)]
         tags, _ = compute_tags(pubs, cites, mode)
         assert list(tags.counts.items()) == list(counts.items())
         assert [tags.top10, tags.top1] == tiers
