@@ -11,15 +11,16 @@ disconnected.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from teammine.csvio import write_csv
+from teammine.csvio import read_csv, write_csv
 from teammine.ingest import PublicationTable
 from teammine.overlaps import Impulse, ImpulseSummary
 from teammine.success import SuccessTagTable
-from teammine.teams import SuccessProfile, Team
+from teammine.teams import SuccessProfile, Team, TeamPubFacts
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,39 +62,84 @@ def filter_margin(teams: list[Team], year_min: int, year_max: int, margin: int) 
 
 # --- prevalence ----------------------------------------------------------------
 
-def team_prevalence(pubs: PublicationTable, teams: list[Team], tags: SuccessTagTable,
-                    year_min: int, year_max: int) -> tuple[SeriesTable, SeriesTable]:
-    """Share of multi-author publications carried by at least one team: per
-    year for the whole corpus and its top cited subsets (first table), and per
-    country, where a publication counts toward every country present in any
-    author affiliation (second table)."""
-    team_pubs = {pub_id for team in teams for pub_id in team.pubs}
-    by_year: dict[tuple[str, int], list[int]] = {}
-    by_country: dict[str, list[int]] = {}
-    for rec in pubs:
-        if len(rec.authors) < 2:
-            continue
-        in_team = rec.pub_id in team_pubs
-        top10, top1 = tags.flags(rec.pub_id)
-        for name, member in (("all", True), ("top10", top10), ("top1", top1)):
+POPULATIONS = ("all", "top10", "top1")
+
+
+@dataclass
+class PrevalenceTotals:
+    """The populations of the prevalence tables, which no team choice moves:
+    multi-author publications per (population, year), and per country, where
+    a publication counts toward every country present in any author
+    affiliation."""
+    by_year: dict[tuple[str, int], int]
+    by_country: dict[str, int]
+
+
+def prevalence_totals(pubs: PublicationTable, tags: SuccessTagTable) -> PrevalenceTotals:
+    """The prevalence populations of a corpus and its success tags."""
+    by_year = {}
+    for name, ids in (("all", None), ("top10", tags.top10), ("top1", tags.top1)):
+        years = Counter(rec.year for rec in pubs
+                        if len(rec.authors) >= 2 and (ids is None or rec.pub_id in ids))
+        for year, n in years.items():
+            by_year[(name, year)] = n
+    # a corpus holds few distinct country sets: count those, then their countries
+    country_sets = Counter(frozenset({aff.country for entry in rec.authors
+                                      for aff in entry.affiliations})
+                           for rec in pubs if len(rec.authors) >= 2)
+    by_country: dict[str, int] = {}
+    for countries, n in country_sets.items():
+        for country in countries - {None}:
+            by_country[country] = by_country.get(country, 0) + n
+    return PrevalenceTotals(by_year, by_country)
+
+
+def write_prevalence_totals_csv(totals: PrevalenceTotals, path: str | Path):
+    """One ``group,key,n`` row per (population, year), keyed by the year, in
+    population then year order; then one per country, keyed by the country
+    in sorted order, with the group ``country``."""
+    year_rows = sorted(totals.by_year.items(),
+                       key=lambda item: (POPULATIONS.index(item[0][0]), item[0][1]))
+    write_csv(path, ["group", "key", "n"],
+              [*((name, year, n) for (name, year), n in year_rows),
+               *(("country", country, n) for country, n in sorted(totals.by_country.items()))])
+
+
+def read_prevalence_totals_csv(path: str | Path) -> PrevalenceTotals:
+    totals = PrevalenceTotals({}, {})
+    for group, key, n in read_csv(path):
+        if group == "country":
+            totals.by_country[key] = int(n)
+        else:
+            totals.by_year[(group, int(key))] = int(n)
+    return totals
+
+
+def team_prevalence(totals: PrevalenceTotals, facts: dict[str, TeamPubFacts],
+                    teams: list[Team], year_min: int,
+                    year_max: int) -> tuple[SeriesTable, SeriesTable]:
+    """Share of multi-author publications carried by at least one of
+    ``teams``: per year for the whole corpus and its top cited subsets (first
+    table), and per country (second table). ``totals`` are the populations,
+    ``facts`` hold each team publication's year, tiers and countries."""
+    by_year: dict[tuple[str, int], int] = {}
+    by_country: dict[str, int] = {}
+    for pub_id in {pub_id for team in teams for pub_id in team.pubs}:
+        pub = facts[pub_id]
+        for name, member in (("all", True), ("top10", pub.top10), ("top1", pub.top1)):
             if member:
-                cell = by_year.setdefault((name, rec.year), [0, 0])
-                cell[0] += 1
-                cell[1] += in_team
-        for country in {aff.country for a in rec.authors for aff in a.affiliations
-                        if aff.country is not None}:
-            cell = by_country.setdefault(country, [0, 0])
-            cell[0] += 1
-            cell[1] += in_team
+                by_year[(name, pub.year)] = by_year.get((name, pub.year), 0) + 1
+        for country in pub.countries:
+            by_country[country] = by_country.get(country, 0) + 1
     by_year_table = SeriesTable(("population", "year"), percent=True)
-    for name in ("all", "top10", "top1"):
+    for name in POPULATIONS:
         for year in range(year_min, year_max + 1):
-            n, count = by_year.get((name, year), (0, 0))
-            by_year_table.add_fraction((name, year), count, n)
+            by_year_table.add_fraction((name, year), by_year.get((name, year), 0),
+                                       totals.by_year.get((name, year), 0))
     by_country_table = SeriesTable(("country",), percent=True)
-    for country in sorted(by_country):
-        n, count = by_country[country]
-        by_country_table.add_fraction((country,), count, n)
+    for country in sorted(totals.by_country):
+        by_country_table.add_fraction((country,), by_country.get(country, 0),
+                                      totals.by_country[country])
     return by_year_table, by_country_table
 
 
@@ -308,13 +354,13 @@ def first_success_shift(teams: list[Team], summaries: dict[int, ImpulseSummary],
 
 # --- one-call bundle ------------------------------------------------------------
 
-def compute_all_figures(pubs: PublicationTable, tags: SuccessTagTable,
+def compute_all_figures(totals: PrevalenceTotals, facts: dict[str, TeamPubFacts],
                         teams: list[Team], summaries: dict[int, ImpulseSummary],
                         profiles: dict[int, SuccessProfile],
                         year_min: int, year_max: int) -> dict[str, SeriesTable]:
     """Every figure table, keyed by output file stem."""
     out: dict[str, SeriesTable] = {}
-    out["fig1a"], out["fig1b"] = team_prevalence(pubs, teams, tags, year_min, year_max)
+    out["fig1a"], out["fig1b"] = team_prevalence(totals, facts, teams, year_min, year_max)
     for which, suffix in (("top1", ""), ("top10", "_top10")):
         out["fig2a" + suffix] = success_prob_by_age(teams, profiles, which)
         out["fig2b" + suffix] = first_success_distribution(teams, profiles, which)

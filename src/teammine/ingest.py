@@ -557,14 +557,15 @@ class CorpusStats:
 
 
 def corpus_stats(pubs: PublicationTable, tags) -> CorpusStats:
-    """Document type prevalence over all / top-10% / top-1% publications."""
+    """Document type prevalence over all / top-10% / top-1% publications;
+    ``tags`` holds the ids of each top subset in ``top10`` and ``top1``."""
     counts = {doc_type: [0, 0, 0] for doc_type in _DOC_TYPE_ALIASES.values()}
+    top10, top1 = tags.top10, tags.top1
     for rec in pubs:
-        top10, top1 = tags.flags(rec.pub_id)
         row = counts[rec.doc_type]
         row[0] += 1
-        row[1] += top10
-        row[2] += top1
+        row[1] += rec.pub_id in top10
+        row[2] += rec.pub_id in top1
     totals = [sum(row[i] for row in counts.values()) for i in range(3)]
 
     def pct(part: int, whole: int) -> float:

@@ -18,7 +18,8 @@ import os
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
-from teammine.analytics import compute_all_figures, filter_margin
+from teammine.analytics import (compute_all_figures, filter_margin, prevalence_totals,
+                                read_prevalence_totals_csv, write_prevalence_totals_csv)
 from teammine.cliques import (MIN_SIZE, enumerate_maximal_cliques, read_cliques_csv,
                               write_cliques_csv)
 from teammine.csvio import write_csv
@@ -38,7 +39,8 @@ from teammine.persistence import (MIN_PUBS, WINDOW_LEN, build_persistent_network
 from teammine.success import (WINDOW_INCLUSIVE, WINDOWS, compute_tags, read_success_tags_csv,
                               write_success_tags_csv, write_thresholds_csv)
 from teammine.teams import (assemble_teams, associate_all, compute_all_metrics,
-                            read_teams_csv, success_profiles, write_team_pubs_csv,
+                            read_team_pub_facts_csv, read_teams_csv, success_profiles,
+                            team_pub_facts, write_team_pub_facts_csv, write_team_pubs_csv,
                             write_teams_csv)
 
 FIGURE_STEMS = ("fig1a", "fig1b", "fig2a", "fig2a_top10", "fig2b", "fig2b_top10",
@@ -71,7 +73,7 @@ STAGE_TABLE = (
           (*CORPUS, "canonical_citations.csv", "rejects.csv", "citation_drops.csv")),
     Stage("tag", ("citation_window",),
           (*CORPUS, "canonical_citations.csv"),
-          ("success_tags.csv", "thresholds.csv")),
+          ("success_tags.csv", "thresholds.csv", "table_s1.csv", "fig1_totals.csv")),
     Stage("network", ("author_cap",),
           CORPUS,
           ("pair_timelines.csv",)),
@@ -83,13 +85,14 @@ STAGE_TABLE = (
           ("cliques.csv",)),
     Stage("teams", (),
           ("cliques.csv", *CORPUS, "success_tags.csv"),
-          ("teams.csv", "team_pubs.csv")),
+          ("teams.csv", "team_pubs.csv", "team_pub_facts.csv")),
     Stage("overlaps", (),
-          ("teams.csv", "team_pubs.csv", *CORPUS, "success_tags.csv"),
+          ("teams.csv", "team_pubs.csv", "team_pub_facts.csv"),
           ("overlaps.csv", "impulses.csv", "overlap_anomalies.csv")),
     Stage("stats", ("margin_years", "year_min", "year_max"),
-          (*CORPUS, "success_tags.csv", "teams.csv", "team_pubs.csv", "impulses.csv"),
-          tuple(f"{stem}.csv" for stem in FIGURE_STEMS) + ("table_s1.csv",)),
+          ("fig1_totals.csv", "teams.csv", "team_pubs.csv", "team_pub_facts.csv",
+           "impulses.csv"),
+          tuple(f"{stem}.csv" for stem in FIGURE_STEMS)),
 )
 
 STAGES = tuple(stage.name for stage in STAGE_TABLE)
@@ -206,9 +209,12 @@ _LOADERS = {
     "teams": (("teams.csv", "team_pubs.csv"),
               lambda p: read_teams_csv(p._artifact("teams.csv"),
                                        p._artifact("team_pubs.csv"))),
-    "profiles": (("teams.csv", "team_pubs.csv", *CORPUS, "success_tags.csv"),
-                 lambda p: success_profiles(p._load("teams"), p._load("pubs"),
-                                            p._load("tags"))),
+    "totals": (("fig1_totals.csv",),
+               lambda p: read_prevalence_totals_csv(p._artifact("fig1_totals.csv"))),
+    "facts": (("team_pub_facts.csv",),
+              lambda p: read_team_pub_facts_csv(p._artifact("team_pub_facts.csv"))),
+    "profiles": (("teams.csv", "team_pubs.csv", "team_pub_facts.csv"),
+                 lambda p: success_profiles(p._load("teams"), p._load("facts"))),
     "relations": (("overlaps.csv",), lambda p: read_overlaps_csv(p._artifact("overlaps.csv"))),
     "summaries": (("impulses.csv",), lambda p: read_impulses_csv(p._artifact("impulses.csv"))),
 }
@@ -322,17 +328,25 @@ class Pipeline:
         holds: it ran under the current values of its configuration keys, on
         the inputs now on disk, and its outputs are on disk unchanged.
 
-        The walk is breadth first, so the nearest stale stage is the one named.
-        An input not on disk is not compared: the stage producing it is
-        walked too and reports it missing, and a corpus file the settings do
-        not name (``explain --out DIR`` alone) cannot be compared.
+        The walk is breadth first, so the nearest stale stage is the one named;
+        but a stage whose only fault is a changed input is named only when no
+        stage is stale otherwise, so an edited artifact is reported against
+        the stage that wrote it rather than one that reads it. An input not
+        on disk is not compared: the stage producing it is walked too and
+        reports it missing, and a corpus file the settings do not name
+        (``explain --out DIR`` alone) cannot be compared.
         """
         stages = list(prereqs)
+        input_changed = None
         for stage in stages:  # grows while it is walked
-            refusal = self._refusal(stage, user, self._input_digests(stage))
+            refusal = self._refusal(stage, user)
             if refusal is not None:
                 raise refusal
+            input_changed = input_changed or self._refusal(stage, user,
+                                                           self._input_digests(stage))
             stages += [p for p in producers(_BY_NAME[stage].inputs) if p not in stages]
+        if input_changed is not None:
+            raise input_changed
 
     def check_outputs(self, user: str, names: tuple[str, ...]):
         """Refuse unless each artifact of ``names`` is on disk as the manifest
@@ -425,11 +439,16 @@ class Pipeline:
         return counts
 
     def _stage_tag(self) -> dict:
-        tags, thresholds = compute_tags(self._load("pubs"), self._load("citations"),
+        pubs = self._load("pubs")
+        tags, thresholds = compute_tags(pubs, self._load("citations"),
                                         mode=self.config.citation_window)
+        totals = prevalence_totals(pubs, tags)
         write_success_tags_csv(tags, self._artifact("success_tags.csv"))
         write_thresholds_csv(thresholds, self._artifact("thresholds.csv"))
+        write_corpus_stats_csv(corpus_stats(pubs, tags), self._artifact("table_s1.csv"))
+        write_prevalence_totals_csv(totals, self._artifact("fig1_totals.csv"))
         self._mem["tags"] = tags
+        self._mem["totals"] = totals
         return {"tagged_top10": len(tags.top10), "tagged_top1": len(tags.top1),
                 "cells": len(thresholds)}
 
@@ -456,10 +475,13 @@ class Pipeline:
         teams = assemble_teams(self._load("cliques"))
         associate_all(teams, self._load("pubs"))
         compute_all_metrics(teams, self._load("pubs"))
-        profiles = success_profiles(teams, self._load("pubs"), self._load("tags"))
+        facts = team_pub_facts(teams, self._load("pubs"), self._load("tags"))
+        profiles = success_profiles(teams, facts)
         write_teams_csv(teams, profiles, self._artifact("teams.csv"))
         write_team_pubs_csv(teams, self._artifact("team_pubs.csv"))
+        write_team_pub_facts_csv(facts, self._artifact("team_pub_facts.csv"))
         self._mem["teams"] = teams
+        self._mem["facts"] = facts
         self._mem["profiles"] = profiles
         return {"teams": len(teams),
                 "team_publications": sum(len(t.pubs) for t in teams)}
@@ -481,13 +503,11 @@ class Pipeline:
     def _stage_stats(self) -> dict:
         teams = filter_margin(list(self._load("teams")), self.config.year_min,
                               self.config.year_max, self.config.margin_years)
-        figures = compute_all_figures(self._load("pubs"), self._load("tags"), teams,
+        figures = compute_all_figures(self._load("totals"), self._load("facts"), teams,
                                       self._load("summaries"), self._load("profiles"),
                                       self.config.year_min, self.config.year_max)
         for stem in FIGURE_STEMS:
             figures[stem].to_csv(self._artifact(f"{stem}.csv"))
-        stats = corpus_stats(self._load("pubs"), self._load("tags"))
-        write_corpus_stats_csv(stats, self._artifact("table_s1.csv"))
         return {"figure_tables": len(FIGURE_STEMS),
                 "teams_after_margin": len(teams)}
 

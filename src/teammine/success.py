@@ -51,12 +51,12 @@ def three_year_citations(pubs: PublicationTable, citations: CitationTable,
     three-calendar-year window; ``mode`` is one of ``WINDOWS``, as
     ``PipelineConfig.validate`` ensures."""
     offset = 0 if mode == WINDOW_INCLUSIVE else 1
-    citing_years = citations.citing_years.get
-    counts = {}
-    for rec in pubs:
-        first = rec.year + offset
-        counts[rec.pub_id] = sum(first <= year <= first + 2
-                                 for year in citing_years(rec.pub_id, ()))
+    counts = dict.fromkeys((rec.pub_id for rec in pubs), 0)
+    for pub_id, years in citations.citing_years.items():  # the cited publications only
+        rec = pubs.get(pub_id)
+        if rec is not None:
+            first = rec.year + offset
+            counts[pub_id] = sum(first <= year <= first + 2 for year in years)
     return counts
 
 

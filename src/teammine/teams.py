@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from teammine.cliques import TemporalClique
 from teammine.csvio import read_csv, write_csv
@@ -208,19 +209,47 @@ def _success(years: list[int], flags: list[bool]) -> Success:
     return Success(tuple(flags), sum(flags), first)
 
 
-def success_profiles(teams, pubs: PublicationTable, tags) -> dict[int, SuccessProfile]:
-    """Each team's success profile, keyed by team id: the one place that reads
-    a team's publications against the success tags."""
+class TeamPubFacts(NamedTuple):
+    """What the figure tables need of one team publication."""
+    year: int
+    top10: bool
+    top1: bool
+    countries: tuple[str, ...]  # of every author's affiliations, sorted
+
+
+def team_pub_facts(teams, pubs: PublicationTable, tags) -> dict[str, TeamPubFacts]:
+    """The facts of each distinct publication of ``teams``, by pub_id in the
+    order the teams first list them: the one place that reads team
+    publications against the corpus and the success tags (``tags.top10``,
+    ``tags.top1``). A team's publications mostly repeat one tuple of author
+    entries, so the countries are collected once per distinct tuple."""
+    top10, top1 = tags.top10, tags.top1
+    countries_of: dict[tuple, tuple[str, ...]] = {}
+    facts = {}
+    for team in teams:
+        for pub_id in team.pubs:
+            if pub_id in facts:
+                continue
+            rec = pubs.get(pub_id)
+            countries = countries_of.get(rec.authors)
+            if countries is None:
+                countries = countries_of[rec.authors] = tuple(sorted(
+                    {aff.country for entry in rec.authors for aff in entry.affiliations}
+                    - {None}))
+            facts[pub_id] = TeamPubFacts(rec.year, pub_id in top10, pub_id in top1, countries)
+    return facts
+
+
+def success_profiles(teams, facts: dict[str, TeamPubFacts]) -> dict[int, SuccessProfile]:
+    """Each team's success profile, keyed by team id, from the facts of its
+    publications."""
     profiles = {}
     for team in teams:
-        years, top10, top1 = [], [], []
-        for pub_id in team.pubs:  # sorted by (year, pub_id)
-            years.append(pubs.get(pub_id).year)
-            hit10, hit1 = tags.flags(pub_id)
-            top10.append(hit10)
-            top1.append(hit1)
-        profiles[team.team_id] = SuccessProfile(tuple(years), _success(years, top10),
-                                                _success(years, top1))
+        team_facts = list(map(facts.__getitem__, team.pubs))  # sorted by (year, pub_id)
+        years = [pub.year for pub in team_facts]
+        profiles[team.team_id] = SuccessProfile(
+            tuple(years), _success(years, [pub.top10 for pub in team_facts]),
+            _success(years, [pub.top1 for pub in team_facts]))
     return profiles
 
 
@@ -245,6 +274,19 @@ def write_teams_csv(teams: TeamTable, profiles: dict[int, SuccessProfile], path:
 def write_team_pubs_csv(teams: TeamTable, path: str | Path):
     write_csv(path, ["team_id", "pub_id"],
               ((team.team_id, pub_id) for team in teams for pub_id in team.pubs))
+
+
+def write_team_pub_facts_csv(facts: dict[str, TeamPubFacts], path: str | Path):
+    """One row per team publication; its countries fill the columns from
+    ``countries`` on, one each, so a row without a country ends at ``top1``."""
+    write_csv(path, ["pub_id", "year", "top10", "top1", "countries"],
+              ((pub_id, pub.year, int(pub.top10), int(pub.top1), *pub.countries)
+               for pub_id, pub in facts.items()))
+
+
+def read_team_pub_facts_csv(path: str | Path) -> dict[str, TeamPubFacts]:
+    return {pub_id: TeamPubFacts(int(year), top10 == "1", top1 == "1", tuple(countries))
+            for pub_id, year, top10, top1, *countries in read_csv(path)}
 
 
 def read_teams_csv(teams_path: str | Path, team_pubs_path: str | Path) -> TeamTable:

@@ -7,7 +7,7 @@ from pathlib import Path
 from teammine.ingest import Affiliation, AuthorEntry, PublicationRecord, PublicationTable
 from teammine.pipeline import Pipeline, PipelineConfig
 from teammine.success import SuccessTagTable
-from teammine.teams import Team
+from teammine.teams import Team, success_profiles, team_pub_facts
 
 DEFAULT_AFF = {"org": "org0", "city": "city0", "country": "NL",
                "lat": 52.0, "lon": 4.5}
@@ -39,6 +39,11 @@ def tag_table(entries: dict[str, tuple[int, bool, bool]]) -> SuccessTagTable:
     return SuccessTagTable({pub_id: c for pub_id, (c, _, _) in entries.items()},
                            {pub_id for pub_id, (_, t10, _) in entries.items() if t10},
                            {pub_id for pub_id, (_, _, t1) in entries.items() if t1})
+
+
+def build_profiles(teams, pubs, tags) -> dict:
+    """The success profiles the teams stage builds from the corpus and the tags."""
+    return success_profiles(teams, team_pub_facts(teams, pubs, tags))
 
 
 def team(team_id: int, members, intervals, pubs=(), metrics=None) -> Team:

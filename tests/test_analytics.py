@@ -1,14 +1,24 @@
-import pytest
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import prevalence_reference as reference
 from teammine.analytics import (compute_all_figures, filter_margin,
                                 first_success_distribution, first_success_shift,
-                                newly_successful_rate, success_by_composition,
+                                newly_successful_rate, prevalence_totals,
+                                read_prevalence_totals_csv, success_by_composition,
                                 success_by_impulse_count, success_by_impulse_rate,
-                                success_prob_by_age, team_prevalence, _quarter_bin)
+                                success_prob_by_age, team_prevalence, write_prevalence_totals_csv,
+                                _quarter_bin)
+from teammine.ingest import _DOC_TYPE_ALIASES, corpus_stats
 from teammine.overlaps import ImpulseSummary
-from teammine.teams import CompositionMetrics, success_profiles
+from teammine.teams import (CompositionMetrics, associate_all, read_team_pub_facts_csv,
+                            team_pub_facts, write_team_pub_facts_csv)
 
-from helpers import affiliation, author, pub, table, tag_table, team
+from helpers import affiliation, author, build_profiles, pub, table, tag_table, team
 
 
 def summary(team_id, **kwargs):
@@ -22,6 +32,13 @@ def rows_by_key(series):
     return {row.keys: row for row in series.rows}
 
 
+def prevalence(pubs, teams, tags, year_min, year_max):
+    """The prevalence tables from the corpus and its tags, as the tag,
+    teams and stats stages build them."""
+    return team_prevalence(prevalence_totals(pubs, tags), team_pub_facts(teams, pubs, tags),
+                           teams, year_min, year_max)
+
+
 # --- prevalence ---
 
 def test_prevalence_all_team_pubs():
@@ -29,13 +46,13 @@ def test_prevalence_all_team_pubs():
                   pub("s1", 1, ["X"])])  # single-author excluded from the base
     teams = [team(0, ["A", "B"], [(1, 3)], pubs=("p1", "p2"))]
     tags = tag_table({})
-    series = team_prevalence(pubs, teams, tags, 1, 1)[0]
+    series = prevalence(pubs, teams, tags, 1, 1)[0]
     assert rows_by_key(series)[("all", 1)].value == 100.0
 
 
 def test_prevalence_no_teams():
     pubs = table([pub("p1", 1, ["A", "B"])])
-    series = team_prevalence(pubs, [], tag_table({}), 1, 1)[0]
+    series = prevalence(pubs, [], tag_table({}), 1, 1)[0]
     row = rows_by_key(series)[("all", 1)]
     assert row.value == 0.0 and row.n == 1
 
@@ -45,7 +62,7 @@ def test_prevalence_planted_fraction():
     records += [pub(f"n{i}", 1, ["C", "D"]) for i in range(6)]
     pubs = table(records)
     teams = [team(0, ["A", "B"], [(1, 2)], pubs=tuple(f"t{i}" for i in range(4)))]
-    series = team_prevalence(pubs, teams, tag_table({}), 1, 1)[0]
+    series = prevalence(pubs, teams, tag_table({}), 1, 1)[0]
     row = rows_by_key(series)[("all", 1)]
     assert row.value == 40.0
     assert row.n == 10 and row.count == 4
@@ -54,7 +71,7 @@ def test_prevalence_planted_fraction():
 def test_prevalence_populations_and_empty_years():
     pubs = table([pub("p1", 1, ["A", "B"])])
     tags = tag_table({"p1": (9, True, False)})
-    series = team_prevalence(pubs, [], tags, 1, 2)[0]
+    series = prevalence(pubs, [], tags, 1, 2)[0]
     rows = rows_by_key(series)
     assert rows[("top10", 1)].n == 1
     assert rows[("top1", 1)].flag == "no_population"
@@ -64,7 +81,7 @@ def test_prevalence_populations_and_empty_years():
 def test_prevalence_by_country_single_country_matches_global():
     pubs = table([pub("p1", 1, ["A", "B"]), pub("p2", 1, ["C", "D"])])
     teams = [team(0, ["A", "B"], [(1, 2)], pubs=("p1",))]
-    series = team_prevalence(pubs, teams, tag_table({}), 1, 1)[1]
+    series = prevalence(pubs, teams, tag_table({}), 1, 1)[1]
     assert rows_by_key(series)[("NL",)].value == 50.0
 
 
@@ -72,14 +89,69 @@ def test_prevalence_by_country_multi_country_pub_counts_twice():
     authors = [author("A", (affiliation(country="NL"),)),
                author("B", (affiliation(country="DE"),))]
     pubs = table([pub("p1", 1, ["A", "B"], authors=authors)])
-    series = team_prevalence(pubs, [], tag_table({}), 1, 1)[1]
+    series = prevalence(pubs, [], tag_table({}), 1, 1)[1]
     rows = rows_by_key(series)
     assert rows[("NL",)].n == 1 and rows[("DE",)].n == 1
 
 
 def test_prevalence_by_country_omits_single_author_only():
     pubs = table([pub("p1", 1, ["A"])])
-    assert team_prevalence(pubs, [], tag_table({}), 1, 1)[1].rows == []
+    assert prevalence(pubs, [], tag_table({}), 1, 1)[1].rows == []
+
+
+_AUTHORS = ("A", "B", "C", "D")
+_YEARS = (1, 4)
+
+# one record: (year, doc type, [(author id, the country of each affiliation)])
+_records = st.lists(st.tuples(
+    st.integers(*_YEARS), st.sampled_from(sorted(set(_DOC_TYPE_ALIASES.values()))),
+    st.lists(st.tuples(st.sampled_from(_AUTHORS),
+                       st.lists(st.none() | st.sampled_from(["NL", "DE", "", "a;b", 'q"']),
+                                min_size=1, max_size=2)),
+             min_size=1, max_size=4, unique_by=lambda entry: entry[0])), max_size=14)
+# one team: (members, first year, last year)
+_teams = st.lists(st.tuples(st.lists(st.sampled_from(_AUTHORS), min_size=2, max_size=3,
+                                     unique=True),
+                            st.integers(*_YEARS), st.integers(*_YEARS)), max_size=4)
+
+
+@given(records=_records, top10=st.sets(st.integers(0, 13)), top1=st.sets(st.integers(0, 13)),
+       teams=_teams, kept=st.lists(st.booleans(), min_size=4, max_size=4))
+@example(records=[(1, "Article", [("A", ["NL"]), ("B", [None])]),
+                  (1, "Review", [("A", [None]), ("B", [None, None])]),  # no country
+                  (2, "Article", [("A", ["DE"]), ("B", ["NL", ""]), ("C", ["a;b"])]),
+                  (2, "Letter", [("C", ["NL"])]),  # one author
+                  (3, "Article", [("B", ["NL"]), ("C", ["NL"])])],
+         top10={0, 2, 3}, top1={2}, teams=[(["A", "B"], 1, 3), (["A", "B", "C"], 1, 3),
+                                           (["B", "C"], 2, 3)],
+         kept=[True, False, True, True])
+@settings(max_examples=150, deadline=None)
+def test_prevalence_from_totals_and_facts_matches_corpus_walk(records, top10, top1, teams,
+                                                              kept):
+    """The populations from the tag stage and the facts of every team's
+    publications from the teams stage, both read back from their CSVs, give
+    the fig1a and fig1b rows of a walk over the corpus for any subset of the
+    teams, as the margin filter keeps one; the document type table equals
+    that walk's too."""
+    pubs = table(pub(f"p{i}", year, [], doc_type=doc_type,
+                     authors=[author(a, [affiliation(country=c) for c in countries])
+                              for a, countries in entries])
+                 for i, (year, doc_type, entries) in enumerate(records))
+    tags = tag_table({f"p{i}": (0, i in top10, i in top1) for i in range(len(records))})
+    every_team = [team(k, members, [sorted((first, last))])
+                  for k, (members, first, last) in enumerate(teams)]
+    associate_all(every_team, pubs)
+    subset = [squad for squad, keep in zip(every_team, kept) if keep]
+    with tempfile.TemporaryDirectory() as where:
+        write_prevalence_totals_csv(prevalence_totals(pubs, tags), Path(where) / "totals.csv")
+        write_team_pub_facts_csv(team_pub_facts(every_team, pubs, tags),
+                                 Path(where) / "facts.csv")
+        totals = read_prevalence_totals_csv(Path(where) / "totals.csv")
+        facts = read_team_pub_facts_csv(Path(where) / "facts.csv")
+    expected = reference.team_prevalence(pubs, subset, tags, *_YEARS)
+    for table_now, table_then in zip(team_prevalence(totals, facts, subset, *_YEARS), expected):
+        assert repr(table_now.rows) == repr(table_then.rows)
+    assert repr(corpus_stats(pubs, tags)) == repr(reference.corpus_stats(pubs, tags))
 
 
 # --- freshness ---
@@ -96,7 +168,7 @@ def _freshness_fixture(success_age):
 
 def test_success_prob_by_age_planted_at_age_one():
     pubs, tags, teams = _freshness_fixture(success_age=1)
-    series = success_prob_by_age(teams, success_profiles(teams, pubs, tags), "top1")
+    series = success_prob_by_age(teams, build_profiles(teams, pubs, tags), "top1")
     rows = rows_by_key(series)
     assert rows[(3, 1)].value == 1.0
     assert rows[(3, 2)].value == 0.0
@@ -104,13 +176,13 @@ def test_success_prob_by_age_planted_at_age_one():
 
 
 def test_success_prob_by_age_empty():
-    profiles = success_profiles([], table([]), tag_table({}))
+    profiles = build_profiles([], table([]), tag_table({}))
     assert success_prob_by_age([], profiles, "top1").rows == []
 
 
 def test_first_success_distribution_sums_to_100():
     pubs, tags, teams = _freshness_fixture(success_age=2)
-    series = first_success_distribution(teams, success_profiles(teams, pubs, tags), "top1")
+    series = first_success_distribution(teams, build_profiles(teams, pubs, tags), "top1")
     rows = rows_by_key(series)
     assert rows[(3, 2)].value == 100.0
     total = sum(row.value for row in series.rows)
@@ -119,7 +191,7 @@ def test_first_success_distribution_sums_to_100():
 
 def test_newly_successful_rate_all_first_year():
     pubs, tags, teams = _freshness_fixture(success_age=1)
-    series = newly_successful_rate(teams, success_profiles(teams, pubs, tags), "top1")
+    series = newly_successful_rate(teams, build_profiles(teams, pubs, tags), "top1")
     rows = rows_by_key(series)
     assert rows[("0.01", 1)].value == 100.0
     assert rows[("0.01", 2)].flag == "no_population"
@@ -128,7 +200,7 @@ def test_newly_successful_rate_all_first_year():
 
 def test_newly_successful_rate_no_successes():
     pubs, tags, teams = _freshness_fixture(success_age=None)
-    series = newly_successful_rate(teams, success_profiles(teams, pubs, tags), "top1")
+    series = newly_successful_rate(teams, build_profiles(teams, pubs, tags), "top1")
     for row in series.rows:
         assert row.value == 0.0 and row.n == 1
 
@@ -147,7 +219,7 @@ def test_distance_bin_rule():
     squad = team(0, ["A", "B"], [(1, 2)], pubs=("p1",), metrics=metrics)
     pubs = table([pub("p1", 1, ["A", "B"])])
     tags = tag_table({"p1": (0, False, False)})
-    series = success_by_composition([squad], success_profiles([squad], pubs, tags), "top1")
+    series = success_by_composition([squad], build_profiles([squad], pubs, tags), "top1")
     keys = {row.keys for row in series.rows}
     assert ("dist_km", 30.0) in keys
 
@@ -161,7 +233,7 @@ def test_composition_two_bin_rates():
     entries.update({f"hp{i}": (9, i < 3, False) for i in range(10)})  # rate 0.3
     pubs = table([pub(p, 1, ["A", "B"]) for p in entries])
     tags = tag_table(entries)
-    series = success_by_composition(low + high, success_profiles(low + high, pubs, tags),
+    series = success_by_composition(low + high, build_profiles(low + high, pubs, tags),
                                     "top10")
     rows = rows_by_key(series)
     assert rows[("orgs_pm", 0.5)].value == pytest.approx(0.1)
@@ -191,7 +263,7 @@ def _impulse_fixture():
 def test_impulse_count_tables():
     teams, summaries, pubs, tags = _impulse_fixture()
     fig5a, fig5b = success_by_impulse_count(teams, summaries,
-                                            success_profiles(teams, pubs, tags), "top1")
+                                            build_profiles(teams, pubs, tags), "top1")
     rows_a = rows_by_key(fig5a)
     assert rows_a[("closed", "any", 0)].value == 0.25
     assert rows_a[("persistence", "any", 1)].value == 0.75
@@ -203,14 +275,14 @@ def test_impulse_count_tables():
 def test_impulse_count_closed_only_corpus():
     teams = [team(0, ["A", "B"], [(1, 2)], pubs=())]
     fig5a, _ = success_by_impulse_count(teams, {0: summary(0)},
-                                        success_profiles(teams, table([]), tag_table({})),
+                                        build_profiles(teams, table([]), tag_table({})),
                                         "top1")
     assert [row.keys for row in fig5a.rows] == [("closed", "any", 0)]
 
 
 def test_impulse_rate_bins_and_measures():
     teams, summaries, pubs, tags = _impulse_fixture()
-    series = success_by_impulse_rate(teams, summaries, success_profiles(teams, pubs, tags), "top1")
+    series = success_by_impulse_rate(teams, summaries, build_profiles(teams, pubs, tags), "top1")
     rows = rows_by_key(series)
     assert rows[("closed", 0.0, "ge1")].value == 0.25
     assert rows[("open", 0.25, "ge1")].value == 0.75
@@ -233,7 +305,7 @@ def test_first_success_shift_planted_one_year():
         pubs_records.append(pub(f"o{i}p", 2, [f"o{i}a", f"o{i}b"]))
         tag_entries[f"o{i}p"] = (9, True, True)
     series = first_success_shift(teams, summaries,
-                                 success_profiles(teams, table(pubs_records),
+                                 build_profiles(teams, table(pubs_records),
                                                   tag_table(tag_entries)), "top1")
     rows = rows_by_key(series)
     assert rows[(6, "closed")].value == 0.0
@@ -247,7 +319,7 @@ def test_first_success_shift_identical_ages_zero():
     summaries = {0: summary(0), 1: summary(1, freshness=2)}
     pubs = table([pub("p0", 2, ["A", "B"]), pub("p1", 2, ["C", "D"])])
     tags = tag_table({"p0": (9, True, True), "p1": (9, True, True)})
-    series = first_success_shift(teams, summaries, success_profiles(teams, pubs, tags), "top1")
+    series = first_success_shift(teams, summaries, build_profiles(teams, pubs, tags), "top1")
     rows = rows_by_key(series)
     assert rows[(4, "freshness")].value == 0.0
 
@@ -255,11 +327,16 @@ def test_first_success_shift_identical_ages_zero():
 def test_first_success_shift_no_successes_empty():
     teams = [team(0, ["A", "B"], [(1, 4)], pubs=())]
     series = first_success_shift(teams, {0: summary(0)},
-                                 success_profiles(teams, table([]), tag_table({})), "top1")
+                                 build_profiles(teams, table([]), tag_table({})), "top1")
     assert series.rows == []
 
 
 # --- plumbing ---
+
+def figures_of(pubs, tags, teams):
+    return compute_all_figures(prevalence_totals(pubs, tags), team_pub_facts(teams, pubs, tags),
+                               teams, {0: summary(0)}, build_profiles(teams, pubs, tags), 1, 3)
+
 
 def test_margin_filter():
     inner = team(0, ["A", "B"], [(6, 8)])
@@ -272,8 +349,7 @@ def test_margin_filter():
 
 def test_fraction_rows_reconstruct_counts():
     pubs, tags, teams = _freshness_fixture(success_age=2)
-    figures = compute_all_figures(pubs, tags, teams, {0: summary(0)},
-                                  success_profiles(teams, pubs, tags), 1, 3)
+    figures = figures_of(pubs, tags, teams)
     checked = 0
     for stem, series in figures.items():
         scale = 100 if stem.removesuffix("_top10") in ("fig1a", "fig1b", "fig2b",
@@ -288,10 +364,8 @@ def test_fraction_rows_reconstruct_counts():
 
 def test_compute_all_figures_reproducible(tmp_path):
     pubs, tags, teams = _freshness_fixture(success_age=2)
-    figures1 = compute_all_figures(pubs, tags, teams, {0: summary(0)},
-                                   success_profiles(teams, pubs, tags), 1, 3)
-    figures2 = compute_all_figures(pubs, tags, teams, {0: summary(0)},
-                                   success_profiles(teams, pubs, tags), 1, 3)
+    figures1 = figures_of(pubs, tags, teams)
+    figures2 = figures_of(pubs, tags, teams)
     for stem, series in figures1.items():
         a = tmp_path / f"{stem}_a.csv"
         b = tmp_path / f"{stem}_b.csv"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teammine.analytics import read_prevalence_totals_csv, write_prevalence_totals_csv
 from teammine.cliques import read_cliques_csv, write_cliques_csv
 from teammine.csvio import encode_field, read_csv, write_csv
 from teammine.ingest import read_publications_jsonl
@@ -17,10 +18,10 @@ from teammine.persistence import read_persistent_edges_csv, write_persistent_edg
 from teammine.presets import wired_overlap_config
 from teammine.success import read_success_tags_csv, write_success_tags_csv
 from teammine.synthgen import generate_corpus
-from teammine.teams import (read_teams_csv, success_profiles, write_team_pubs_csv,
-                            write_teams_csv)
+from teammine.teams import (read_team_pub_facts_csv, read_teams_csv, write_team_pub_facts_csv,
+                            write_team_pubs_csv, write_teams_csv)
 
-from helpers import run_pipeline
+from helpers import build_profiles, run_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +41,8 @@ SINGLE_FILE = {
     "overlaps.csv": (read_overlaps_csv, write_overlaps_csv),
     "impulses.csv": (read_impulses_csv, write_impulses_csv),
     "success_tags.csv": (read_success_tags_csv, write_success_tags_csv),
+    "fig1_totals.csv": (read_prevalence_totals_csv, write_prevalence_totals_csv),
+    "team_pub_facts.csv": (read_team_pub_facts_csv, write_team_pub_facts_csv),
 }
 
 
@@ -58,7 +61,7 @@ def test_teams_round_trip(wired_run, tmp_path):
                                    wired_run / "canonical_affiliations.jsonl")
     tags = read_success_tags_csv(wired_run / "success_tags.csv")
     assert len(teams) > 0
-    write_teams_csv(teams, success_profiles(teams, pubs, tags), tmp_path / "teams.csv")
+    write_teams_csv(teams, build_profiles(teams, pubs, tags), tmp_path / "teams.csv")
     write_team_pubs_csv(teams, tmp_path / "team_pubs.csv")
     for name in ("teams.csv", "team_pubs.csv"):
         assert (tmp_path / name).read_bytes() == (wired_run / name).read_bytes(), name

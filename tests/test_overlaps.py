@@ -5,9 +5,9 @@ from teammine.overlaps import (Impulse, ImpulseSummary, OverlapKind, OverlapRela
                                build_member_index, classify_all, classify_overlap,
                                impulse_summary, shared_core_test, summarize_all,
                                write_impulses_csv)
-from teammine.teams import Success, SuccessProfile, TeamTable, success_profiles
+from teammine.teams import Success, SuccessProfile, TeamTable
 
-from helpers import half_overlap_pairs, pub, table, tag_table, team
+from helpers import build_profiles, half_overlap_pairs, pub, table, tag_table, team
 
 
 def team_table(*teams):
@@ -145,7 +145,7 @@ def _profile_setup():
 def test_closed_team_summary_all_zero():
     _, focal, pubs, tags = _profile_setup()
     teams = team_table(focal)
-    summaries = summarize_all(teams, [], success_profiles(teams, pubs, tags))
+    summaries = summarize_all(teams, [], build_profiles(teams, pubs, tags))
     summary = summaries[1]
     assert summary.total == 0
     assert summary.impulses_per_year == 0.0
@@ -156,7 +156,7 @@ def test_early_persistence_walkthrough():
     teams = team_table(core, focal)
     relations, anomalies = classify_all(teams)
     assert anomalies == {}
-    summaries = summarize_all(teams, relations, success_profiles(teams, pubs, tags))
+    summaries = summarize_all(teams, relations, build_profiles(teams, pubs, tags))
     summary = summaries[1]
     assert summary.persistence == 1
     assert summary.persistence_top1 == 1
@@ -171,7 +171,7 @@ def test_late_success_is_not_early():
     pubs = table([pub("c1", 5, ["A", "B"]), pub("f1", 3, ["A", "B", "C"])])
     teams = team_table(core, focal)
     relations, _ = classify_all(teams)
-    summary = summarize_all(teams, relations, success_profiles(teams, pubs, tags))[1]
+    summary = summarize_all(teams, relations, build_profiles(teams, pubs, tags))[1]
     assert summary.persistence_top1 == 1
     assert summary.persistence_early_top1 == 0
 
@@ -183,7 +183,7 @@ def test_impulses_per_year():
     relations, _ = classify_all(teams)
     pubs = table([])
     tags = tag_table({})
-    summary = summarize_all(teams, relations, success_profiles(teams, pubs, tags))[0]
+    summary = summarize_all(teams, relations, build_profiles(teams, pubs, tags))[0]
     assert summary.total == 6
     assert summary.impulses_per_year == 1.5
 
@@ -192,7 +192,7 @@ def test_profile_first_years():
     squad = team(0, ["A", "B"], [(1, 9)], pubs=("p1", "p2"))
     pubs = table([pub("p1", 2, ["A", "B"]), pub("p2", 4, ["A", "B"])])
     tags = tag_table({"p1": (5, True, False), "p2": (50, True, True)})
-    profile = success_profiles([squad], pubs, tags)[0]
+    profile = build_profiles([squad], pubs, tags)[0]
     assert profile.top10.first_year == 2
     assert profile.top1.first_year == 4
     assert profile.top10.count > 0 and profile.top1.count > 0

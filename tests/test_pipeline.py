@@ -163,6 +163,61 @@ def test_out_dir_from_the_one_file_corpus_reruns_ingest(s1_corpus, tmp_path):
     assert set(Pipeline(config).run("all").values()) == {"cached"}
 
 
+def test_out_dir_with_table_s1_under_stats_reruns_once(s1_corpus, tmp_path):
+    """An out dir written while `stats` wrote table_s1.csv and read the corpus
+    and the success tags, and neither `tag` nor `teams` wrote the fig1 inputs:
+    `all` reruns the stages whose recorded inputs or outputs moved once, then
+    finds every stage cached."""
+    out = tmp_path / "out"
+    run_pipeline(s1_corpus, out, 1, 8)
+    fresh = artifact_bytes(out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    for stage, name in (("tag", "fig1_totals.csv"), ("teams", "team_pub_facts.csv")):
+        del manifest[stage]["outputs"][name]
+        (out / name).unlink()
+    manifest["stats"]["outputs"]["table_s1.csv"] = manifest["tag"]["outputs"].pop("table_s1.csv")
+    read_for_profiles = {name: manifest["teams"]["inputs"][name]
+                         for name in (*CORPUS, "success_tags.csv")}
+    for stage, kept in (("overlaps", ("teams.csv", "team_pubs.csv")),
+                        ("stats", ("teams.csv", "team_pubs.csv", "impulses.csv"))):
+        manifest[stage]["inputs"] = {**{name: manifest[stage]["inputs"][name] for name in kept},
+                                     **read_for_profiles}
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    config = PipelineConfig(pubs_path=str(s1_corpus / "publications.jsonl"),
+                            citations_path=str(s1_corpus / "citations.csv"),
+                            out_dir=str(out), year_min=1, year_max=8, margin_years=0)
+    assert Pipeline(config).run("all") == {
+        name: "ran" if name in ("tag", "teams", "overlaps", "stats") else "cached"
+        for name in STAGES}
+    assert artifact_bytes(out) == fresh
+    assert set(Pipeline(config).run("all").values()) == {"cached"}
+
+
+@pytest.mark.parametrize("kind", ["fig_s1", "planted", "wired"])
+def test_margin_rerun_reads_no_corpus(tmp_path, monkeypatch, kind):
+    """After a cold `all`, `all` at another margin reruns only `stats`, which
+    reads neither the canonical corpus nor the success tags, and leaves the
+    artifacts of a cold `all` at that margin."""
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    years = _corpus(kind, corpus)
+    run_pipeline(corpus, out, *years)
+
+    def refuse(*args):
+        raise AssertionError(f"a margin rerun read {args}")
+
+    monkeypatch.setattr(pipeline_module, "read_publications_jsonl", refuse)
+    monkeypatch.setattr(pipeline_module, "read_success_tags_csv", refuse)
+    for margin_years in (1, 2, 3):
+        status = Pipeline(PipelineConfig(
+            pubs_path=str(corpus / "publications.jsonl"),
+            citations_path=str(corpus / "citations.csv"), out_dir=str(out),
+            year_min=years[0], year_max=years[1], margin_years=margin_years)).run("all")
+        assert status == {name: "ran" if name == "stats" else "cached" for name in STAGES}
+        cold = tmp_path / f"cold{margin_years}"
+        run_pipeline(corpus, cold, *years, margin_years=margin_years)
+        assert artifact_bytes(out) == artifact_bytes(cold), margin_years
+
+
 def test_single_stage_refuses_prereq_built_from_older_inputs(tmp_path, capsys):
     """Every stage behind a single stage is checked against the inputs now on
     disk, not only the direct producers' outputs."""
@@ -460,8 +515,8 @@ def test_stage_inputs_come_from_earlier_stages():
         "persist": ("network",),
         "mine": ("persist",),
         "teams": ("mine", "ingest", "tag"),
-        "overlaps": ("teams", "ingest", "tag"),
-        "stats": ("ingest", "tag", "teams", "overlaps"),
+        "overlaps": ("teams",),
+        "stats": ("tag", "teams", "overlaps"),
     }
 
 
@@ -586,7 +641,7 @@ def _corpus(kind: str, corpus: Path) -> tuple[int, int]:
     if kind == "fig_s1":
         fig_s1_corpus(corpus)
         return 1, 8
-    config = wired_overlap_config()
+    config = random_planted_config() if kind == "planted" else wired_overlap_config()
     generate_corpus(config, corpus)
     return config.year_min, config.year_max
 
@@ -610,7 +665,7 @@ def test_stage_by_stage_equals_all(tmp_path, kind):
     ("load_citations", "ingest"),
     ("write_team_pubs_csv", "teams"),
     ("write_impulses_csv", "overlaps"),
-    ("write_corpus_stats_csv", "stats"),
+    ("write_corpus_stats_csv", "tag"),
 ])
 def test_crash_after_partial_write_reruns_stage(tmp_path, monkeypatch, writer, stage):
     """A crash under settings B, after a run under settings A, leaves the
@@ -921,12 +976,12 @@ def test_cold_all_keeps_only_values_a_later_stage_loads(s1_corpus, tmp_path, mon
                 (STAGES[i], key)
     assert dict(zip(STAGES, held)) == {
         "ingest": {"pubs", "citations"},
-        "tag": {"pubs", "tags"},
-        "network": {"pubs", "tags", "timelines"},
-        "persist": {"pubs", "tags", "network"},
-        "mine": {"pubs", "tags", "cliques"},
-        "teams": {"pubs", "tags", "teams", "profiles"},
-        "overlaps": {"pubs", "tags", "teams", "profiles", "summaries"},
+        "tag": {"pubs", "tags", "totals"},
+        "network": {"pubs", "tags", "totals", "timelines"},
+        "persist": {"pubs", "tags", "totals", "network"},
+        "mine": {"pubs", "tags", "totals", "cliques"},
+        "teams": {"totals", "teams", "facts", "profiles"},
+        "overlaps": {"totals", "teams", "facts", "profiles", "summaries"},
         "stats": set(),
     }
 

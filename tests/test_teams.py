@@ -8,7 +8,7 @@ from teammine.cliques import TemporalClique
 from teammine.geo import great_circle_km
 from teammine.teams import (assemble_teams, associate_publications, build_author_pub_index,
                             city_coordinates, composition_metrics, compute_all_metrics,
-                            associate_all, success_profiles)
+                            associate_all, success_profiles, team_pub_facts)
 
 from helpers import author, affiliation, pub, table, tag_table, team
 
@@ -231,7 +231,7 @@ def test_success_profiles_match_brute_force(data):
     teams = [team(k, ["A", "B"], [(1, 6)],
                   pubs=sorted((f"p{i}" for i in members), key=lambda p: (pubs.get(p).year, p)))
              for k, members in enumerate(memberships)]
-    profiles = success_profiles(teams, pubs, tags)
+    profiles = success_profiles(teams, team_pub_facts(teams, pubs, tags))
     assert sorted(profiles) == list(range(len(teams)))
     for squad in teams:
         profile = profiles[squad.team_id]
