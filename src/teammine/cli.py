@@ -8,12 +8,12 @@ import sys
 from pathlib import Path
 
 from teammine.errors import ConfigError, MissingArtifactError, TeammineError
-from teammine.overlaps import read_overlaps_csv
-from teammine.pipeline import STAGES, Pipeline, PipelineConfig
+from teammine.pipeline import STAGES, Pipeline, PipelineConfig, sources
 from teammine.presets import PRESETS
-from teammine.success import read_success_tags_csv
 from teammine.synthgen import GroundTruth, fig_s1_corpus, generate_corpus, verify_against_truth
-from teammine.teams import read_teams_csv
+
+# the values verify compares against the ground truth
+_VERIFY_READS = ("teams", "relations", "tags")
 
 
 def _build_config(args) -> PipelineConfig:
@@ -99,16 +99,14 @@ def _cmd_verify(args) -> int:
     except (ValueError, KeyError, TypeError, AttributeError):  # not a truth object
         raise TeammineError(f"truth file {args.truth} is not a truth.json written "
                             f"by 'teammine synth'") from None
-    artifacts = ("teams.csv", "team_pubs.csv", "overlaps.csv", "success_tags.csv")
+    artifacts = sources(_VERIFY_READS)
     for name in artifacts:
         if not (out / name).exists():
             raise MissingArtifactError(f"artifact {out / name} is missing; "
                                        f"run 'teammine all' first")
-    Pipeline(PipelineConfig(out_dir=args.out)).check_outputs("verify", artifacts)
-    teams = read_teams_csv(out / "teams.csv", out / "team_pubs.csv")
-    relations = read_overlaps_csv(out / "overlaps.csv")
-    tags = read_success_tags_csv(out / "success_tags.csv")
-    report = verify_against_truth(teams, relations, tags, truth)
+    pipeline = Pipeline(PipelineConfig(out_dir=args.out))
+    pipeline.check_outputs("verify", artifacts)
+    report = verify_against_truth(*map(pipeline._load, _VERIFY_READS), truth)
     payload = report.to_dict()
     with open(out / "verify_report.json", "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)

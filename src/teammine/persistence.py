@@ -45,8 +45,6 @@ def persistent_periods(years: Sequence[int], window_len: int = WINDOW_LEN,
         if i > 0 and years[i] == years[i - 1]:
             continue
         limit = years[i] + window_len - 1
-        if j < i:
-            j = i
         while j < n and years[j] <= limit:
             j += 1
         if j - i >= min_pubs:

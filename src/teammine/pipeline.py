@@ -52,13 +52,19 @@ FIGURE_STEMS = ("fig1a", "fig1b", "fig2a", "fig2a_top10", "fig2b", "fig2b_top10"
 class Stage:
     """One pipeline stage; its body is the ``Pipeline._stage_<name>`` method.
 
-    ``inputs`` are artifact names, or keys of ``EXTERNAL_INPUTS``; the stages
-    producing them are the stage's prerequisites, in order of first use.
+    ``reads`` are the values the stage loads, keys of ``_LOADERS``, or keys of
+    ``EXTERNAL_INPUTS``; a derived value is named with those it derives from.
     """
     name: str
     config_keys: tuple[str, ...]
-    inputs: tuple[str, ...]
+    reads: tuple[str, ...]
     outputs: tuple[str, ...]
+
+    @property
+    def inputs(self) -> tuple[str, ...]:
+        """The files the stage reads, artifact names or external input keys;
+        the stages producing them are its prerequisites, in order of first use."""
+        return sources(self.reads)
 
 
 # input key -> the configuration key holding its path
@@ -72,26 +78,25 @@ STAGE_TABLE = (
           ("pubs_input", "citations_input"),
           (*CORPUS, "canonical_citations.csv", "rejects.csv", "citation_drops.csv")),
     Stage("tag", ("citation_window",),
-          (*CORPUS, "canonical_citations.csv"),
+          ("pubs", "citations"),
           ("success_tags.csv", "thresholds.csv", "table_s1.csv", "fig1_totals.csv")),
     Stage("network", ("author_cap",),
-          CORPUS,
+          ("pubs",),
           ("pair_timelines.csv",)),
     Stage("persist", ("window_len", "min_pubs"),
-          ("pair_timelines.csv",),
+          ("timelines",),
           ("persistent_edges.csv",)),
     Stage("mine", ("min_size",),
-          ("persistent_edges.csv",),
+          ("network",),
           ("cliques.csv",)),
     Stage("teams", (),
-          ("cliques.csv", *CORPUS, "success_tags.csv"),
+          ("cliques", "pubs", "tags"),
           ("teams.csv", "team_pubs.csv", "team_pub_facts.csv")),
     Stage("overlaps", (),
-          ("teams.csv", "team_pubs.csv", "team_pub_facts.csv"),
+          ("teams", "facts", "profiles"),
           ("overlaps.csv", "impulses.csv", "overlap_anomalies.csv")),
     Stage("stats", ("margin_years", "year_min", "year_max"),
-          ("fig1_totals.csv", "teams.csv", "team_pubs.csv", "team_pub_facts.csv",
-           "impulses.csv"),
+          ("totals", "teams", "facts", "summaries", "profiles"),
           tuple(f"{stem}.csv" for stem in FIGURE_STEMS)),
 )
 
@@ -99,9 +104,8 @@ STAGES = tuple(stage.name for stage in STAGE_TABLE)
 _BY_NAME = {stage.name: stage for stage in STAGE_TABLE}
 _PRODUCER = {name: stage.name for stage in STAGE_TABLE for name in stage.outputs}
 
-# artifacts explain checks, in pipeline order
-_EXPLAIN_INPUTS = (*CORPUS, "success_tags.csv", "pair_timelines.csv", "persistent_edges.csv",
-                   "teams.csv", "team_pubs.csv", "overlaps.csv", "impulses.csv")
+# the values explain reads
+_EXPLAIN_READS = ("pubs", "teams", "facts", "relations", "summaries")
 
 
 def producers(inputs) -> tuple[str, ...]:
@@ -188,42 +192,40 @@ def _sha256(path: Path) -> str:
 
 
 # in-memory key -> (the artifacts it is loaded or derived from, how to load
-# it from the out dir). A stage may load a key only when its inputs name all
-# of the key's artifacts, and `run` drops a key once no later stage's do.
-# The success profiles are rebuilt from the artifacts they derive from. The
-# functions are looked up when called, so a rebinding of the module-level
-# names takes effect. Every load follows a digest check of the artifacts
-# against the manifest, which is why the canonical corpus and citations are
-# read back without validation.
+# it: called with the pipeline and the paths of those artifacts). A stage
+# loads only the keys its ``reads`` name, and `run` drops a key once no later
+# stage reads it. The success profiles are rebuilt from the values they
+# derive from. The readers are looked up when called, so a rebinding of the
+# module-level names takes effect. Every load follows a digest check of the
+# artifacts against the manifest, which is why the canonical corpus and
+# citations are read back without validation.
 _LOADERS = {
-    "pubs": (CORPUS, lambda p: read_publications_jsonl(*map(p._artifact, CORPUS))),
-    "citations": (("canonical_citations.csv",),
-                  lambda p: read_citations_csv(p._artifact("canonical_citations.csv"))),
-    "tags": (("success_tags.csv",),
-             lambda p: read_success_tags_csv(p._artifact("success_tags.csv"))),
-    "timelines": (("pair_timelines.csv",),
-                  lambda p: read_pair_timelines_csv(p._artifact("pair_timelines.csv"))),
-    "network": (("persistent_edges.csv",),
-                lambda p: read_persistent_edges_csv(p._artifact("persistent_edges.csv"))),
-    "cliques": (("cliques.csv",), lambda p: read_cliques_csv(p._artifact("cliques.csv"))),
-    "teams": (("teams.csv", "team_pubs.csv"),
-              lambda p: read_teams_csv(p._artifact("teams.csv"),
-                                       p._artifact("team_pubs.csv"))),
-    "totals": (("fig1_totals.csv",),
-               lambda p: read_prevalence_totals_csv(p._artifact("fig1_totals.csv"))),
-    "facts": (("team_pub_facts.csv",),
-              lambda p: read_team_pub_facts_csv(p._artifact("team_pub_facts.csv"))),
+    "pubs": (CORPUS, lambda _, *paths: read_publications_jsonl(*paths)),
+    "citations": (("canonical_citations.csv",), lambda _, path: read_citations_csv(path)),
+    "tags": (("success_tags.csv",), lambda _, path: read_success_tags_csv(path)),
+    "timelines": (("pair_timelines.csv",), lambda _, path: read_pair_timelines_csv(path)),
+    "network": (("persistent_edges.csv",), lambda _, path: read_persistent_edges_csv(path)),
+    "cliques": (("cliques.csv",), lambda _, path: read_cliques_csv(path)),
+    "teams": (("teams.csv", "team_pubs.csv"), lambda _, *paths: read_teams_csv(*paths)),
+    "totals": (("fig1_totals.csv",), lambda _, path: read_prevalence_totals_csv(path)),
+    "facts": (("team_pub_facts.csv",), lambda _, path: read_team_pub_facts_csv(path)),
     "profiles": (("teams.csv", "team_pubs.csv", "team_pub_facts.csv"),
-                 lambda p: success_profiles(p._load("teams"), p._load("facts"))),
-    "relations": (("overlaps.csv",), lambda p: read_overlaps_csv(p._artifact("overlaps.csv"))),
-    "summaries": (("impulses.csv",), lambda p: read_impulses_csv(p._artifact("impulses.csv"))),
+                 lambda p, *_: success_profiles(p._load("teams"), p._load("facts"))),
+    "relations": (("overlaps.csv",), lambda _, path: read_overlaps_csv(path)),
+    "summaries": (("impulses.csv",), lambda _, path: read_impulses_csv(path)),
 }
+
+
+def sources(reads) -> tuple[str, ...]:
+    """The files holding the values ``reads`` names, artifact names or
+    external input keys, in order of first use."""
+    return tuple(dict.fromkeys(name for key in reads for name in (
+        (key,) if key in EXTERNAL_INPUTS else _LOADERS[key][0])))
 
 
 def loadable(stages) -> set[str]:
     """The in-memory keys that one of ``stages`` may load."""
-    return {key for key, (sources, _) in _LOADERS.items()
-            if any(set(sources) <= set(_BY_NAME[stage].inputs) for stage in stages)}
+    return {key for stage in stages for key in _BY_NAME[stage].reads}
 
 
 class Pipeline:
@@ -390,11 +392,9 @@ class Pipeline:
         spec = _BY_NAME[stage]
         input_digests = self._input_digests(stage)
         for name, digest in input_digests.items():
-            if digest is None:
-                hint = ("" if name in EXTERNAL_INPUTS
-                        else "; rerun the stage that produces it")
+            if digest is None:  # an external input: `_check_prereq` or `all` saw to artifacts
                 raise MissingArtifactError(f"stage '{stage}' input {self._input_path(name)} "
-                                           f"is missing{hint}")
+                                           "is missing")
         if self._refusal(stage, f"stage '{stage}'", input_digests) is None:
             return "cached"
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -416,7 +416,8 @@ class Pipeline:
 
     def _load(self, key: str):
         if key not in self._mem:
-            self._mem[key] = _LOADERS[key][1](self)
+            files, read = _LOADERS[key]
+            self._mem[key] = read(self, *map(self._artifact, files))
         return self._mem[key]
 
     # --- stage bodies ---
@@ -515,13 +516,13 @@ class Pipeline:
 
     def explain_team(self, team_id: int) -> str:
         self._digests = {}
-        self._check_prereq("explain", producers(_EXPLAIN_INPUTS))
+        self._check_prereq("explain", producers(sources(_EXPLAIN_READS)))
         teams = self._load("teams")
         team = teams.get(team_id)
         if team is None:
             raise UnknownTeamError(f"no team with id {team_id}")
         pubs = self._load("pubs")
-        tags = self._load("tags")
+        facts = self._load("facts")
         members = set(team.members)
         timelines = build_pair_timelines(
             [rec for rec in pubs
@@ -541,10 +542,9 @@ class Pipeline:
                              f"co-publication years: {', '.join(map(str, years)) or 'none'}")
         lines.append(f"  publications ({len(team.pubs)}):")
         for pub_id in team.pubs:
-            rec = pubs.get(pub_id)
-            top10, top1 = tags.flags(pub_id)
-            mark = (" top10" if top10 else "") + (" top1" if top1 else "")
-            lines.append(f"    year {rec.year}  {pub_id}{mark}")
+            pub = facts[pub_id]
+            mark = (" top10" if pub.top10 else "") + (" top1" if pub.top1 else "")
+            lines.append(f"    year {pub.year}  {pub_id}{mark}")
         if team.metrics is not None:
             m = team.metrics
             lines.append(f"  composition: orgs/member={m.orgs_per_member:.3f} "

@@ -111,7 +111,8 @@ def test_reject_reasons(tmp_path):
         pub_json("p5", 2010, ["a1"], affs=[{}]),            # affiliation
         pub_json("p6", 2010, ["a1"], affs=[{"lat": 95.0, "lon": 0.0}]),  # coordinates
         pub_json("p7", 2010, ["a1"], affs=[{"lat": 5.0}]),  # half a coordinate
-        pub_json("p8", 2010, ["a1"]),
+        pub_json("p8", 2010, ["a1"], affs=[]),              # no affiliation at all
+        pub_json("p9", 2010, ["a1"]),
     ]
     path = tmp_path / "pubs.jsonl"
     write_jsonl(path, records)
@@ -119,7 +120,7 @@ def test_reject_reasons(tmp_path):
     assert len(pubs) == 1
     reasons = [reason for _, reason in pubs.rejects]
     assert reasons == ["year_window", "no_authors", "duplicate_author", "fields",
-                       "affiliation", "coordinates", "coordinates"]
+                       "affiliation", "coordinates", "coordinates", "affiliation"]
     assert len(pubs) + len(pubs.rejects) == pubs.input_lines
 
 
@@ -500,6 +501,17 @@ def test_malformed_citation_line_fatal(tmp_path):
     with open(path, "w") as fh:
         fh.write("citing_pub_id,cited_pub_id,citing_year\nx1,p1,notayear\n")
     with pytest.raises(IngestError, match="line 2"):
+        _load_citations(path, pubs)
+
+
+@pytest.mark.parametrize("text", ["", "citing,cited,year\nx1,p1,2010\n"])
+def test_citation_header_required(tmp_path, text):
+    pubs = _pubs_for_citations(tmp_path)
+    path = tmp_path / "cites.csv"
+    path.write_text(text)
+    message = ("line 1: citation file must start with header "
+               "'citing_pub_id,cited_pub_id,citing_year'")
+    with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
         _load_citations(path, pubs)
 
 

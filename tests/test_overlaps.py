@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -5,6 +6,7 @@ from teammine.overlaps import (Impulse, ImpulseSummary, OverlapKind, OverlapRela
                                build_member_index, classify_all, classify_overlap,
                                impulse_summary, shared_core_test, summarize_all,
                                write_impulses_csv)
+from teammine.synthgen import derive_truth_overlaps
 from teammine.teams import Success, SuccessProfile, TeamTable
 
 from helpers import build_profiles, half_overlap_pairs, pub, table, tag_table, team
@@ -91,6 +93,22 @@ def test_shared_core_detected():
     rel = classify_overlap(focal, offshoot, teams, build_member_index(teams))
     assert (rel.kind, rel.timing, rel.impulse) == \
         (OverlapKind.OFFSHOOT_SHARED_CORE, Timing.PRECEDING, Impulse.NONE)
+
+
+@pytest.mark.parametrize("core,kind", [
+    (["A", "B"], OverlapKind.OFFSHOOT_NO_SHARED_CORE),  # below half of the focal team
+    (["A", "B", "C"], OverlapKind.OFFSHOOT_SHARED_CORE),
+])
+def test_shared_core_must_hold_half_the_focal_team(core, kind):
+    focal = team(0, ["A", "B", "C", "D", "E", "F"], [(3, 6)])
+    offshoot = team(1, ["A", "B", "C", "G", "H", "I"], [(3, 5)])
+    teams = team_table(focal, offshoot, team(2, core, [(1, 8)]))
+    rel = classify_overlap(focal, offshoot, teams, build_member_index(teams))
+    assert rel.kind == kind
+    truth = derive_truth_overlaps([(frozenset(t.members), list(t.intervals)) for t in teams])
+    assert [found["kind"] for found in truth
+            if found["focal"] == list(focal.members) and found["other"] == list(offshoot.members)
+            ] == [kind.value]
 
 
 def test_no_team_inside_intersection():

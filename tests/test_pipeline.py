@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teammine import cli as cli_module
 from teammine import pipeline as pipeline_module
 from teammine.cli import _CONFIG_KEY_HELP, main
 from teammine.csvio import read_csv
@@ -297,6 +298,23 @@ def test_explain_team(s1_corpus, tmp_path):
         pipeline.explain_team(999)
 
 
+def test_explain_reads_no_success_tags(tmp_path, monkeypatch):
+    """explain takes each publication's year and tiers from the team
+    publication facts, so it never decodes success_tags.csv."""
+    corpus = tmp_path / "corpus"
+    pipeline = run_pipeline(corpus, tmp_path / "out", *_corpus("wired", corpus))
+    reports = [pipeline.explain_team(team.team_id) for team in pipeline._load("teams")]
+    assert any(" top10" in report for report in reports)
+    assert any(" top1" in report.replace(" top10", "") for report in reports)
+
+    def refused(path):
+        raise AssertionError(f"explain read {path}")
+
+    monkeypatch.setattr(pipeline_module, "read_success_tags_csv", refused)
+    fresh = Pipeline(pipeline.config)
+    assert [fresh.explain_team(team.team_id) for team in fresh._load("teams")] == reports
+
+
 def test_closed_team_explain_shows_zero_relations(s1_corpus, tmp_path):
     pipeline = run_pipeline(s1_corpus, tmp_path / "out", 1, 8)
     teams = pipeline._load("teams")
@@ -388,6 +406,8 @@ def test_cli_error_paths(s1_corpus, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
 
+    assert "--set expects key=value, got 'year_min'" in one_line_error(
+        ["all", "--out", str(tmp_path / "o"), "--set", "year_min"])
     missing = tmp_path / "missing.conf"
     assert str(missing) in one_line_error(["all", "--out", str(tmp_path / "o"),
                                            "--config", str(missing)])
@@ -952,10 +972,6 @@ def test_benchmark_tracer_names_bound_in_pipeline(tmp_path):
         assert trace.missing == []
 
 
-def _load_sources(key: str) -> set[str]:
-    return set(pipeline_module._LOADERS[key][0])
-
-
 def test_cold_all_keeps_only_values_a_later_stage_loads(s1_corpus, tmp_path, monkeypatch):
     """After each stage of a cold `all`, the in-memory values are the ones
     some later stage may still load, and none is left once `all` returns."""
@@ -972,8 +988,7 @@ def test_cold_all_keeps_only_values_a_later_stage_loads(s1_corpus, tmp_path, mon
     for i, keys in enumerate(held):
         later = STAGE_TABLE[i + 1:]
         for key in keys:
-            assert any(_load_sources(key) <= set(stage.inputs) for stage in later), \
-                (STAGES[i], key)
+            assert any(key in stage.reads for stage in later), (STAGES[i], key)
     assert dict(zip(STAGES, held)) == {
         "ingest": {"pubs", "citations"},
         "tag": {"pubs", "tags", "totals"},
@@ -988,8 +1003,8 @@ def test_cold_all_keeps_only_values_a_later_stage_loads(s1_corpus, tmp_path, mon
 
 @pytest.mark.parametrize("preset", ["fig_s1", "wired"])
 def test_each_stage_loads_exactly_its_inputs(tmp_path, monkeypatch, preset):
-    """Run alone on a fresh Pipeline, each stage loads values whose source
-    artifacts are, together, exactly the stage's declared out-dir inputs."""
+    """Run alone on a fresh Pipeline, each stage loads exactly the values
+    its ``reads`` name; its inputs are the files holding them."""
     corpus = tmp_path / "corpus"
     years = _corpus(preset, corpus)
     run_pipeline(corpus, tmp_path / "out", *years)
@@ -1009,9 +1024,17 @@ def test_each_stage_loads_exactly_its_inputs(tmp_path, monkeypatch, preset):
             year_min=years[0], year_max=years[1], margin_years=0))
         del pipeline.manifest[stage.name]  # so that the stage reruns
         assert pipeline.run(stage.name) == {stage.name: "ran"}
-        sources = set().union(*map(_load_sources, touched))
-        declared = {name for name in stage.inputs if name not in EXTERNAL_INPUTS}
-        assert sources == declared, stage.name
+        assert set(touched) == set(stage.reads) - set(EXTERNAL_INPUTS), stage.name
+
+
+def test_every_loader_is_read_and_every_read_is_loadable():
+    """Each in-memory value is read by some stage, by explain or by verify,
+    and each value a stage reads has a loader or is an external input."""
+    readers = [stage.reads for stage in STAGE_TABLE]
+    readers += [pipeline_module._EXPLAIN_READS, cli_module._VERIFY_READS]
+    read = {key for reads in readers for key in reads}
+    assert set(pipeline_module._LOADERS) <= read
+    assert read <= set(pipeline_module._LOADERS) | set(EXTERNAL_INPUTS)
 
 
 def test_each_file_hashed_once_per_command(s1_corpus, tmp_path, monkeypatch):

@@ -56,38 +56,40 @@ def test_truth_closed_under_persistence_rule(tmp_path):
     assert set(network) == planted_pairs
 
 
-def test_infeasible_pubs_per_year():
-    config = small_config(teams=(PlantedTeam(("A", "B"), ((3, 3),)),))
-    with pytest.raises(InfeasibleConfigError, match="pubs_per_year"):
-        validate_config(config)
-
-
-def test_infeasible_bridging_gap():
-    config = small_config(teams=(PlantedTeam(("A", "B"), ((1, 3), (6, 8)),
-                                             pubs_per_year=3),))
-    with pytest.raises(InfeasibleConfigError, match="pair_gap"):
-        validate_config(config)
-
-
-def test_infeasible_non_nesting_overlap():
-    config = small_config(teams=(PlantedTeam(("A", "B", "C"), ((1, 5),)),
-                                 PlantedTeam(("A", "B", "D"), ((3, 8),))))
-    with pytest.raises(InfeasibleConfigError, match="pair_nesting"):
-        validate_config(config)
-
-
-def test_infeasible_shadowed_team():
-    config = small_config(teams=(PlantedTeam(("A", "B"), ((2, 6),)),
-                                 PlantedTeam(("A", "B", "C"), ((2, 6),))))
-    with pytest.raises(InfeasibleConfigError, match="team_maximality"):
-        validate_config(config)
-
-
-def test_infeasible_success_age_outside_interval():
-    config = small_config(teams=(PlantedTeam(("A", "B"), ((2, 6),),
-                                             success_ages=(7,)),))
-    with pytest.raises(InfeasibleConfigError, match="success_ages"):
-        validate_config(config)
+@pytest.mark.parametrize("rule,changes", [
+    pytest.param("pubs_per_year", dict(teams=(PlantedTeam(("A", "B"), ((3, 3),)),)),
+                 id="pubs_per_year"),
+    pytest.param("pair_gap", dict(teams=(PlantedTeam(("A", "B"), ((1, 3), (6, 8)),
+                                                     pubs_per_year=3),)),
+                 id="bridging_gap"),
+    pytest.param("pair_nesting", dict(teams=(PlantedTeam(("A", "B", "C"), ((1, 5),)),
+                                             PlantedTeam(("A", "B", "D"), ((3, 8),)))),
+                 id="non_nesting_overlap"),
+    pytest.param("team_maximality", dict(teams=(PlantedTeam(("A", "B"), ((2, 6),)),
+                                                PlantedTeam(("A", "B", "C"), ((2, 6),)))),
+                 id="shadowed_team"),
+    pytest.param("success_ages", dict(teams=(PlantedTeam(("A", "B"), ((2, 6),),
+                                                         success_ages=(7,)),)),
+                 id="success_age_outside_interval"),
+    pytest.param("team_size", dict(teams=(PlantedTeam(("A",), ((2, 6),)),)),
+                 id="one_member"),
+    pytest.param("team_size", dict(teams=(PlantedTeam(("A", "B", "A"), ((2, 6),)),)),
+                 id="repeated_member"),
+    pytest.param("team_intervals", dict(teams=(PlantedTeam(("A", "B"), ()),)),
+                 id="no_intervals"),
+    pytest.param("team_intervals", dict(teams=(PlantedTeam(("A", "B"), ((2, 4), (5, 9))),)),
+                 id="touching_intervals"),
+    pytest.param("team_intervals", dict(teams=(PlantedTeam(("A", "B"), ((10, 14),)),)),
+                 id="interval_outside_window"),
+    pytest.param("team_support", dict(teams=(PlantedTeam(("A", "B", "C"), ((3, 5),)),
+                                             PlantedTeam(("A", "B", "C", "D"), ((1, 8),)))),
+                 id="unsupported_span"),
+    pytest.param("background_pool", dict(n_background_authors=2), id="background_pool"),
+    pytest.param("success_q", dict(success_q="0.05"), id="success_q"),
+])
+def test_infeasible_config_names_its_rule(rule, changes):
+    with pytest.raises(InfeasibleConfigError, match=f"^{rule}: "):
+        validate_config(small_config(**changes))
 
 
 def test_presets_validate():
