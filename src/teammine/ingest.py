@@ -495,7 +495,7 @@ def read_publications_jsonl(path: str | Path, affiliations_path: str | Path) -> 
     ``canonical_publications.jsonl`` and ``canonical_affiliations.jsonl``
     after matching their digests with the manifest in the same process:
     ``all`` keeps a cached ingest only when its output digests match, and a
-    single stage or ``explain`` passes ``Pipeline._check_prereq`` first.
+    single stage passes ``Pipeline._check_prereq`` first.
     External input goes through ``load_publications``.
     """
     # each line is one value the writer wrote: raw_decode skips the

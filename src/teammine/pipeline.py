@@ -34,8 +34,7 @@ from teammine.overlaps import (classify_all, read_impulses_csv, read_overlaps_cs
 from teammine.pairs import (build_pair_timelines, read_pair_timelines_csv,
                             write_pair_timelines_csv)
 from teammine.persistence import (MIN_PUBS, WINDOW_LEN, build_persistent_network,
-                                  persistent_periods, read_persistent_edges_csv,
-                                  write_persistent_edges_csv)
+                                  read_persistent_edges_csv, write_persistent_edges_csv)
 from teammine.success import (WINDOW_INCLUSIVE, WINDOWS, compute_tags, read_success_tags_csv,
                               write_success_tags_csv, write_thresholds_csv)
 from teammine.teams import (assemble_teams, associate_all, compute_all_metrics,
@@ -105,7 +104,7 @@ _BY_NAME = {stage.name: stage for stage in STAGE_TABLE}
 _PRODUCER = {name: stage.name for stage in STAGE_TABLE for name in stage.outputs}
 
 # the values explain reads
-_EXPLAIN_READS = ("pubs", "teams", "facts", "relations", "summaries")
+_EXPLAIN_READS = ("timelines", "network", "teams", "facts", "relations", "summaries")
 
 
 def producers(inputs) -> tuple[str, ...]:
@@ -521,13 +520,9 @@ class Pipeline:
         team = teams.get(team_id)
         if team is None:
             raise UnknownTeamError(f"no team with id {team_id}")
-        pubs = self._load("pubs")
+        timelines = self._load("timelines")
+        network = self._load("network")
         facts = self._load("facts")
-        members = set(team.members)
-        timelines = build_pair_timelines(
-            [rec for rec in pubs
-             if sum(entry.author_id in members for entry in rec.authors) >= 2],
-            self.config.author_cap)
         lines = [f"team {team.team_id}: {', '.join(team.members)}"]
         lines.append("  intervals: " + "; ".join(f"[{s},{e}]" for s, e in team.intervals))
         lines.append(f"  duration: [{team.duration_start},{team.duration_end}] "
@@ -535,9 +530,8 @@ class Pipeline:
         lines.append("  pair persistence:")
         for i, a in enumerate(team.members):  # sorted, so each pair is canonical
             for b in team.members[i + 1:]:
-                years = timelines.get(a, {}).get(b, ())
-                periods = "; ".join(f"[{s},{e}]" for s, e in persistent_periods(
-                    years, self.config.window_len, self.config.min_pubs))
+                years = timelines[a][b]
+                periods = "; ".join(f"[{s},{e}]" for s, e in network.get((a, b), ()))
                 lines.append(f"    {a}--{b}: periods {periods or 'none'}; "
                              f"co-publication years: {', '.join(map(str, years)) or 'none'}")
         lines.append(f"  publications ({len(team.pubs)}):")
@@ -545,12 +539,11 @@ class Pipeline:
             pub = facts[pub_id]
             mark = (" top10" if pub.top10 else "") + (" top1" if pub.top1 else "")
             lines.append(f"    year {pub.year}  {pub_id}{mark}")
-        if team.metrics is not None:
-            m = team.metrics
-            lines.append(f"  composition: orgs/member={m.orgs_per_member:.3f} "
-                         f"cities/member={m.cities_per_member:.3f} "
-                         f"countries/member={m.countries_per_member:.3f} "
-                         f"city-distance/member={m.mean_city_distance_km:.1f} km")
+        m = team.metrics
+        lines.append(f"  composition: orgs/member={m.orgs_per_member:.3f} "
+                     f"cities/member={m.cities_per_member:.3f} "
+                     f"countries/member={m.countries_per_member:.3f} "
+                     f"city-distance/member={m.mean_city_distance_km:.1f} km")
         relations = [rel for rel in self._load("relations") if rel.focal_team_id == team_id]
         lines.append(f"  overlap relations ({len(relations)}):")
         for rel in relations:

@@ -25,10 +25,11 @@ from teammine.persistence import MIN_PUBS, WINDOW_LEN, persistent_periods
 from teammine.pipeline import (CORPUS, EXTERNAL_INPUTS, FIGURE_STEMS, STAGE_TABLE, STAGES,
                                Pipeline, PipelineConfig, producers)
 from teammine.presets import PRESETS, random_planted_config, wired_overlap_config
-from teammine.success import read_success_tags_csv
+from teammine.success import WINDOWS, read_success_tags_csv
 from teammine.synthgen import fig_s1_corpus, generate_corpus
 
 from helpers import pub_json, run_pipeline, write_citations, write_jsonl
+from test_persistence import literal_window_union
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +92,7 @@ def test_each_refusal_message(s1_corpus, tmp_path):
     assert refusal(lambda p: p.run("mine")) == (
         MissingArtifactError, "stage 'mine' needs stage 'persist'; run 'persist' first")
     assert refusal(lambda p: p.explain_team(1)) == (
-        MissingArtifactError, "explain needs stage 'ingest'; run 'ingest' first")
+        MissingArtifactError, "explain needs stage 'network'; run 'network' first")
     Pipeline(config).run("all")
     edges = out / "persistent_edges.csv"
     edges.write_text(edges.read_text() + "Z,Q,1-2\n")
@@ -298,21 +299,101 @@ def test_explain_team(s1_corpus, tmp_path):
         pipeline.explain_team(999)
 
 
-def test_explain_reads_no_success_tags(tmp_path, monkeypatch):
-    """explain takes each publication's year and tiers from the team
-    publication facts, so it never decodes success_tags.csv."""
+def test_explain_reads_only_stage_values(tmp_path, monkeypatch):
+    """explain formats what the stages wrote: each publication's year and
+    tiers from the team publication facts, each pair's years and periods from
+    the pair timelines and the persistent network. It decodes neither the
+    corpus nor success_tags.csv, and rebuilds no timeline or period."""
     corpus = tmp_path / "corpus"
     pipeline = run_pipeline(corpus, tmp_path / "out", *_corpus("wired", corpus))
     reports = [pipeline.explain_team(team.team_id) for team in pipeline._load("teams")]
     assert any(" top10" in report for report in reports)
     assert any(" top1" in report.replace(" top10", "") for report in reports)
 
-    def refused(path):
-        raise AssertionError(f"explain read {path}")
+    def refused(*args, **kwargs):
+        raise AssertionError(f"explain called a reader or a builder with {args}")
 
-    monkeypatch.setattr(pipeline_module, "read_success_tags_csv", refused)
+    for name in ("read_success_tags_csv", "read_publications_jsonl", "build_pair_timelines",
+                 "persistent_periods"):
+        monkeypatch.setattr(pipeline_module, name, refused, raising=False)
     fresh = Pipeline(pipeline.config)
     assert [fresh.explain_team(team.team_id) for team in fresh._load("teams")] == reports
+
+
+def test_explain_pair_lines_follow_the_definitions(tmp_path):
+    """Each member pair's line holds the years of the input records naming
+    both members and at most ``author_cap`` authors, and the union of the
+    windows of ``window_len`` years holding ``min_pubs`` of those years."""
+    corpus = tmp_path / "corpus"
+    settings = dict(author_cap=3, window_len=4, min_pubs=2)
+    pipeline = run_pipeline(corpus, tmp_path / "out", *_corpus("wired", corpus), **settings)
+    records = [json.loads(line) for line in
+               (corpus / "publications.jsonl").read_text(encoding="utf-8").splitlines()]
+    author_sets = [({entry["author_id"] for entry in record["authors"]}, record["year"])
+                   for record in records]
+    capped = 0
+    for team in pipeline._load("teams"):
+        report = pipeline.explain_team(team.team_id).splitlines()
+        for i, a in enumerate(team.members):
+            for b in team.members[i + 1:]:
+                held = [(len(ids), year) for ids, year in author_sets if {a, b} <= ids]
+                years = sorted(year for size, year in held if size <= settings["author_cap"])
+                capped += len(years) < len(held)
+                periods = literal_window_union(years, settings["window_len"],
+                                               settings["min_pubs"])
+                assert (f"    {a}--{b}: periods "
+                        f"{'; '.join(f'[{s},{e}]' for s, e in periods) or 'none'}; "
+                        f"co-publication years: {', '.join(map(str, years))}") in report
+    assert capped  # the cap drops some pair's records, so the test sees it applied
+
+
+def test_explain_single_fault_refusals(s1_corpus, tmp_path, capsys):
+    """With one artifact edited or deleted, explain refuses naming the stage
+    that wrote it, unless stats wrote it, which explain does not read; with
+    one configuration key changed, it names the first stage owning the key,
+    unless only stats owns it."""
+    out = tmp_path / "out"
+    run_pipeline(s1_corpus, out, 1, 8)
+    config = dict(year_min=1, year_max=8, margin_years=0)
+
+    def explain(**changed) -> tuple[int, str, str]:
+        argv = ["explain", "--out", str(out), "--team-id", "1"]
+        for key, value in {**config, **changed}.items():
+            argv += ["--set", f"{key}={value}"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    code, report, err = explain()
+    assert code == 0 and err == "" and report.startswith("team 1: ")
+    for stage in STAGE_TABLE:
+        for name in stage.outputs:
+            path = out / name
+            original = path.read_bytes()
+            for fault in ("edit", "delete"):
+                if fault == "edit":
+                    path.write_bytes(original + b"x\n")
+                else:
+                    path.unlink()
+                if stage.name == "stats":
+                    assert explain() == (0, report, ""), (name, fault)
+                else:
+                    code, _, err = explain()
+                    assert code == 2 and err.startswith("error: "), (name, fault)
+                    assert err.endswith(f"rerun '{stage.name}'\n"), (name, fault)
+                path.write_bytes(original)
+    defaults = PipelineConfig()
+    for key in dict.fromkeys(key for stage in STAGE_TABLE for key in stage.config_keys):
+        value = config.get(key, getattr(defaults, key))
+        changed = (next(window for window in WINDOWS if window != value)
+                   if key == "citation_window" else value + 1)
+        owner = next(stage.name for stage in STAGE_TABLE if key in stage.config_keys)
+        if owner == "stats":
+            assert explain(**{key: changed}) == (0, report, ""), key
+        else:
+            code, _, err = explain(**{key: changed})
+            assert code == 2 and f"stage '{owner}' ran with other settings" in err, key
+    assert explain() == (0, report, "")
 
 
 def test_closed_team_explain_shows_zero_relations(s1_corpus, tmp_path):
@@ -468,8 +549,8 @@ def test_cli_verify_missing_files(s1_corpus, tmp_path, capsys):
     assert len(err) == 1 and "not a truth.json" in err[0]
     assert main(["verify", "--out", str(out),
                  "--truth", str(s1_corpus / "truth.json")]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "teams.csv is missing" in err[0]
+    assert capsys.readouterr().err.splitlines() == [
+        "error: verify needs stage 'teams'; run 'teams' first"]
 
 
 def test_cli_verify_reads_only_what_the_manifest_vouches_for(s1_corpus, tmp_path, capsys):
@@ -562,8 +643,8 @@ def test_single_stage_refuses_prereq_run_under_other_config(s1_corpus, tmp_path,
 def test_cli_explain_checks_prereqs(s1_corpus, tmp_path, capsys):
     empty = tmp_path / "empty"
     assert main(["explain", "--out", str(empty), "--team-id", "1"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "run 'ingest'" in err[0]
+    assert capsys.readouterr().err.splitlines() == [
+        "error: explain needs stage 'network'; run 'network' first"]
     assert not empty.exists()
     out = tmp_path / "out"
     run_pipeline(s1_corpus, out, 1, 8)
