@@ -18,8 +18,10 @@ import os
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
-from teammine.analytics import (compute_all_figures, filter_margin, prevalence_totals,
-                                read_prevalence_totals_csv, write_prevalence_totals_csv)
+from teammine.analytics import (compute_all_figures, figure_tallies, filter_margin,
+                                prevalence_totals, read_figure_tallies_csv,
+                                read_prevalence_totals_csv, write_figure_tallies_csv,
+                                write_prevalence_totals_csv)
 from teammine.cliques import (MIN_SIZE, enumerate_maximal_cliques, read_cliques_csv,
                               write_cliques_csv)
 from teammine.csvio import write_csv
@@ -93,9 +95,9 @@ STAGE_TABLE = (
           ("teams.csv", "team_pubs.csv", "team_pub_facts.csv")),
     Stage("overlaps", (),
           ("teams", "facts", "profiles"),
-          ("overlaps.csv", "impulses.csv", "overlap_anomalies.csv")),
+          ("overlaps.csv", "impulses.csv", "overlap_anomalies.csv", "figure_tallies.csv")),
     Stage("stats", ("margin_years", "year_min", "year_max"),
-          ("totals", "teams", "facts", "summaries", "profiles"),
+          ("totals", "tallies"),
           tuple(f"{stem}.csv" for stem in FIGURE_STEMS)),
 )
 
@@ -212,6 +214,7 @@ _LOADERS = {
                  lambda p, *_: success_profiles(p._load("teams"), p._load("facts"))),
     "relations": (("overlaps.csv",), lambda _, path: read_overlaps_csv(path)),
     "summaries": (("impulses.csv",), lambda _, path: read_impulses_csv(path)),
+    "tallies": (("figure_tallies.csv",), lambda _, path: read_figure_tallies_csv(path)),
 }
 
 
@@ -488,28 +491,27 @@ class Pipeline:
 
     def _stage_overlaps(self) -> dict:
         teams = self._load("teams")
+        profiles = self._load("profiles")
         relations, anomalies = classify_all(teams)
-        summaries = summarize_all(teams, relations, self._load("profiles"))
+        summaries = summarize_all(teams, relations, profiles)
+        tallies = figure_tallies(teams, self._load("facts"), profiles, summaries)
         write_overlaps_csv(relations, self._artifact("overlaps.csv"))
         write_impulses_csv(summaries, self._artifact("impulses.csv"))
         write_csv(self._artifact("overlap_anomalies.csv"), ["lemma", "count"],
                   sorted(anomalies.items()))
-        self._mem["relations"] = relations
-        self._mem["summaries"] = summaries
-        counts = {"relations": len(relations),
-                  "anomalies": sum(anomalies.values())}
-        return counts
+        write_figure_tallies_csv(tallies, self._artifact("figure_tallies.csv"))
+        self._mem["tallies"] = tallies
+        return {"relations": len(relations), "anomalies": sum(anomalies.values())}
 
     def _stage_stats(self) -> dict:
-        teams = filter_margin(list(self._load("teams")), self.config.year_min,
-                              self.config.year_max, self.config.margin_years)
-        figures = compute_all_figures(self._load("totals"), self._load("facts"), teams,
-                                      self._load("summaries"), self._load("profiles"),
+        sums = filter_margin(self._load("tallies"), self.config.year_min,
+                             self.config.year_max, self.config.margin_years)
+        figures = compute_all_figures(self._load("totals"), sums,
                                       self.config.year_min, self.config.year_max)
         for stem in FIGURE_STEMS:
             figures[stem].to_csv(self._artifact(f"{stem}.csv"))
         return {"figure_tables": len(FIGURE_STEMS),
-                "teams_after_margin": len(teams)}
+                "teams_after_margin": sum(n for (n,) in sums.get("teams", {}).values())}
 
     # --- debugging aid ---
 

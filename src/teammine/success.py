@@ -19,11 +19,12 @@ and the two sets of ids that qualify.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from teammine.csvio import read_csv, write_csv
+from teammine.csvio import encode_field, read_csv, write_csv
 from teammine.ingest import CitationTable, PublicationTable
 
 TOP1 = Fraction(1, 100)
@@ -93,10 +94,22 @@ def compute_tags(pubs: PublicationTable, citations: CitationTable,
     return tag_success(pubs, three_year_citations(pubs, citations, mode=mode))
 
 
+# a character that makes the csv dialect quote a field
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
+_FLAGS = {(top10, top1): f"{int(top10)},{int(top1)}" for top10 in (False, True)
+          for top1 in (False, True)}
+
+
 def write_success_tags_csv(tags: SuccessTagTable, path: str | Path):
-    write_csv(path, ["pub_id", "citations_3y", "top10", "top1"],
-              ((pub_id, c, int(pub_id in tags.top10), int(pub_id in tags.top1))
-               for pub_id, c in tags.counts.items()))
+    """The rows ``write_csv`` would write, formatted without a csv writer.
+    Ids are written as they are unless one of them holds a character the
+    dialect quotes; then every id goes through ``encode_field``."""
+    counts, top10, top1 = tags.counts, tags.top10, tags.top1
+    fields = map(encode_field, counts) if _NEEDS_QUOTES("".join(counts)) else counts
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("pub_id,citations_3y,top10,top1\r\n")
+        fh.writelines(f"{field},{c},{_FLAGS[pub_id in top10, pub_id in top1]}\r\n"
+                      for field, (pub_id, c) in zip(fields, counts.items()))
 
 
 def read_success_tags_csv(path: str | Path) -> SuccessTagTable:

@@ -5,20 +5,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import figures_reference
 import prevalence_reference as reference
-from teammine.analytics import (compute_all_figures, filter_margin,
-                                first_success_distribution, first_success_shift,
-                                newly_successful_rate, prevalence_totals,
-                                read_prevalence_totals_csv, success_by_composition,
-                                success_by_impulse_count, success_by_impulse_rate,
-                                success_prob_by_age, team_prevalence, write_prevalence_totals_csv,
+from teammine.analytics import (PrevalenceTotals, compute_all_figures, figure_tallies,
+                                filter_margin, prevalence_totals, read_figure_tallies_csv,
+                                read_prevalence_totals_csv, team_prevalence,
+                                write_figure_tallies_csv, write_prevalence_totals_csv,
                                 _quarter_bin)
 from teammine.ingest import _DOC_TYPE_ALIASES, corpus_stats
 from teammine.overlaps import ImpulseSummary
-from teammine.teams import (CompositionMetrics, associate_all, read_team_pub_facts_csv,
-                            team_pub_facts, write_team_pub_facts_csv)
+from teammine.pipeline import FIGURE_STEMS
+from teammine.teams import (CompositionMetrics, TeamPubFacts, associate_all,
+                            read_team_pub_facts_csv, success_profiles, team_pub_facts,
+                            write_team_pub_facts_csv)
 
-from helpers import affiliation, author, build_profiles, pub, table, tag_table, team
+from helpers import affiliation, author, pub, table, tag_table, team
 
 
 def summary(team_id, **kwargs):
@@ -32,11 +33,34 @@ def rows_by_key(series):
     return {row.keys: row for row in series.rows}
 
 
+def closed(teams):
+    """An all-zero impulse summary per team."""
+    return {t.team_id: summary(t.team_id) for t in teams}
+
+
+def read_back(tallies):
+    """``tallies`` as the stats stage reads them from figure_tallies.csv."""
+    with tempfile.TemporaryDirectory() as where:
+        write_figure_tallies_csv(tallies, Path(where) / "tallies.csv")
+        return read_figure_tallies_csv(Path(where) / "tallies.csv")
+
+
+def figures(pubs, tags, teams, summaries=None, year_min=1, year_max=3):
+    """Every figure table of ``teams`` at margin 0, as the tag, teams,
+    overlaps and stats stages build them; a team without a summary is
+    closed."""
+    facts = team_pub_facts(teams, pubs, tags)
+    tallies = figure_tallies(teams, facts, success_profiles(teams, facts),
+                             summaries or closed(teams))
+    return compute_all_figures(prevalence_totals(pubs, tags),
+                               filter_margin(read_back(tallies), year_min, year_max, 0),
+                               year_min, year_max)
+
+
 def prevalence(pubs, teams, tags, year_min, year_max):
-    """The prevalence tables from the corpus and its tags, as the tag,
-    teams and stats stages build them."""
-    return team_prevalence(prevalence_totals(pubs, tags), team_pub_facts(teams, pubs, tags),
-                           teams, year_min, year_max)
+    """The prevalence tables, fig1a and fig1b."""
+    tables = figures(pubs, tags, teams, year_min=year_min, year_max=year_max)
+    return tables["fig1a"], tables["fig1b"]
 
 
 # --- prevalence ---
@@ -129,10 +153,10 @@ _teams = st.lists(st.tuples(st.lists(st.sampled_from(_AUTHORS), min_size=2, max_
 def test_prevalence_from_totals_and_facts_matches_corpus_walk(records, top10, top1, teams,
                                                               kept):
     """The populations from the tag stage and the facts of every team's
-    publications from the teams stage, both read back from their CSVs, give
-    the fig1a and fig1b rows of a walk over the corpus for any subset of the
-    teams, as the margin filter keeps one; the document type table equals
-    that walk's too."""
+    publications from the teams stage, both read back from their CSVs, and
+    the tallies of any subset of the teams give the fig1a and fig1b rows of a
+    walk over the corpus for that subset; the document type table equals that
+    walk's too."""
     pubs = table(pub(f"p{i}", year, [], doc_type=doc_type,
                      authors=[author(a, [affiliation(country=c) for c in countries])
                               for a, countries in entries])
@@ -148,8 +172,10 @@ def test_prevalence_from_totals_and_facts_matches_corpus_walk(records, top10, to
                                  Path(where) / "facts.csv")
         totals = read_prevalence_totals_csv(Path(where) / "totals.csv")
         facts = read_team_pub_facts_csv(Path(where) / "facts.csv")
+    tallies = figure_tallies(subset, facts, success_profiles(subset, facts), closed(subset))
+    sums = filter_margin(read_back(tallies), *_YEARS, 0)
     expected = reference.team_prevalence(pubs, subset, tags, *_YEARS)
-    for table_now, table_then in zip(team_prevalence(totals, facts, subset, *_YEARS), expected):
+    for table_now, table_then in zip(team_prevalence(totals, sums, *_YEARS), expected):
         assert repr(table_now.rows) == repr(table_then.rows)
     assert repr(corpus_stats(pubs, tags)) == repr(reference.corpus_stats(pubs, tags))
 
@@ -168,7 +194,7 @@ def _freshness_fixture(success_age):
 
 def test_success_prob_by_age_planted_at_age_one():
     pubs, tags, teams = _freshness_fixture(success_age=1)
-    series = success_prob_by_age(teams, build_profiles(teams, pubs, tags), "top1")
+    series = figures(pubs, tags, teams)["fig2a"]
     rows = rows_by_key(series)
     assert rows[(3, 1)].value == 1.0
     assert rows[(3, 2)].value == 0.0
@@ -176,13 +202,12 @@ def test_success_prob_by_age_planted_at_age_one():
 
 
 def test_success_prob_by_age_empty():
-    profiles = build_profiles([], table([]), tag_table({}))
-    assert success_prob_by_age([], profiles, "top1").rows == []
+    assert figures(table([]), tag_table({}), [])["fig2a"].rows == []
 
 
 def test_first_success_distribution_sums_to_100():
     pubs, tags, teams = _freshness_fixture(success_age=2)
-    series = first_success_distribution(teams, build_profiles(teams, pubs, tags), "top1")
+    series = figures(pubs, tags, teams)["fig2b"]
     rows = rows_by_key(series)
     assert rows[(3, 2)].value == 100.0
     total = sum(row.value for row in series.rows)
@@ -191,7 +216,7 @@ def test_first_success_distribution_sums_to_100():
 
 def test_newly_successful_rate_all_first_year():
     pubs, tags, teams = _freshness_fixture(success_age=1)
-    series = newly_successful_rate(teams, build_profiles(teams, pubs, tags), "top1")
+    series = figures(pubs, tags, teams)["figs2add"]
     rows = rows_by_key(series)
     assert rows[("0.01", 1)].value == 100.0
     assert rows[("0.01", 2)].flag == "no_population"
@@ -200,7 +225,7 @@ def test_newly_successful_rate_all_first_year():
 
 def test_newly_successful_rate_no_successes():
     pubs, tags, teams = _freshness_fixture(success_age=None)
-    series = newly_successful_rate(teams, build_profiles(teams, pubs, tags), "top1")
+    series = figures(pubs, tags, teams)["figs2add"]
     for row in series.rows:
         assert row.value == 0.0 and row.n == 1
 
@@ -219,7 +244,7 @@ def test_distance_bin_rule():
     squad = team(0, ["A", "B"], [(1, 2)], pubs=("p1",), metrics=metrics)
     pubs = table([pub("p1", 1, ["A", "B"])])
     tags = tag_table({"p1": (0, False, False)})
-    series = success_by_composition([squad], build_profiles([squad], pubs, tags), "top1")
+    series = figures(pubs, tags, [squad])["fig3"]
     keys = {row.keys for row in series.rows}
     assert ("dist_km", 30.0) in keys
 
@@ -233,8 +258,7 @@ def test_composition_two_bin_rates():
     entries.update({f"hp{i}": (9, i < 3, False) for i in range(10)})  # rate 0.3
     pubs = table([pub(p, 1, ["A", "B"]) for p in entries])
     tags = tag_table(entries)
-    series = success_by_composition(low + high, build_profiles(low + high, pubs, tags),
-                                    "top10")
+    series = figures(pubs, tags, low + high)["fig3_top10"]
     rows = rows_by_key(series)
     assert rows[("orgs_pm", 0.5)].value == pytest.approx(0.1)
     assert rows[("orgs_pm", 1.0)].value == pytest.approx(0.3)
@@ -262,8 +286,8 @@ def _impulse_fixture():
 
 def test_impulse_count_tables():
     teams, summaries, pubs, tags = _impulse_fixture()
-    fig5a, fig5b = success_by_impulse_count(teams, summaries,
-                                            build_profiles(teams, pubs, tags), "top1")
+    tables = figures(pubs, tags, teams, summaries)
+    fig5a, fig5b = tables["fig5a"], tables["fig5b"]
     rows_a = rows_by_key(fig5a)
     assert rows_a[("closed", "any", 0)].value == 0.25
     assert rows_a[("persistence", "any", 1)].value == 0.75
@@ -274,15 +298,13 @@ def test_impulse_count_tables():
 
 def test_impulse_count_closed_only_corpus():
     teams = [team(0, ["A", "B"], [(1, 2)], pubs=())]
-    fig5a, _ = success_by_impulse_count(teams, {0: summary(0)},
-                                        build_profiles(teams, table([]), tag_table({})),
-                                        "top1")
+    fig5a = figures(table([]), tag_table({}), teams)["fig5a"]
     assert [row.keys for row in fig5a.rows] == [("closed", "any", 0)]
 
 
 def test_impulse_rate_bins_and_measures():
     teams, summaries, pubs, tags = _impulse_fixture()
-    series = success_by_impulse_rate(teams, summaries, build_profiles(teams, pubs, tags), "top1")
+    series = figures(pubs, tags, teams, summaries)["fig5c"]
     rows = rows_by_key(series)
     assert rows[("closed", 0.0, "ge1")].value == 0.25
     assert rows[("open", 0.25, "ge1")].value == 0.75
@@ -304,9 +326,7 @@ def test_first_success_shift_planted_one_year():
         summaries[tid] = summary(tid, persistence=1)
         pubs_records.append(pub(f"o{i}p", 2, [f"o{i}a", f"o{i}b"]))
         tag_entries[f"o{i}p"] = (9, True, True)
-    series = first_success_shift(teams, summaries,
-                                 build_profiles(teams, table(pubs_records),
-                                                  tag_table(tag_entries)), "top1")
+    series = figures(table(pubs_records), tag_table(tag_entries), teams, summaries)["fig5d"]
     rows = rows_by_key(series)
     assert rows[(6, "closed")].value == 0.0
     assert rows[(6, "persistence")].value == 1.0
@@ -319,39 +339,35 @@ def test_first_success_shift_identical_ages_zero():
     summaries = {0: summary(0), 1: summary(1, freshness=2)}
     pubs = table([pub("p0", 2, ["A", "B"]), pub("p1", 2, ["C", "D"])])
     tags = tag_table({"p0": (9, True, True), "p1": (9, True, True)})
-    series = first_success_shift(teams, summaries, build_profiles(teams, pubs, tags), "top1")
+    series = figures(pubs, tags, teams, summaries)["fig5d"]
     rows = rows_by_key(series)
     assert rows[(4, "freshness")].value == 0.0
 
 
 def test_first_success_shift_no_successes_empty():
     teams = [team(0, ["A", "B"], [(1, 4)], pubs=())]
-    series = first_success_shift(teams, {0: summary(0)},
-                                 build_profiles(teams, table([]), tag_table({})), "top1")
+    series = figures(table([]), tag_table({}), teams)["fig5d"]
     assert series.rows == []
 
 
 # --- plumbing ---
 
-def figures_of(pubs, tags, teams):
-    return compute_all_figures(prevalence_totals(pubs, tags), team_pub_facts(teams, pubs, tags),
-                               teams, {0: summary(0)}, build_profiles(teams, pubs, tags), 1, 3)
-
-
 def test_margin_filter():
+    """The teams table of the sums counts the teams kept, by duration."""
     inner = team(0, ["A", "B"], [(6, 8)])
     early = team(1, ["C", "D"], [(3, 8)])
     late = team(2, ["E", "F"], [(6, 10)])
-    kept = filter_margin([inner, early, late], 1, 13, 4)
-    assert kept == [inner]
-    assert len(filter_margin([inner, early, late], 1, 13, 0)) == 3
+    squads = [inner, early, late]
+    tallies = figure_tallies(squads, {}, success_profiles(squads, {}), closed(squads))
+    kept = filter_margin(tallies, 1, 13, 4)["teams"]
+    assert kept == {(inner.duration,): [1]}
+    assert sum(n for (n,) in filter_margin(tallies, 1, 13, 0)["teams"].values()) == 3
 
 
 def test_fraction_rows_reconstruct_counts():
     pubs, tags, teams = _freshness_fixture(success_age=2)
-    figures = figures_of(pubs, tags, teams)
     checked = 0
-    for stem, series in figures.items():
+    for stem, series in figures(pubs, tags, teams).items():
         scale = 100 if stem.removesuffix("_top10") in ("fig1a", "fig1b", "fig2b",
                                                        "figs2add") else 1
         for row in series.rows:
@@ -364,11 +380,87 @@ def test_fraction_rows_reconstruct_counts():
 
 def test_compute_all_figures_reproducible(tmp_path):
     pubs, tags, teams = _freshness_fixture(success_age=2)
-    figures1 = figures_of(pubs, tags, teams)
-    figures2 = figures_of(pubs, tags, teams)
+    figures1 = figures(pubs, tags, teams)
+    figures2 = figures(pubs, tags, teams)
     for stem, series in figures1.items():
         a = tmp_path / f"{stem}_a.csv"
         b = tmp_path / f"{stem}_b.csv"
         series.to_csv(a)
         figures2[stem].to_csv(b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# --- tallies against the team-by-team reference ---
+
+_COUNTRIES = ("NL", "DE", "a;b", 'q"')
+
+
+@st.composite
+def _figure_inputs(draw):
+    """A window 1..year_max; publications with random years, tiers and
+    countries; teams with random spans, each carrying random publications
+    from one shared pool, so one publication may be carried by teams of
+    different spans; random composition metrics and impulse counters."""
+    year_max = draw(st.integers(2, 9))
+    years = st.integers(1, year_max)
+    facts = {f"p{i}": TeamPubFacts(draw(years), draw(st.booleans()), draw(st.booleans()),
+                                   tuple(sorted(draw(st.sets(st.sampled_from(_COUNTRIES),
+                                                             max_size=2)))))
+             for i in range(draw(st.integers(0, 10)))}
+    teams, summaries = [], {}
+    for team_id in range(draw(st.integers(0, 6))):
+        start, end = sorted((draw(years), draw(years)))
+        pub_ids = draw(st.sets(st.sampled_from(sorted(facts)), max_size=4)) if facts else ()
+        metrics = draw(st.none() | st.builds(
+            CompositionMetrics, *[st.floats(0, 3, allow_nan=False)] * 3,
+            st.floats(0, 900, allow_nan=False)))
+        teams.append(team(team_id, [f"t{team_id}a", f"t{team_id}b"], [(start, end)],
+                          pubs=sorted(pub_ids, key=lambda p: (facts[p].year, p)),
+                          metrics=metrics))
+        counters = {name: draw(st.integers(0, 2)) for name in (
+            "persistence", "synchronous", "freshness", "persistence_top10",
+            "persistence_top1", "synchronous_top10", "synchronous_top1", "freshness_top10",
+            "freshness_top1", "persistence_early_top10", "persistence_early_top1")}
+        summaries[team_id] = summary(team_id, **counters)
+        summaries[team_id].impulses_per_year = summaries[team_id].total / (end - start + 1)
+    by_year = {}
+    for fact in facts.values():
+        for name, member in (("all", True), ("top10", fact.top10), ("top1", fact.top1)):
+            if member:
+                by_year[(name, fact.year)] = by_year.get((name, fact.year), 0) + 1
+    by_country = {country: draw(st.integers(1, 12)) for country in (*_COUNTRIES, "FR")}
+    return year_max, facts, teams, summaries, PrevalenceTotals(by_year, by_country)
+
+
+@given(_figure_inputs())
+@example((6, {"p0": TeamPubFacts(3, True, False, ("NL",)),
+              "p1": TeamPubFacts(4, True, True, ("DE", "NL")),
+              "p2": TeamPubFacts(1, False, False, ())},
+          [team(0, ["A", "B"], [(3, 4)], pubs=("p0", "p1")),
+           team(1, ["A", "C"], [(1, 5)], pubs=("p0", "p1", "p2")),
+           team(2, ["B", "C"], [(3, 4)], pubs=("p1",)),
+           team(3, ["C", "D"], [(2, 6)])],
+          {0: summary(0, persistence=1, persistence_early_top1=1, impulses_per_year=0.5),
+           1: summary(1), 2: summary(2, freshness=2, impulses_per_year=1.0), 3: summary(3)},
+          PrevalenceTotals({("all", 3): 4, ("top10", 4): 1}, {"NL": 5, "FR": 1})))
+@settings(max_examples=100, deadline=None)
+def test_figures_from_tallies_match_team_by_team_reference(tmp_path_factory, inputs):
+    """At every margin from 0 to one past half the window, the 17 figure
+    tables summed from the tallies, read back from their CSV, have the bytes
+    of the tables counted team by team over the teams the margin keeps."""
+    year_max, facts, teams, summaries, totals = inputs
+    profiles = success_profiles(teams, facts)
+    tallies = read_back(figure_tallies(teams, facts, profiles, summaries))
+    where = tmp_path_factory.mktemp("figures")
+    for margin in range(year_max // 2 + 2):
+        kept = figures_reference.filter_margin(teams, 1, year_max, margin)
+        expected = figures_reference.compute_all_figures(totals, facts, kept, summaries,
+                                                         profiles, 1, year_max)
+        got = compute_all_figures(totals, filter_margin(tallies, 1, year_max, margin),
+                                  1, year_max)
+        assert sorted(got) == sorted(expected) == sorted(FIGURE_STEMS)
+        for stem in FIGURE_STEMS:
+            got[stem].to_csv(where / "got.csv")
+            expected[stem].to_csv(where / "expected.csv")
+            assert ((where / "got.csv").read_bytes()
+                    == (where / "expected.csv").read_bytes()), (margin, stem)

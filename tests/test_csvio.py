@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teammine.analytics import read_prevalence_totals_csv, write_prevalence_totals_csv
+from teammine.analytics import (read_figure_tallies_csv, read_prevalence_totals_csv,
+                                write_figure_tallies_csv, write_prevalence_totals_csv)
 from teammine.cliques import read_cliques_csv, write_cliques_csv
 from teammine.csvio import encode_field, read_csv, write_csv
 from teammine.ingest import read_publications_jsonl
@@ -43,6 +44,7 @@ SINGLE_FILE = {
     "success_tags.csv": (read_success_tags_csv, write_success_tags_csv),
     "fig1_totals.csv": (read_prevalence_totals_csv, write_prevalence_totals_csv),
     "team_pub_facts.csv": (read_team_pub_facts_csv, write_team_pub_facts_csv),
+    "figure_tallies.csv": (read_figure_tallies_csv, write_figure_tallies_csv),
 }
 
 

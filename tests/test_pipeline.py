@@ -167,14 +167,17 @@ def test_out_dir_from_the_one_file_corpus_reruns_ingest(s1_corpus, tmp_path):
 
 def test_out_dir_with_table_s1_under_stats_reruns_once(s1_corpus, tmp_path):
     """An out dir written while `stats` wrote table_s1.csv and read the corpus
-    and the success tags, and neither `tag` nor `teams` wrote the fig1 inputs:
-    `all` reruns the stages whose recorded inputs or outputs moved once, then
-    finds every stage cached."""
+    and the success tags, and neither `tag` nor `teams` nor `overlaps` wrote
+    the fig1 inputs: `all` reruns the stages whose recorded inputs or outputs
+    moved once, then finds every stage cached."""
     out = tmp_path / "out"
     run_pipeline(s1_corpus, out, 1, 8)
     fresh = artifact_bytes(out)
     manifest = json.loads((out / "manifest.json").read_text())
-    for stage, name in (("tag", "fig1_totals.csv"), ("teams", "team_pub_facts.csv")):
+    written = {name: digest for entry in manifest.values()
+               for name, digest in entry["outputs"].items()}
+    for stage, name in (("tag", "fig1_totals.csv"), ("teams", "team_pub_facts.csv"),
+                        ("overlaps", "figure_tallies.csv")):
         del manifest[stage]["outputs"][name]
         (out / name).unlink()
     manifest["stats"]["outputs"]["table_s1.csv"] = manifest["tag"]["outputs"].pop("table_s1.csv")
@@ -182,7 +185,7 @@ def test_out_dir_with_table_s1_under_stats_reruns_once(s1_corpus, tmp_path):
                          for name in (*CORPUS, "success_tags.csv")}
     for stage, kept in (("overlaps", ("teams.csv", "team_pubs.csv")),
                         ("stats", ("teams.csv", "team_pubs.csv", "impulses.csv"))):
-        manifest[stage]["inputs"] = {**{name: manifest[stage]["inputs"][name] for name in kept},
+        manifest[stage]["inputs"] = {**{name: written[name] for name in kept},
                                      **read_for_profiles}
     (out / "manifest.json").write_text(json.dumps(manifest))
     config = PipelineConfig(pubs_path=str(s1_corpus / "publications.jsonl"),
@@ -198,26 +201,74 @@ def test_out_dir_with_table_s1_under_stats_reruns_once(s1_corpus, tmp_path):
 @pytest.mark.parametrize("kind", ["fig_s1", "planted", "wired"])
 def test_margin_rerun_reads_no_corpus(tmp_path, monkeypatch, kind):
     """After a cold `all`, `all` at another margin reruns only `stats`, which
-    reads neither the canonical corpus nor the success tags, and leaves the
-    artifacts of a cold `all` at that margin."""
+    reads neither the canonical corpus, the success tags nor any team-level
+    artifact, and rebuilds no success profile, and leaves the artifacts of a
+    cold `all` at that margin: also at a margin that drops every team, and
+    back at margin 0."""
     corpus, out = tmp_path / "corpus", tmp_path / "out"
     years = _corpus(kind, corpus)
+    drop_all = (years[1] - years[0]) // 2 + 1
+    margins = (1, 2, 3, drop_all, 0)
+    cold = {}
+    for margin_years in margins:
+        run_pipeline(corpus, tmp_path / f"cold{margin_years}", *years,
+                     margin_years=margin_years)
+        cold[margin_years] = artifact_bytes(tmp_path / f"cold{margin_years}")
     run_pipeline(corpus, out, *years)
 
     def refuse(*args):
         raise AssertionError(f"a margin rerun read {args}")
 
-    monkeypatch.setattr(pipeline_module, "read_publications_jsonl", refuse)
-    monkeypatch.setattr(pipeline_module, "read_success_tags_csv", refuse)
-    for margin_years in (1, 2, 3):
-        status = Pipeline(PipelineConfig(
+    for name in ("read_publications_jsonl", "read_success_tags_csv", "read_teams_csv",
+                 "read_team_pub_facts_csv", "read_impulses_csv", "success_profiles"):
+        monkeypatch.setattr(pipeline_module, name, refuse)
+    kept = {}  # margin -> teams kept
+    for margin_years in margins:
+        pipeline = Pipeline(PipelineConfig(
             pubs_path=str(corpus / "publications.jsonl"),
             citations_path=str(corpus / "citations.csv"), out_dir=str(out),
-            year_min=years[0], year_max=years[1], margin_years=margin_years)).run("all")
+            year_min=years[0], year_max=years[1], margin_years=margin_years))
+        status = pipeline.run("all")
         assert status == {name: "ran" if name == "stats" else "cached" for name in STAGES}
-        cold = tmp_path / f"cold{margin_years}"
-        run_pipeline(corpus, cold, *years, margin_years=margin_years)
-        assert artifact_bytes(out) == artifact_bytes(cold), margin_years
+        assert artifact_bytes(out) == cold[margin_years], margin_years
+        kept[margin_years] = pipeline.manifest["stats"]["counts"]["teams_after_margin"]
+    assert kept[drop_all] == 0 < kept[0]
+
+
+def test_out_dir_without_figure_tallies_reruns_overlaps_and_stats_once(s1_corpus, tmp_path,
+                                                                      monkeypatch):
+    """An out dir written while `stats` read the team-level artifacts and
+    `overlaps` wrote no figure_tallies.csv: a single `stats` refuses with
+    `rerun 'overlaps'`, and `all` reruns `overlaps` and `stats` once, from
+    the artifacts on disk, leaves the artifacts of a fresh run, and is
+    cached from then on."""
+    out = tmp_path / "out"
+    run_pipeline(s1_corpus, out, 1, 8)
+    fresh = artifact_bytes(out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = {name: digest for entry in manifest.values()
+               for name, digest in entry["outputs"].items()}
+    del manifest["overlaps"]["outputs"]["figure_tallies.csv"]
+    (out / "figure_tallies.csv").unlink()
+    manifest["stats"]["inputs"] = {name: written[name] for name in (
+        "fig1_totals.csv", "teams.csv", "team_pubs.csv", "team_pub_facts.csv",
+        "impulses.csv")}
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    config = PipelineConfig(pubs_path=str(s1_corpus / "publications.jsonl"),
+                            citations_path=str(s1_corpus / "citations.csv"),
+                            out_dir=str(out), year_min=1, year_max=8, margin_years=0)
+    with pytest.raises(StaleCacheError, match="rerun 'overlaps'"):
+        Pipeline(config).run("stats")
+
+    def refuse(*args):
+        raise AssertionError(f"the rerun read {args}")
+
+    monkeypatch.setattr(pipeline_module, "read_publications_jsonl", refuse)
+    monkeypatch.setattr(pipeline_module, "read_success_tags_csv", refuse)
+    assert Pipeline(config).run("all") == {
+        name: "ran" if name in ("overlaps", "stats") else "cached" for name in STAGES}
+    assert artifact_bytes(out) == fresh
+    assert set(Pipeline(config).run("all").values()) == {"cached"}
 
 
 def test_single_stage_refuses_prereq_built_from_older_inputs(tmp_path, capsys):
@@ -617,7 +668,7 @@ def test_stage_inputs_come_from_earlier_stages():
         "mine": ("persist",),
         "teams": ("mine", "ingest", "tag"),
         "overlaps": ("teams",),
-        "stats": ("tag", "teams", "overlaps"),
+        "stats": ("tag", "overlaps"),
     }
 
 
@@ -819,9 +870,9 @@ def test_cold_all_builds_success_profiles_once(s1_corpus, tmp_path, monkeypatch)
     monkeypatch.setattr(pipeline_module, "success_profiles", counted)
     run_pipeline(s1_corpus, tmp_path / "out", 1, 8)
     assert len(calls) == 1
-    # stats alone rebuilds them from the artifacts, once
+    # stats alone reads the tallies, which the overlaps stage built from them
     run_pipeline(s1_corpus, tmp_path / "out", 1, 8, margin_years=1)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def _shuffle_lines(source: Path, target: Path, rng: random.Random, header: int = 0):
@@ -1077,7 +1128,7 @@ def test_cold_all_keeps_only_values_a_later_stage_loads(s1_corpus, tmp_path, mon
         "persist": {"pubs", "tags", "totals", "network"},
         "mine": {"pubs", "tags", "totals", "cliques"},
         "teams": {"totals", "teams", "facts", "profiles"},
-        "overlaps": {"totals", "teams", "facts", "profiles", "summaries"},
+        "overlaps": {"totals", "tallies"},
         "stats": set(),
     }
 

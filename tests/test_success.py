@@ -4,11 +4,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from teammine.csvio import read_csv
+from teammine.csvio import read_csv, write_csv
 from teammine.errors import IngestError
 from teammine.ingest import CitationTable, load_citations
-from teammine.success import (TOP1, TOP10, WINDOW_AFTER, WINDOWS, compute_tags, tag_success,
-                              three_year_citations)
+from teammine.success import (TOP1, TOP10, WINDOW_AFTER, WINDOWS, SuccessTagTable,
+                              compute_tags, read_success_tags_csv, tag_success,
+                              three_year_citations, write_success_tags_csv)
 
 from helpers import pub, table, write_citations
 from ingest_reference import reference_citations, reference_three_year_citations
@@ -212,3 +213,26 @@ def test_citing_years_match_event_list_oracle(tmp_path, corpus):
         tags, _ = compute_tags(pubs, cites, mode)
         assert list(tags.counts.items()) == list(counts.items())
         assert [tags.top10, tags.top1] == tiers
+
+
+@pytest.fixture(scope="module")
+def tags_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tags")
+
+
+@given(ids=st.lists(st.text() | st.sampled_from(["a,b", 'q"x', "c\rr", "l\nf", "\r\n", ""]),
+                    unique=True, max_size=8),
+       counts=st.lists(st.integers(0, 10**6), min_size=8, max_size=8),
+       top10=st.sets(st.integers(0, 7)), top1=st.sets(st.integers(0, 7)))
+@settings(max_examples=200, deadline=None)
+def test_success_tags_writer_matches_write_csv(tags_dir, ids, counts, top10, top1):
+    """success_tags.csv has the bytes ``write_csv`` gives the same rows, also
+    for ids holding a comma, a quote, a CR or an LF, and reads back."""
+    tags = SuccessTagTable(dict(zip(ids, counts)), {ids[i] for i in top10 if i < len(ids)},
+                           {ids[i] for i in top1 if i < len(ids)})
+    write_success_tags_csv(tags, tags_dir / "tags.csv")
+    write_csv(tags_dir / "expected.csv", ["pub_id", "citations_3y", "top10", "top1"],
+              ((pub_id, c, int(pub_id in tags.top10), int(pub_id in tags.top1))
+               for pub_id, c in tags.counts.items()))
+    assert (tags_dir / "tags.csv").read_bytes() == (tags_dir / "expected.csv").read_bytes()
+    assert read_success_tags_csv(tags_dir / "tags.csv") == tags
