@@ -114,8 +114,6 @@ def read_prevalence_totals_csv(path: str | Path) -> PrevalenceTotals:
     return totals
 
 
-
-
 # --- tallies ------------------------------------------------------------------
 
 LEVELS = ("top1", "top10")  # success levels, in the order a tally row holds them

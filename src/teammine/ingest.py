@@ -402,7 +402,11 @@ def load_citations(path: str | Path, pubs: PublicationTable,
                     continue
                 citing_year = citing.year
             elif _INTEGER.fullmatch(year_raw):
-                citing_year = int(year_raw)
+                try:
+                    citing_year = int(year_raw)
+                except ValueError:  # more digits than int() converts
+                    raise IngestError(f"citing_year of {len(year_raw)} characters is too long",
+                                      line=line_no) from None
             else:
                 raise IngestError(f"citing_year {year_raw!r} is not an integer", line=line_no)
             if citing_year < cited.year:
@@ -491,12 +495,9 @@ def read_publications_jsonl(path: str | Path, affiliations_path: str | Path) -> 
     coordinate, building one ``Affiliation`` per line of the affiliation
     table, one ``AuthorEntry`` per distinct (author_id, indices) and one field
     tuple per distinct field list, and interning author ids. No domain rule,
-    year window or duplicate id is checked. The pipeline calls this only on
-    ``canonical_publications.jsonl`` and ``canonical_affiliations.jsonl``
-    after matching their digests with the manifest in the same process:
-    ``all`` keeps a cached ingest only when its output digests match, and a
-    single stage passes ``Pipeline._check_prereq`` first.
-    External input goes through ``load_publications``.
+    year window or duplicate id is checked: the pipeline reads the canonical
+    corpus back only after matching its digests with the manifest. External
+    input goes through ``load_publications``.
     """
     # each line is one value the writer wrote: raw_decode skips the
     # whitespace scans json.loads makes around it
@@ -528,9 +529,8 @@ def read_publications_jsonl(path: str | Path, affiliations_path: str | Path) -> 
 
 def read_citations_csv(path: str | Path) -> CitationTable:
     """Read back the citing years of a canonical citation file written by
-    ``load_citations``, checking nothing; like ``read_publications_jsonl``,
-    the pipeline calls it only after matching the file's digest with the
-    manifest. Its drop counts are empty."""
+    ``load_citations``, checking nothing, as ``read_publications_jsonl``
+    does. Its drop counts are empty."""
     citing_years: dict[str, list[int]] = {}
     for _, cited_id, year in read_csv(path):
         citing_years.setdefault(cited_id, []).append(int(year))
@@ -539,6 +539,10 @@ def read_citations_csv(path: str | Path) -> CitationTable:
 
 def write_rejects_csv(rejects: Iterable[tuple[int, str]], path: str | Path):
     write_csv(path, ["line", "reason"], rejects)
+
+
+def write_citation_drops_csv(drop_counts: dict[str, int], path: str | Path):
+    write_csv(path, ["reason", "count"], sorted(drop_counts.items()))
 
 
 # --- document type prevalence ------------------------------------------------

@@ -259,6 +259,10 @@ def read_overlaps_csv(path: str | Path) -> list[OverlapRelation]:
             for focal, other, kind, timing, impulse in read_csv(path)]
 
 
+def write_overlap_anomalies_csv(anomalies: dict[str, int], path: str | Path):
+    write_csv(path, ["lemma", "count"], sorted(anomalies.items()))
+
+
 IMPULSE_COLUMNS = [f.name for f in fields(ImpulseSummary)]
 _COUNT_COLUMNS = IMPULSE_COLUMNS[:-1]
 

@@ -24,15 +24,15 @@ from teammine.analytics import (compute_all_figures, figure_tallies, filter_marg
                                 write_prevalence_totals_csv)
 from teammine.cliques import (MIN_SIZE, enumerate_maximal_cliques, read_cliques_csv,
                               write_cliques_csv)
-from teammine.csvio import write_csv
 from teammine.errors import (ConfigError, MissingArtifactError, StaleCacheError,
                              TeammineError, UnknownTeamError)
 from teammine.ingest import (corpus_stats, load_citations, load_publications,
                              read_citations_csv, read_publications_jsonl,
-                             write_corpus_stats_csv, write_publications_jsonl,
-                             write_rejects_csv)
+                             write_citation_drops_csv, write_corpus_stats_csv,
+                             write_publications_jsonl, write_rejects_csv)
 from teammine.overlaps import (classify_all, read_impulses_csv, read_overlaps_csv,
-                               summarize_all, write_impulses_csv, write_overlaps_csv)
+                               summarize_all, write_impulses_csv, write_overlap_anomalies_csv,
+                               write_overlaps_csv)
 from teammine.pairs import (build_pair_timelines, read_pair_timelines_csv,
                             write_pair_timelines_csv)
 from teammine.persistence import (MIN_PUBS, WINDOW_LEN, build_persistent_network,
@@ -41,25 +41,66 @@ from teammine.success import (WINDOW_INCLUSIVE, WINDOWS, compute_tags, read_succ
                               write_success_tags_csv, write_thresholds_csv)
 from teammine.teams import (assemble_teams, associate_all, compute_all_metrics,
                             read_team_pub_facts_csv, read_teams_csv, success_profiles,
-                            team_pub_facts, write_team_pub_facts_csv, write_team_pubs_csv,
-                            write_teams_csv)
+                            team_pub_facts, write_team_pub_facts_csv, write_teams_csv)
 
 FIGURE_STEMS = ("fig1a", "fig1b", "fig2a", "fig2a_top10", "fig2b", "fig2b_top10",
                 "fig3", "fig3_top10", "fig5a", "fig5a_top10", "fig5b", "fig5b_top10",
                 "fig5c", "fig5c_top10", "fig5d", "fig5d_top10", "figs2add")
 
 
+# value key -> (its parts, reader, writer): the one table of the files each
+# value lives in. A part is a file, or the key of a value the reader derives
+# this one from; the reader gets the paths or values of the parts, the writer
+# the value and the paths. No reader: nothing loads the value back. No writer:
+# its stage body writes it (the citations as they stream in, the teams with
+# their success profiles, the figure tables). Both are called through the
+# name this module binds, so a rebinding of it takes effect. Every load
+# follows a digest check against the manifest, which is why the canonical
+# corpus and citations are read back without validation.
+ARTIFACTS = {
+    "pubs": (("canonical_publications.jsonl", "canonical_affiliations.jsonl"),
+             read_publications_jsonl, write_publications_jsonl),
+    "citations": (("canonical_citations.csv",), read_citations_csv, None),
+    "rejects": (("rejects.csv",), None, write_rejects_csv),
+    "drops": (("citation_drops.csv",), None, write_citation_drops_csv),
+    "tags": (("success_tags.csv",), read_success_tags_csv, write_success_tags_csv),
+    "thresholds": (("thresholds.csv",), None, write_thresholds_csv),
+    "table_s1": (("table_s1.csv",), None, write_corpus_stats_csv),
+    "totals": (("fig1_totals.csv",), read_prevalence_totals_csv, write_prevalence_totals_csv),
+    "timelines": (("pair_timelines.csv",), read_pair_timelines_csv, write_pair_timelines_csv),
+    "network": (("persistent_edges.csv",), read_persistent_edges_csv,
+                write_persistent_edges_csv),
+    "cliques": (("cliques.csv",), read_cliques_csv, write_cliques_csv),
+    "teams": (("teams.csv", "team_pubs.csv"), read_teams_csv, None),
+    "facts": (("team_pub_facts.csv",), read_team_pub_facts_csv, write_team_pub_facts_csv),
+    "profiles": (("teams", "facts"), success_profiles, None),
+    "relations": (("overlaps.csv",), read_overlaps_csv, write_overlaps_csv),
+    "summaries": (("impulses.csv",), read_impulses_csv, write_impulses_csv),
+    "anomalies": (("overlap_anomalies.csv",), None, write_overlap_anomalies_csv),
+    "tallies": (("figure_tallies.csv",), read_figure_tallies_csv, write_figure_tallies_csv),
+    **{stem: ((f"{stem}.csv",), None, None) for stem in FIGURE_STEMS},
+}
+
+
+def sources(keys) -> tuple[str, ...]:
+    """The files holding the values ``keys`` names, artifact names or
+    external input keys, in order of first use."""
+    return tuple(dict.fromkeys(name for key in keys for name in (
+        sources(ARTIFACTS[key][0]) if key in ARTIFACTS else (key,))))
+
+
 @dataclass(frozen=True)
 class Stage:
     """One pipeline stage; its body is the ``Pipeline._stage_<name>`` method.
 
-    ``reads`` are the values the stage loads, keys of ``_LOADERS``, or keys of
-    ``EXTERNAL_INPUTS``; a derived value is named with those it derives from.
+    ``reads`` are the values the stage loads, keys of ``ARTIFACTS`` or of
+    ``EXTERNAL_INPUTS``; ``writes`` are the keys of ``ARTIFACTS`` whose
+    values it produces.
     """
     name: str
     config_keys: tuple[str, ...]
     reads: tuple[str, ...]
-    outputs: tuple[str, ...]
+    writes: tuple[str, ...]
 
     @property
     def inputs(self) -> tuple[str, ...]:
@@ -67,38 +108,40 @@ class Stage:
         the stages producing them are its prerequisites, in order of first use."""
         return sources(self.reads)
 
+    @property
+    def outputs(self) -> tuple[str, ...]:
+        """The artifacts the stage writes."""
+        return sources(self.writes)
+
 
 # input key -> the configuration key holding its path
 EXTERNAL_INPUTS = {"pubs_input": "pubs_path", "citations_input": "citations_path"}
 
-# the canonical corpus: its records, and the affiliation table they index
-CORPUS = ("canonical_publications.jsonl", "canonical_affiliations.jsonl")
-
 STAGE_TABLE = (
     Stage("ingest", ("year_min", "year_max"),
           ("pubs_input", "citations_input"),
-          (*CORPUS, "canonical_citations.csv", "rejects.csv", "citation_drops.csv")),
+          ("pubs", "citations", "rejects", "drops")),
     Stage("tag", ("citation_window",),
           ("pubs", "citations"),
-          ("success_tags.csv", "thresholds.csv", "table_s1.csv", "fig1_totals.csv")),
+          ("tags", "thresholds", "table_s1", "totals")),
     Stage("network", ("author_cap",),
           ("pubs",),
-          ("pair_timelines.csv",)),
+          ("timelines",)),
     Stage("persist", ("window_len", "min_pubs"),
           ("timelines",),
-          ("persistent_edges.csv",)),
+          ("network",)),
     Stage("mine", ("min_size",),
           ("network",),
-          ("cliques.csv",)),
+          ("cliques",)),
     Stage("teams", (),
           ("cliques", "pubs", "tags"),
-          ("teams.csv", "team_pubs.csv", "team_pub_facts.csv")),
+          ("teams", "facts", "profiles")),
     Stage("overlaps", (),
           ("teams", "facts", "profiles"),
-          ("overlaps.csv", "impulses.csv", "overlap_anomalies.csv", "figure_tallies.csv")),
+          ("relations", "summaries", "anomalies", "tallies")),
     Stage("stats", ("margin_years", "year_min", "year_max"),
           ("totals", "tallies"),
-          tuple(f"{stem}.csv" for stem in FIGURE_STEMS)),
+          FIGURE_STEMS),
 )
 
 STAGES = tuple(stage.name for stage in STAGE_TABLE)
@@ -192,44 +235,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-# in-memory key -> (the artifacts it is loaded or derived from, how to load
-# it: called with the pipeline and the paths of those artifacts). A stage
-# loads only the keys its ``reads`` name, and `run` drops a key once no later
-# stage reads it. The success profiles are rebuilt from the values they
-# derive from. The readers are looked up when called, so a rebinding of the
-# module-level names takes effect. Every load follows a digest check of the
-# artifacts against the manifest, which is why the canonical corpus and
-# citations are read back without validation.
-_LOADERS = {
-    "pubs": (CORPUS, lambda _, *paths: read_publications_jsonl(*paths)),
-    "citations": (("canonical_citations.csv",), lambda _, path: read_citations_csv(path)),
-    "tags": (("success_tags.csv",), lambda _, path: read_success_tags_csv(path)),
-    "timelines": (("pair_timelines.csv",), lambda _, path: read_pair_timelines_csv(path)),
-    "network": (("persistent_edges.csv",), lambda _, path: read_persistent_edges_csv(path)),
-    "cliques": (("cliques.csv",), lambda _, path: read_cliques_csv(path)),
-    "teams": (("teams.csv", "team_pubs.csv"), lambda _, *paths: read_teams_csv(*paths)),
-    "totals": (("fig1_totals.csv",), lambda _, path: read_prevalence_totals_csv(path)),
-    "facts": (("team_pub_facts.csv",), lambda _, path: read_team_pub_facts_csv(path)),
-    "profiles": (("teams.csv", "team_pubs.csv", "team_pub_facts.csv"),
-                 lambda p, *_: success_profiles(p._load("teams"), p._load("facts"))),
-    "relations": (("overlaps.csv",), lambda _, path: read_overlaps_csv(path)),
-    "summaries": (("impulses.csv",), lambda _, path: read_impulses_csv(path)),
-    "tallies": (("figure_tallies.csv",), lambda _, path: read_figure_tallies_csv(path)),
-}
-
-
-def sources(reads) -> tuple[str, ...]:
-    """The files holding the values ``reads`` names, artifact names or
-    external input keys, in order of first use."""
-    return tuple(dict.fromkeys(name for key in reads for name in (
-        (key,) if key in EXTERNAL_INPUTS else _LOADERS[key][0])))
-
-
-def loadable(stages) -> set[str]:
-    """The in-memory keys that one of ``stages`` may load."""
-    return {key for stage in stages for key in _BY_NAME[stage].reads}
-
-
 class Pipeline:
     """Owns the artifact directory, the manifest, and in-memory caches."""
 
@@ -266,13 +271,14 @@ class Pipeline:
         pairs = [f"{key}={getattr(self.config, key)}" for key in _BY_NAME[stage].config_keys]
         return hashlib.sha256("\n".join(pairs).encode()).hexdigest()
 
-    def _artifact(self, name: str) -> Path:
-        return self.out_dir / name
+    def _paths(self, key: str) -> list[Path]:
+        """The paths of the files holding the value ``key``."""
+        return [self.out_dir / name for name in ARTIFACTS[key][0]]
 
     def _input_path(self, name: str) -> Path:
         if name in EXTERNAL_INPUTS:
             return Path(getattr(self.config, EXTERNAL_INPUTS[name]))
-        return self._artifact(name)
+        return self.out_dir / name
 
     def _digest(self, path: Path) -> str:
         """The SHA-256 of ``path``, hashed once per ``run`` or ``explain_team``;
@@ -318,7 +324,7 @@ class Pipeline:
     def _output_refusal(self, stage: str, name: str):
         """Why the output ``name`` of ``stage`` is not what the manifest entry
         of ``stage`` records, as the error refusing it, or None."""
-        path = self._artifact(name)
+        path = self.out_dir / name
         if not path.exists():
             return MissingArtifactError(f"artifact {name} from stage '{stage}' is missing; "
                                         f"rerun '{stage}'")
@@ -383,7 +389,7 @@ class Pipeline:
             for i, name in enumerate(stages):
                 status[name] = self._run_stage(name)
                 # reference counting frees what no later stage can load
-                keep = loadable(stages[i + 1:])
+                keep = {key for later in stages[i + 1:] for key in _BY_NAME[later].reads}
                 self._mem = {key: value for key, value in self._mem.items() if key in keep}
         finally:
             if gc_was_enabled:
@@ -403,7 +409,7 @@ class Pipeline:
         counts = getattr(self, f"_stage_{stage}")()
         outputs = {}
         for name in sorted(spec.outputs):
-            path = self._artifact(name)
+            path = self.out_dir / name
             outputs[name] = self._digests[path] = _sha256(path)
         self.manifest[stage] = {
             "config": self._config_digest(stage),
@@ -414,27 +420,32 @@ class Pipeline:
         self._save_manifest()
         return "ran"
 
-    # --- lazy artifact loading ---
+    # --- artifact loading and writing ---
 
     def _load(self, key: str):
         if key not in self._mem:
-            files, read = _LOADERS[key]
-            self._mem[key] = read(self, *map(self._artifact, files))
+            parts, read, _ = ARTIFACTS[key]
+            self._mem[key] = globals()[read.__name__](*(
+                self._load(part) if part in ARTIFACTS else self.out_dir / part
+                for part in parts))
         return self._mem[key]
+
+    def _write(self, **values):
+        """Write each value through its table writer, if any; keep it for later stages."""
+        for key, value in values.items():
+            write = ARTIFACTS[key][2]
+            if write is not None:
+                globals()[write.__name__](value, *self._paths(key))
+            self._mem[key] = value
 
     # --- stage bodies ---
 
     def _stage_ingest(self) -> dict:
         pubs = load_publications(self.config.pubs_path, self.config.year_min,
                                  self.config.year_max)
-        citations = load_citations(self.config.citations_path, pubs,
-                                   self._artifact("canonical_citations.csv"))
-        write_publications_jsonl(pubs, *map(self._artifact, CORPUS))
-        write_rejects_csv(pubs.rejects, self._artifact("rejects.csv"))
-        write_csv(self._artifact("citation_drops.csv"), ["reason", "count"],
-                  sorted(citations.drop_counts.items()))
-        self._mem["pubs"] = pubs
-        self._mem["citations"] = citations
+        citations = load_citations(self.config.citations_path, pubs, *self._paths("citations"))
+        self._write(pubs=pubs, citations=citations, rejects=pubs.rejects,
+                    drops=citations.drop_counts)
         counts = {"publications": len(pubs), "rejects": len(pubs.rejects),
                   "citations": sum(map(len, citations.citing_years.values()))}
         for reason, count in sorted(citations.drop_counts.items()):
@@ -445,33 +456,25 @@ class Pipeline:
         pubs = self._load("pubs")
         tags, thresholds = compute_tags(pubs, self._load("citations"),
                                         mode=self.config.citation_window)
-        totals = prevalence_totals(pubs, tags)
-        write_success_tags_csv(tags, self._artifact("success_tags.csv"))
-        write_thresholds_csv(thresholds, self._artifact("thresholds.csv"))
-        write_corpus_stats_csv(corpus_stats(pubs, tags), self._artifact("table_s1.csv"))
-        write_prevalence_totals_csv(totals, self._artifact("fig1_totals.csv"))
-        self._mem["tags"] = tags
-        self._mem["totals"] = totals
+        self._write(tags=tags, thresholds=thresholds, table_s1=corpus_stats(pubs, tags),
+                    totals=prevalence_totals(pubs, tags))
         return {"tagged_top10": len(tags.top10), "tagged_top1": len(tags.top1),
                 "cells": len(thresholds)}
 
     def _stage_network(self) -> dict:
         timelines = build_pair_timelines(self._load("pubs"), self.config.author_cap)
-        write_pair_timelines_csv(timelines, self._artifact("pair_timelines.csv"))
-        self._mem["timelines"] = timelines
+        self._write(timelines=timelines)
         return {"pairs": sum(map(len, timelines.values()))}
 
     def _stage_persist(self) -> dict:
         network = build_persistent_network(self._load("timelines"), self.config.window_len,
                                            self.config.min_pubs)
-        write_persistent_edges_csv(network, self._artifact("persistent_edges.csv"))
-        self._mem["network"] = network
+        self._write(network=network)
         return {"persistent_pairs": len(network)}
 
     def _stage_mine(self) -> dict:
         cliques = enumerate_maximal_cliques(self._load("network"), self.config.min_size)
-        write_cliques_csv(cliques, self._artifact("cliques.csv"))
-        self._mem["cliques"] = cliques
+        self._write(cliques=cliques)
         return {"cliques": len(cliques)}
 
     def _stage_teams(self) -> dict:
@@ -480,12 +483,8 @@ class Pipeline:
         compute_all_metrics(teams, self._load("pubs"))
         facts = team_pub_facts(teams, self._load("pubs"), self._load("tags"))
         profiles = success_profiles(teams, facts)
-        write_teams_csv(teams, profiles, self._artifact("teams.csv"))
-        write_team_pubs_csv(teams, self._artifact("team_pubs.csv"))
-        write_team_pub_facts_csv(facts, self._artifact("team_pub_facts.csv"))
-        self._mem["teams"] = teams
-        self._mem["facts"] = facts
-        self._mem["profiles"] = profiles
+        write_teams_csv(teams, profiles, *self._paths("teams"))
+        self._write(teams=teams, facts=facts, profiles=profiles)
         return {"teams": len(teams),
                 "team_publications": sum(len(t.pubs) for t in teams)}
 
@@ -495,12 +494,8 @@ class Pipeline:
         relations, anomalies = classify_all(teams)
         summaries = summarize_all(teams, relations, profiles)
         tallies = figure_tallies(teams, self._load("facts"), profiles, summaries)
-        write_overlaps_csv(relations, self._artifact("overlaps.csv"))
-        write_impulses_csv(summaries, self._artifact("impulses.csv"))
-        write_csv(self._artifact("overlap_anomalies.csv"), ["lemma", "count"],
-                  sorted(anomalies.items()))
-        write_figure_tallies_csv(tallies, self._artifact("figure_tallies.csv"))
-        self._mem["tallies"] = tallies
+        self._write(relations=relations, summaries=summaries, anomalies=anomalies,
+                    tallies=tallies)
         return {"relations": len(relations), "anomalies": sum(anomalies.values())}
 
     def _stage_stats(self) -> dict:
@@ -509,7 +504,7 @@ class Pipeline:
         figures = compute_all_figures(self._load("totals"), sums,
                                       self.config.year_min, self.config.year_max)
         for stem in FIGURE_STEMS:
-            figures[stem].to_csv(self._artifact(f"{stem}.csv"))
+            figures[stem].to_csv(*self._paths(stem))
         return {"figure_tables": len(FIGURE_STEMS),
                 "teams_after_margin": sum(n for (n,) in sums.get("teams", {}).values())}
 

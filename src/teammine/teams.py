@@ -264,15 +264,13 @@ def _team_row(team: Team, profile: SuccessProfile) -> list:
             repr(m.countries_per_member), repr(m.mean_city_distance_km)]
 
 
-def write_teams_csv(teams: TeamTable, profiles: dict[int, SuccessProfile], path: str | Path):
-    write_csv(path, ["team_id", "members", "intervals", "duration_start",
-                     "duration_end", "n_pubs", "n_top10", "n_top1",
-                     "orgs_pm", "cities_pm", "countries_pm", "dist_pm"],
+def write_teams_csv(teams: TeamTable, profiles: dict[int, SuccessProfile],
+                    teams_path: str | Path, team_pubs_path: str | Path):
+    write_csv(teams_path, ["team_id", "members", "intervals", "duration_start",
+                           "duration_end", "n_pubs", "n_top10", "n_top1",
+                           "orgs_pm", "cities_pm", "countries_pm", "dist_pm"],
               (_team_row(team, profiles[team.team_id]) for team in teams))
-
-
-def write_team_pubs_csv(teams: TeamTable, path: str | Path):
-    write_csv(path, ["team_id", "pub_id"],
+    write_csv(team_pubs_path, ["team_id", "pub_id"],
               ((team.team_id, pub_id) for team in teams for pub_id in team.pubs))
 
 

@@ -130,7 +130,11 @@ def reference_citations(path, pubs) -> tuple[list[tuple[str, str, int]], dict[st
                     continue
                 citing_year = citing.year
             elif _INTEGER.fullmatch(year_raw):
-                citing_year = int(year_raw)
+                try:
+                    citing_year = int(year_raw)
+                except ValueError:  # more digits than int() converts
+                    raise IngestError(f"citing_year of {len(year_raw)} characters is too long",
+                                      line=line_no) from None
             else:
                 raise IngestError(f"citing_year {year_raw!r} is not an integer", line=line_no)
             if citing_year < cited.year:

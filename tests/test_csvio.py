@@ -6,21 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teammine.analytics import (read_figure_tallies_csv, read_prevalence_totals_csv,
-                                write_figure_tallies_csv, write_prevalence_totals_csv)
-from teammine.cliques import read_cliques_csv, write_cliques_csv
 from teammine.csvio import encode_field, read_csv, write_csv
 from teammine.ingest import read_publications_jsonl
 from teammine.intervals import format_intervals, parse_intervals
-from teammine.overlaps import (read_impulses_csv, read_overlaps_csv, write_impulses_csv,
-                               write_overlaps_csv)
-from teammine.pairs import read_pair_timelines_csv, write_pair_timelines_csv
-from teammine.persistence import read_persistent_edges_csv, write_persistent_edges_csv
+from teammine.pipeline import ARTIFACTS
 from teammine.presets import wired_overlap_config
-from teammine.success import read_success_tags_csv, write_success_tags_csv
+from teammine.success import read_success_tags_csv
 from teammine.synthgen import generate_corpus
-from teammine.teams import (read_team_pub_facts_csv, read_teams_csv, write_team_pub_facts_csv,
-                            write_team_pubs_csv, write_teams_csv)
+from teammine.teams import read_teams_csv, write_teams_csv
 
 from helpers import build_profiles, run_pipeline
 
@@ -35,26 +28,19 @@ def wired_run(tmp_path_factory):
     return out
 
 
-SINGLE_FILE = {
-    "pair_timelines.csv": (read_pair_timelines_csv, write_pair_timelines_csv),
-    "persistent_edges.csv": (read_persistent_edges_csv, write_persistent_edges_csv),
-    "cliques.csv": (read_cliques_csv, write_cliques_csv),
-    "overlaps.csv": (read_overlaps_csv, write_overlaps_csv),
-    "impulses.csv": (read_impulses_csv, write_impulses_csv),
-    "success_tags.csv": (read_success_tags_csv, write_success_tags_csv),
-    "fig1_totals.csv": (read_prevalence_totals_csv, write_prevalence_totals_csv),
-    "team_pub_facts.csv": (read_team_pub_facts_csv, write_team_pub_facts_csv),
-    "figure_tallies.csv": (read_figure_tallies_csv, write_figure_tallies_csv),
-}
+# the values the artifact table both writes and reads back
+ROUND_TRIP = [key for key, (_, read, write) in ARTIFACTS.items() if read and write]
 
 
-@pytest.mark.parametrize("name", sorted(SINGLE_FILE))
-def test_artifact_round_trip(wired_run, tmp_path, name):
-    read, write = SINGLE_FILE[name]
-    original = (wired_run / name).read_bytes()
-    assert original.count(b"\r\n") > 1  # header plus at least one row
-    write(read(wired_run / name), tmp_path / name)
-    assert (tmp_path / name).read_bytes() == original
+@pytest.mark.parametrize("key", ROUND_TRIP,
+                         ids=["+".join(ARTIFACTS[key][0]) for key in ROUND_TRIP])
+def test_artifact_round_trip(wired_run, tmp_path, key):
+    files, read, write = ARTIFACTS[key]
+    for name in files:  # a header and a row, or two records
+        assert (wired_run / name).read_bytes().count(b"\n") > 1, name
+    write(read(*(wired_run / name for name in files)), *(tmp_path / name for name in files))
+    for name in files:
+        assert (tmp_path / name).read_bytes() == (wired_run / name).read_bytes(), name
 
 
 def test_teams_round_trip(wired_run, tmp_path):
@@ -63,8 +49,8 @@ def test_teams_round_trip(wired_run, tmp_path):
                                    wired_run / "canonical_affiliations.jsonl")
     tags = read_success_tags_csv(wired_run / "success_tags.csv")
     assert len(teams) > 0
-    write_teams_csv(teams, build_profiles(teams, pubs, tags), tmp_path / "teams.csv")
-    write_team_pubs_csv(teams, tmp_path / "team_pubs.csv")
+    write_teams_csv(teams, build_profiles(teams, pubs, tags), tmp_path / "teams.csv",
+                    tmp_path / "team_pubs.csv")
     for name in ("teams.csv", "team_pubs.csv"):
         assert (tmp_path / name).read_bytes() == (wired_run / name).read_bytes(), name
 

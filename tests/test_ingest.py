@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from teammine import ingest
 from teammine.csvio import read_csv
 from teammine.errors import IngestError
+from teammine.cli import main
 from teammine.ingest import (corpus_stats, load_citations, load_publications,
                              read_publications_jsonl, write_publications_jsonl)
 from teammine.pipeline import Pipeline, PipelineConfig
@@ -20,7 +21,7 @@ from teammine.synthgen import SynthConfig, generate_corpus
 
 from helpers import (pub, pub_json, run_pipeline, table, tag_table, write_citations,
                      write_jsonl)
-from ingest_reference import reference_parser
+from ingest_reference import reference_citations, reference_parser
 
 YEARS = (2008, 2020)
 DOC_TYPES = ("Article", "Review", "Letter", "Proceedings Paper")
@@ -530,6 +531,21 @@ def test_citing_year_is_ascii_digits(tmp_path, year):
     assert cites.citing_years == {"p1": [2012]}
     assert rows == [["x1", "p1", "2012"]]
     assert cites.drop_counts == {"year_before_cited": 1}
+
+
+def test_overlong_citing_year_is_ingest_error(tmp_path, capsys):
+    """A citing year of more digits than int() converts stops `teammine
+    ingest` with one error line naming the row's line, without repeating
+    the digits; the reference reader refuses it alike."""
+    pubs, cites = tmp_path / "pubs.jsonl", tmp_path / "cites.csv"
+    write_jsonl(pubs, [pub_json("p1", 2010, ["a1"])])
+    write_citations(cites, [("x1", "p1", "9" * 5000)])
+    message = "line 2: citing_year of 5000 characters is too long"
+    assert main(["ingest", "--pubs", str(pubs), "--citations", str(cites),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(IngestError, match=f"^{message}$"):
+        reference_citations(cites, load_publications(pubs, *YEARS))
 
 
 def test_invalid_utf8_citation_line_is_ingest_error(tmp_path):

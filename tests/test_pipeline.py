@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import importlib
@@ -6,6 +7,7 @@ import json
 import random
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,14 +24,16 @@ from teammine.ingest import read_publications_jsonl
 from teammine.intervals import format_intervals, parse_intervals
 from teammine.pairs import canonical_pair
 from teammine.persistence import MIN_PUBS, WINDOW_LEN, persistent_periods
-from teammine.pipeline import (CORPUS, EXTERNAL_INPUTS, FIGURE_STEMS, STAGE_TABLE, STAGES,
-                               Pipeline, PipelineConfig, producers)
+from teammine.pipeline import (ARTIFACTS, EXTERNAL_INPUTS, FIGURE_STEMS, STAGE_TABLE, STAGES,
+                               Pipeline, PipelineConfig, producers, sources)
 from teammine.presets import PRESETS, random_planted_config, wired_overlap_config
 from teammine.success import WINDOWS, read_success_tags_csv
 from teammine.synthgen import fig_s1_corpus, generate_corpus
 
 from helpers import pub_json, run_pipeline, write_citations, write_jsonl
 from test_persistence import literal_window_union
+
+CORPUS = sources(("pubs",))  # the canonical corpus files
 
 
 @pytest.fixture(scope="module")
@@ -502,6 +506,39 @@ def test_config_docs_state_every_key_and_its_default():
     assert _stated_defaults(help_rows) == expected
 
 
+def test_readme_artifacts_name_every_file_of_the_table():
+    """The README's Artifacts section names every file of the artifact table:
+    in backticks, in the first column of its figure table, or, for a
+    ``*_top10.csv`` twin, through the sentence giving a figure its twin."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Artifacts\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`([\w.]+)`", section))
+    named |= {line.split("|")[1].strip() for line in section.splitlines()
+              if line.startswith("| ")}
+    for name in sources(ARTIFACTS):
+        stem = name.removesuffix("_top10.csv")
+        if stem != name:
+            assert "has a `*_top10.csv` twin" in section and f"{stem}.csv" in named, name
+        else:
+            assert name in named, name
+
+
+def test_package_imports_only_the_standard_library():
+    """Every module of the package imports the standard library or the package
+    itself, nothing else, however much else is installed."""
+    for path in sorted((Path(__file__).parents[1] / "src" / "teammine").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "teammine", (path.name, name)
+
+
 def test_unknown_stage_rejected(tmp_path):
     with pytest.raises(ConfigError):
         Pipeline(PipelineConfig(out_dir=str(tmp_path))).run("everything")
@@ -815,7 +852,7 @@ def test_stage_by_stage_equals_all(tmp_path, kind):
 
 @pytest.mark.parametrize("writer,stage", [
     ("load_citations", "ingest"),
-    ("write_team_pubs_csv", "teams"),
+    ("write_teams_csv", "teams"),
     ("write_impulses_csv", "overlaps"),
     ("write_corpus_stats_csv", "tag"),
 ])
@@ -1160,13 +1197,18 @@ def test_each_stage_loads_exactly_its_inputs(tmp_path, monkeypatch, preset):
 
 
 def test_every_loader_is_read_and_every_read_is_loadable():
-    """Each in-memory value is read by some stage, by explain or by verify,
-    and each value a stage reads has a loader or is an external input."""
+    """Each value the artifact table can load is read by some stage, by
+    explain or by verify; each value a stage reads can be loaded or is an
+    external input; and each value of the table is written by exactly one
+    stage."""
     readers = [stage.reads for stage in STAGE_TABLE]
     readers += [pipeline_module._EXPLAIN_READS, cli_module._VERIFY_READS]
     read = {key for reads in readers for key in reads}
-    assert set(pipeline_module._LOADERS) <= read
-    assert read <= set(pipeline_module._LOADERS) | set(EXTERNAL_INPUTS)
+    loadable = {key for key, (_, load, _) in ARTIFACTS.items() if load is not None}
+    assert loadable <= read
+    assert read <= loadable | set(EXTERNAL_INPUTS)
+    written = [key for stage in STAGE_TABLE for key in stage.writes]
+    assert sorted(written) == sorted(ARTIFACTS)
 
 
 def test_each_file_hashed_once_per_command(s1_corpus, tmp_path, monkeypatch):
