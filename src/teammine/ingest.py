@@ -30,6 +30,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -98,6 +99,15 @@ class PublicationTable:
 
     def get(self, pub_id: str) -> PublicationRecord | None:
         return self._by_id.get(pub_id)
+
+    @cached_property
+    def entries(self) -> list[AuthorEntry]:
+        """Each author entry of the records once, in the order the records
+        first use it. Entries and affiliations are distinct by identity, not
+        equality: an affiliation at ``lat=0.0`` equals one at ``lat=-0.0``, yet
+        each keeps its own line in the canonical affiliation table."""
+        # the records keep every entry alive, so no id() is reused
+        return list({id(entry): entry for rec in self.records for entry in rec.authors}.values())
 
 
 @dataclass
@@ -441,46 +451,40 @@ def _affiliation_dict(aff: Affiliation) -> dict:
     return out
 
 
-def write_publications_jsonl(pubs: Iterable[PublicationRecord], path: str | Path,
+def write_publications_jsonl(pubs: PublicationTable, path: str | Path,
                              affiliations_path: str | Path):
     """Write the canonical corpus as two files.
 
     ``affiliations_path`` gets each distinct affiliation object once, in the
-    order the records first use it: one ``_affiliation_dict`` per line, whose
-    line number minus 1 is its index. ``path`` gets one line per record,
+    order the records first use it, which is the order of ``pubs.entries``:
+    one ``_affiliation_dict`` per line, whose line number minus 1 is its
+    index. ``path`` gets one line per record,
     ``[pub_id, year, doc_type, fields, [[author_id, [index, ...]], ...]]``.
     Every line is the bytes of ``json.dumps(value, sort_keys=True,
     separators=(",", ":"))``; a record line is spliced from fragments encoded
-    once per distinct author entry and (doc_type, fields) pair.
-
-    Affiliations and author entries are looked up by object identity, not
-    equality: an affiliation at ``lat=0.0`` equals one at ``lat=-0.0``, and
-    each keeps its own line.
+    once per entry of ``pubs.entries`` and (doc_type, fields) pair.
+    Affiliations and entries are told apart by identity, as
+    ``PublicationTable.entries`` says.
     """
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     indices: dict[int, str] = {}      # id(affiliation) -> its index, as text
     entry_texts: dict[int, str] = {}  # id(entry) -> its JSON array
-    kept: list[AuthorEntry] = []      # keeps each id() above from being reused
     # (doc_type, fields) -> the text from the year's "," to the authors' "[":
     middles: dict[tuple, str] = {}
 
     with open(path, "w", encoding="utf-8", newline="") as fh, \
             open(affiliations_path, "w", encoding="utf-8", newline="") as aff_fh:
-        def index(aff: Affiliation) -> str:
-            indices[id(aff)] = str(len(indices))
-            aff_fh.write(encode(_affiliation_dict(aff)) + "\n")
-            return indices[id(aff)]
-
-        def entry_text(entry: AuthorEntry) -> str:
-            kept.append(entry)
-            affs = ",".join([indices.get(id(aff)) or index(aff) for aff in entry.affiliations])
+        for entry in pubs.entries:
+            for aff in entry.affiliations:
+                if id(aff) not in indices:
+                    indices[id(aff)] = str(len(indices))
+                    aff_fh.write(encode(_affiliation_dict(aff)) + "\n")
+            affs = ",".join([indices[id(aff)] for aff in entry.affiliations])
             entry_texts[id(entry)] = f"[{encode_basestring_ascii(entry.author_id)},[{affs}]]"
-            return entry_texts[id(entry)]
 
         write = fh.write
         for rec in pubs:
-            authors = ",".join([entry_texts.get(id(entry)) or entry_text(entry)
-                                for entry in rec.authors])
+            authors = ",".join([entry_texts[id(entry)] for entry in rec.authors])
             middle = middles.get((rec.doc_type, rec.fields))
             if middle is None:
                 middle = middles[rec.doc_type, rec.fields] = (

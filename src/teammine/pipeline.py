@@ -360,8 +360,10 @@ class Pipeline:
 
     def check_outputs(self, user: str, names: tuple[str, ...]):
         """Refuse unless each artifact of ``names`` is on disk as the manifest
-        entry of the stage producing it records. Unlike ``_check_prereq`` it
-        compares neither settings nor inputs, so it needs no configuration."""
+        entry of the stage producing it records, and every stage behind them
+        ran on the outputs its prerequisites last recorded. Unlike
+        ``_check_prereq`` it compares no settings and hashes no input, so it
+        needs no configuration; external inputs are not compared."""
         self._digests = {}
         for name in names:
             stage = _PRODUCER[name]
@@ -369,6 +371,17 @@ class Pipeline:
                        else self._output_refusal(stage, name))
             if refusal is not None:
                 raise refusal
+        stages = list(producers(names))
+        for stage in stages:  # grows while it is walked, breadth first
+            if stage not in self.manifest:
+                raise self._refusal(stage, user)
+            for name, digest in self.manifest[stage]["inputs"].items():
+                producer = _PRODUCER.get(name)  # None for an external input
+                if producer in self.manifest and \
+                        self.manifest[producer]["outputs"].get(name) != digest:
+                    raise StaleCacheError(f"an input of stage '{stage}' changed; "
+                                          f"rerun '{stage}'")
+            stages += [p for p in producers(_BY_NAME[stage].inputs) if p not in stages]
 
     # --- running ---
 

@@ -120,12 +120,11 @@ def city_coordinates(pubs: PublicationTable) -> dict[str, tuple[float, float]]:
     """Canonical representative point per city: smallest (lat, lon) observed,
     the first seen on ties (``0.0 == -0.0``).
 
-    Each distinct author entry is visited once, in first-seen order: a repeat
-    of an entry repeats its points, which can only tie."""
+    Each entry of ``pubs.entries``, distinct by identity as it says, is
+    visited once, in first-use order: a repeat of an entry repeats its
+    points, which can only tie."""
     coords: dict[str, tuple[float, float]] = {}
-    # by id(), as the canonical writer does: pubs keeps every entry alive, so no id is reused
-    entries = {id(entry): entry for rec in pubs for entry in rec.authors}
-    for entry in entries.values():
+    for entry in pubs.entries:
         for aff in entry.affiliations:
             if aff.city_id is None or not aff.has_geo():
                 continue
@@ -143,21 +142,11 @@ def composition_metrics(team: Team, pubs: PublicationTable,
     Affiliations of co-authors outside the team are ignored.
     """
     members = set(team.members)
-    orgs: set[str] = set()
-    cities: set[str] = set()
-    countries: set[str] = set()
-    for pub_id in team.pubs:
-        rec = pubs.get(pub_id)
-        for author in rec.authors:
-            if author.author_id not in members:
-                continue
-            for aff in author.affiliations:
-                if aff.org_id is not None:
-                    orgs.add(aff.org_id)
-                if aff.city_id is not None:
-                    cities.add(aff.city_id)
-                if aff.country is not None:
-                    countries.add(aff.country)
+    affs = {aff for pub_id in team.pubs for author in pubs.get(pub_id).authors
+            if author.author_id in members for aff in author.affiliations}
+    orgs = {aff.org_id for aff in affs} - {None}
+    cities = {aff.city_id for aff in affs} - {None}
+    countries = {aff.country for aff in affs} - {None}
     size = len(team.members)
     located = sorted(c for c in cities if c in city_coords)
     mean_distance = 0.0

@@ -27,18 +27,21 @@ YEARS = (2008, 2020)
 DOC_TYPES = ("Article", "Review", "Letter", "Proceedings Paper")
 
 
-def canonical_values(records) -> tuple[list, list]:
+def canonical_values(records) -> tuple[list, list, list]:
     """The reference form of the canonical corpus: one
     ``[pub_id, year, doc_type, fields, [[author_id, [index, ...]], ...]]`` per
     record, and the affiliation table, which lists each affiliation object
     once (by identity, so 0.0 and -0.0 stay apart) in the order the records
-    first use it, absent values left out."""
+    first use it, absent values left out; then the author entries, each
+    object once in the order the records first use it."""
     table: list[dict] = []
     index: dict[int, int] = {}
+    entries: dict[int, object] = {}
     lines = []
     for rec in records:
         authors = []
         for entry in rec.authors:
+            entries.setdefault(id(entry), entry)
             positions = []
             for aff in entry.affiliations:
                 if id(aff) not in index:
@@ -50,15 +53,16 @@ def canonical_values(records) -> tuple[list, list]:
                 positions.append(index[id(aff)])
             authors.append([entry.author_id, positions])
         lines.append([rec.pub_id, rec.year, rec.doc_type, list(rec.fields), authors])
-    return lines, table
+    return lines, table, list(entries.values())
 
 
 def reference_canonical(records) -> tuple[bytes, bytes]:
-    """The bytes of both canonical files: each value of ``canonical_values``
-    as ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, one a line."""
+    """The bytes of both canonical files: each of the first two values of
+    ``canonical_values`` as ``json.dumps(..., sort_keys=True,
+    separators=(",", ":"))``, one a line."""
     return tuple("".join(json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
                          for value in values).encode()
-                 for values in canonical_values(records))
+                 for values in canonical_values(records)[:2])
 
 
 def write_canonical(pubs, directory) -> tuple:
@@ -72,10 +76,15 @@ def _assert_canonical(pubs, paths, tmp_path):
     """The canonical files at ``paths`` hold ``reference_canonical(pubs)``,
     read back as ``pubs`` (by ``repr``, so -0.0 stays apart from 0.0 and a
     float from an int) with the same author id objects, and writing what was
-    read reproduces both files byte for byte."""
+    read reproduces both files byte for byte. Both tables list as their
+    ``entries`` the entry objects ``canonical_values`` finds, those of
+    rejected records left out."""
     assert tuple(path.read_bytes() for path in paths) == reference_canonical(pubs)
     read = read_publications_jsonl(*paths)
     assert repr(read.records) == repr(pubs.records)
+    for loaded in (pubs, read):
+        assert list(map(id, loaded.entries)) == list(map(id, canonical_values(loaded)[2]))
+    assert repr(read.entries) == repr(pubs.entries)
     assert read.rejects == [] and read.input_lines == len(read)
     assert all(a.author_id is b.author_id
                for x, y in zip(read, pubs) for a, b in zip(x.authors, y.authors))
@@ -634,7 +643,7 @@ def test_fuzz_load_publications(tmp_path, lines):
         return
     assert len(pubs) + len(pubs.rejects) == pubs.input_lines
     # every string can go into a UTF-8 artifact
-    json.dumps(canonical_values(pubs.records), ensure_ascii=False).encode()
+    json.dumps(canonical_values(pubs.records)[:2], ensure_ascii=False).encode()
     _assert_canonical(pubs, write_canonical(pubs, tmp_path), tmp_path)
 
 
@@ -701,6 +710,25 @@ def test_negative_zero_keeps_its_sign(tmp_path):
     assert [repr(r.authors[0].affiliations[0].lat) for r in pubs] == ["0.0", "-0.0"] * 2
     _assert_matches_reference(tmp_path, raw.read_bytes())
     assert (tmp_path / "affiliations.jsonl").read_bytes().count(b'"lat":-0.0') == 2
+
+
+def test_entries_list_kept_records_only(tmp_path):
+    """An entry that only a rejected record uses is not listed; equal entries
+    at 0.0 and -0.0 are listed apart, in the order kept records first use them."""
+    lines = [pub_json("p1", 1999, ["a9"]),  # a year_window reject
+             pub_json("p2", 2010, ["a1", "a2"]),
+             *(pub_json(f"p{i}", 2010, ["a2", "a1"],
+                        affs=[{"org_id": "o1", "lat": lat, "lon": 1.5}])
+               for i, lat in ((3, 0.0), (4, -0.0), (5, 0.0)))]
+    raw = tmp_path / "raw.jsonl"
+    write_jsonl(raw, lines)
+    pubs = load_publications(raw, *YEARS)
+    assert pubs.rejects == [(1, "year_window")]
+    p2, p3, p4, p5 = pubs
+    assert list(map(id, pubs.entries)) == list(map(id, [*p2.authors, *p3.authors,
+                                                        *p4.authors, *p5.authors]))
+    assert p3.authors == p4.authors == p5.authors
+    _assert_canonical(pubs, write_canonical(pubs, tmp_path), tmp_path)
 
 
 @pytest.mark.parametrize("key", ingest._AFFILIATION_KEYS)

@@ -659,6 +659,77 @@ def test_cli_verify_reads_only_what_the_manifest_vouches_for(s1_corpus, tmp_path
     assert not (out / "verify_report.json").exists()
 
 
+@pytest.fixture(scope="module")
+def cold_runs(tmp_path_factory):
+    """fig_s1 and wired, each as (corpus, CLI settings, out dir of a cold `all`)."""
+    runs = {}
+    for name in ("fig_s1", "wired"):
+        corpus = tmp_path_factory.mktemp(name)
+        truth = (fig_s1_corpus(corpus) if name == "fig_s1"
+                 else generate_corpus(wired_overlap_config(), corpus))
+        args = ["--pubs", str(corpus / "publications.jsonl"),
+                "--citations", str(corpus / "citations.csv"),
+                "--set", f"year_min={truth.year_min}", "--set", f"year_max={truth.year_max}",
+                "--set", "margin_years=0"]
+        assert main(["all", "--out", str(corpus / "out"), *args]) == 0
+        runs[name] = corpus, args, corpus / "out"
+    return runs
+
+
+def _exit_or_one_error(argv, capsys):
+    """Run the CLI; it exits 0, or 2 with exactly one ``error:`` line."""
+    code = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 0 or (code == 2 and len(err) == 1 and err[0].startswith("error: ")), \
+        (argv, code, err)
+
+
+@pytest.mark.parametrize("name", ["fig_s1", "wired"])
+def test_cli_verify_refuses_artifacts_of_different_runs(cold_runs, tmp_path, capsys, name):
+    """overlaps.csv still holds the team ids of the teams.csv that `mine` and
+    `teams` have since replaced: verify refuses as explain does, and writes
+    no report."""
+    corpus, args, cold = cold_runs[name]
+    out = tmp_path / "out"
+    shutil.copytree(cold, out)
+    for stage in ("mine", "teams"):
+        assert main([stage, "--out", str(out), *args, "--set", "min_size=3"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out), "--truth", str(corpus / "truth.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: an input of stage 'overlaps' changed; rerun 'overlaps'"]
+    assert not (out / "verify_report.json").exists()
+
+
+# a valid value other than the one `cold_runs` ran with, per configuration key
+_CHANGED = {"year_min": lambda v: v + 1, "year_max": lambda v: v - 1,
+            "citation_window": lambda v: next(w for w in WINDOWS if w != v),
+            "author_cap": lambda v: 3, "window_len": lambda v: v - 1,
+            "min_pubs": lambda v: v - 1, "min_size": lambda v: v + 1,
+            "margin_years": lambda v: v + 2}
+
+
+@pytest.mark.parametrize("name", ["fig_s1", "wired"])
+def test_read_only_commands_after_a_partial_rerun(cold_runs, tmp_path, capsys, name):
+    """After one stage reruns under a changed value of a key it owns, verify
+    and explain, under either settings, exit 0 or refuse in one line."""
+    corpus, args, cold = cold_runs[name]
+    truth = str(corpus / "truth.json")
+    base = PipelineConfig()
+    for setting in args[5::2]:  # the values after each --set
+        base.set_option(*setting.split("="))
+    for spec in STAGE_TABLE:
+        for key in spec.config_keys:
+            out = tmp_path / f"{spec.name}-{key}"
+            shutil.copytree(cold, out)
+            changed = [*args, "--set", f"{key}={_CHANGED[key](getattr(base, key))}"]
+            _exit_or_one_error([spec.name, "--out", str(out), *changed], capsys)
+            _exit_or_one_error(["verify", "--out", str(out), "--truth", truth], capsys)
+            for explain_args in (args, changed):
+                _exit_or_one_error(["explain", "--out", str(out), "--team-id", "0",
+                                    *explain_args], capsys)
+
+
 def test_cli_removed_workers_key(tmp_path, capsys):
     assert main(["all", "--out", str(tmp_path / "out"), "--set", "workers=2"]) == 2
     assert "unknown configuration key 'workers'" in capsys.readouterr().err

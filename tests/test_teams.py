@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from teammine.cliques import TemporalClique
 from teammine.geo import great_circle_km
-from teammine.teams import (assemble_teams, associate_publications, build_author_pub_index,
-                            city_coordinates, composition_metrics, compute_all_metrics,
-                            associate_all, success_profiles, team_pub_facts)
+from teammine.teams import (CompositionMetrics, assemble_teams, associate_publications,
+                            build_author_pub_index, city_coordinates, composition_metrics,
+                            compute_all_metrics, associate_all, success_profiles,
+                            team_pub_facts)
 
 from helpers import author, affiliation, pub, table, tag_table, team
 
@@ -159,9 +160,11 @@ _coordinates = st.sampled_from([0.0, -0.0, 1.5])
 @st.composite
 def shared_entry_corpora(draw):
     """Records whose authors are drawn from a pool of entry objects, so an
-    entry repeats as the same object, as the loader's memo makes it."""
+    entry repeats as the same object, as the loader's memo makes it, and an
+    affiliation may be shared across entries."""
     affs = draw(st.lists(st.builds(
-        affiliation, org=st.just("o"), city=st.sampled_from(["c1", "c2"]),
+        affiliation, org=st.sampled_from([None, "o1", "o2"]),
+        city=st.sampled_from([None, "c1", "c2"]), country=st.sampled_from([None, "NL", "JP"]),
         lat=st.none() | _coordinates, lon=_coordinates), min_size=1, max_size=6))
     pool = draw(st.lists(st.builds(author, st.sampled_from("ABCD"),
                                    st.lists(st.sampled_from(affs), min_size=1, max_size=3)),
@@ -178,6 +181,58 @@ def shared_entry_corpora(draw):
 def test_city_coordinates_matches_entry_by_entry_reference(pubs):
     # repr tells -0.0 from 0.0, which == does not
     assert repr(city_coordinates(pubs)) == repr(entry_by_entry_city_coordinates(pubs))
+
+
+def slot_by_slot_composition_metrics(team, pubs, city_coords):
+    """Reference: every affiliation of every member's author slot of every
+    team publication, added one at a time."""
+    members = set(team.members)
+    orgs, cities, countries = set(), set(), set()
+    for pub_id in team.pubs:
+        for author in pubs.get(pub_id).authors:
+            if author.author_id not in members:
+                continue
+            for aff in author.affiliations:
+                if aff.org_id is not None:
+                    orgs.add(aff.org_id)
+                if aff.city_id is not None:
+                    cities.add(aff.city_id)
+                if aff.country is not None:
+                    countries.add(aff.country)
+    size = len(team.members)
+    located = sorted(c for c in cities if c in city_coords)
+    mean_distance = 0.0
+    if len(located) >= 2:
+        total = 0.0
+        pairs = 0
+        for i in range(len(located)):
+            lat1, lon1 = city_coords[located[i]]
+            for j in range(i + 1, len(located)):
+                lat2, lon2 = city_coords[located[j]]
+                total += great_circle_km(lat1, lon1, lat2, lon2)
+                pairs += 1
+        mean_distance = total / pairs / size
+    return CompositionMetrics(len(orgs) / size, len(cities) / size, len(countries) / size,
+                              mean_distance)
+
+
+_TWINS = [affiliation(org="o1", city="c1", lat=0.0, lon=1.5),
+          affiliation(org="o1", city="c1", lat=-0.0, lon=1.5)]
+
+
+# D is never a member, so some co-authors are not
+@given(shared_entry_corpora(), st.lists(st.sampled_from("ABC"), min_size=2, unique=True))
+@example(table([pub("p0", 1, (), authors=[
+    author("A", _TWINS[:1]), author("B", _TWINS[1:]),
+    author("D", [affiliation(org="o2", city="c2", country="JP", lat=1.5, lon=1.5)])]),
+                pub("p1", 1, (), authors=[author("A", [affiliation(org=None, country=None)])])]),
+         ["A", "B"])
+@settings(max_examples=100, deadline=None)
+def test_composition_metrics_matches_slot_by_slot_reference(pubs, members):
+    squad = team(0, members, [(1, 1)], pubs=[rec.pub_id for rec in pubs])
+    coords = city_coordinates(pubs)
+    assert (repr(composition_metrics(squad, pubs, coords))
+            == repr(slot_by_slot_composition_metrics(squad, pubs, coords)))
 
 
 def test_metrics_permutation_invariant():
