@@ -9,8 +9,9 @@ from pathlib import Path
 
 from teammine.errors import ConfigError, TeammineError
 from teammine.pipeline import STAGES, Pipeline, PipelineConfig, sources
-from teammine.presets import PRESETS
-from teammine.synthgen import GroundTruth, fig_s1_corpus, generate_corpus, verify_against_truth
+
+# The generator (teammine.synthgen, teammine.presets) is imported only by
+# the commands that use it, so the pipeline commands never load it.
 
 # the values verify compares against the ground truth
 _VERIFY_READS = ("teams", "relations", "tags")
@@ -75,6 +76,11 @@ def _cmd_stage(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from teammine.presets import PRESETS
+    from teammine.synthgen import fig_s1_corpus, generate_corpus
+    if args.preset not in PRESETS:
+        raise ConfigError(f"unknown preset {args.preset!r}; choose from "
+                          f"{', '.join(sorted(PRESETS))}")
     out = Path(args.out)
     if args.preset == "fig_s1":
         if args.seed is not None:
@@ -90,6 +96,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from teammine.synthgen import GroundTruth, verify_against_truth
     out = Path(args.out)
     try:
         truth = GroundTruth.from_json(args.truth)
@@ -129,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
         stage_parser.set_defaults(func=_cmd_stage, stage=stage)
 
     synth = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
-    synth.add_argument("--preset", choices=sorted(PRESETS), required=True)
+    synth.add_argument("--preset", required=True,
+                       help="the corpus to generate; an unknown name lists the presets")
     synth.add_argument("--out", required=True)
     synth.add_argument("--seed", type=int, default=None)
     synth.set_defaults(func=_cmd_synth)

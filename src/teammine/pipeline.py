@@ -6,7 +6,9 @@ A stage is skipped when its inputs, configuration, and outputs all match the
 manifest; a prerequisite whose artifact changed on disk, or that ran under
 other settings of its configuration keys, is refused with an instruction to
 rerun it. All artifacts are plain text (JSONL / CSV) and byte deterministic
-for fixed inputs and configuration.
+for fixed inputs and configuration. A sidecar next to the manifest keeps the
+digest of each file with its status fingerprint, so a later command hashes
+only the files that changed since.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import gc
 import hashlib
 import json
 import os
+import time
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
@@ -227,6 +230,36 @@ def _is_manifest(manifest: object) -> bool:
         for entry in manifest.values())
 
 
+# A fingerprint vouches for a digest only when the file's status changed at
+# least this long before the fingerprint was taken: any later change of the
+# file sets its ctime past the recorded one, even on a coarse kernel clock.
+_RACY_NS = 1_000_000_000
+
+
+def _read_fingerprints(path: Path) -> dict[str, list]:
+    """The digest sidecar at ``path``, {absolute path: fingerprint + [SHA-256]};
+    empty when it is missing, unreadable or not of that shape."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            known = json.load(fh)
+    except (OSError, ValueError):
+        return {}
+    if type(known) is dict and all(
+            type(entry) is list and len(entry) == 6 and type(entry[5]) is str
+            and all(type(value) is int for value in entry[:5])
+            for entry in known.values()):
+        return known
+    return {}
+
+
+def _replace_json(path: Path, value, tmp: Path):
+    """Write ``value`` to ``tmp``, then move it over ``path``."""
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        json.dump(value, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -255,17 +288,31 @@ class Pipeline:
             if not _is_manifest(self.manifest):
                 raise TeammineError(f"manifest {self.manifest_path} is corrupt; "
                                     f"delete it and rerun")
+        self.digests_path = self.out_dir / "digests.json"
         self._mem: dict[str, object] = {}
-        self._digests: dict[Path, str] = {}  # path -> SHA-256, reset per run and explain
+        self._digests: dict[Path, str] = {}  # path -> SHA-256, found once per command
+        self._known: dict[str, list] = {}  # the sidecar as the command found it
+        self._vouched: dict[str, list] = {}  # sidecar entries the command used or recorded
 
     # --- manifest plumbing ---
 
     def _save_manifest(self):
-        tmp = self.manifest_path.with_name("manifest.json.tmp")
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            json.dump(self.manifest, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        os.replace(tmp, self.manifest_path)
+        _replace_json(self.manifest_path, self.manifest,
+                      self.manifest_path.with_name("manifest.json.tmp"))
+
+    def _start_command(self):
+        """Forget the previous command's digests and read the sidecar afresh."""
+        self._digests = {}
+        self._known = _read_fingerprints(self.digests_path)
+        self._vouched = {}
+
+    def _save_fingerprints(self):
+        """Rewrite the sidecar with the entries this command used or recorded.
+        Each process writes its own temporary file, so commands racing here
+        can lose each other's entries but never mix them."""
+        if self._vouched != self._known:
+            _replace_json(self.digests_path, self._vouched,
+                          self.digests_path.with_name(f"digests.json.{os.getpid()}.tmp"))
 
     def _config_digest(self, stage: str) -> str:
         pairs = [f"{key}={getattr(self.config, key)}" for key in _BY_NAME[stage].config_keys]
@@ -281,17 +328,34 @@ class Pipeline:
         return self.out_dir / name
 
     def _digest(self, path: Path) -> str:
-        """The SHA-256 of ``path``, hashed once per ``run`` or ``explain_team``;
-        ``_run_stage`` records the digest of each output it rewrites."""
+        """The SHA-256 of ``path``, found once per command: the sidecar's, while
+        the file's fingerprint is the one stored with it, else hashed. Raises
+        FileNotFoundError for a file not on disk."""
         if path not in self._digests:
-            self._digests[path] = _sha256(path)
+            now = time.time_ns()
+            stat = os.stat(path)
+            key = os.path.abspath(path)
+            fingerprint = [stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns,
+                           stat.st_ctime_ns]
+            entry = self._known.get(key)
+            digest = (entry[5] if entry is not None and entry[:5] == fingerprint
+                      else _sha256(path))
+            if stat.st_ctime_ns < now - _RACY_NS:
+                self._vouched[key] = fingerprint + [digest]
+            else:
+                self._vouched.pop(key, None)
+            self._digests[path] = digest
         return self._digests[path]
 
     def _input_digests(self, stage: str) -> dict[str, str | None]:
         """The digest of each input of ``stage`` by name, None for one not on disk."""
-        paths = {name: self._input_path(name) for name in _BY_NAME[stage].inputs}
-        return {name: self._digest(path) if path.exists() else None
-                for name, path in paths.items()}
+        digests = {}
+        for name in _BY_NAME[stage].inputs:
+            try:
+                digests[name] = self._digest(self._input_path(name))
+            except (FileNotFoundError, NotADirectoryError):
+                digests[name] = None
+        return digests
 
     def _refusal(self, stage: str, user: str, input_digests: dict | None = None):
         """The first reason the manifest entry of ``stage`` no longer holds, as
@@ -324,11 +388,12 @@ class Pipeline:
     def _output_refusal(self, stage: str, name: str):
         """Why the output ``name`` of ``stage`` is not what the manifest entry
         of ``stage`` records, as the error refusing it, or None."""
-        path = self.out_dir / name
-        if not path.exists():
+        try:
+            digest = self._digest(self.out_dir / name)
+        except FileNotFoundError:
             return MissingArtifactError(f"artifact {name} from stage '{stage}' is missing; "
                                         f"rerun '{stage}'")
-        if self._digest(path) != self.manifest[stage]["outputs"].get(name):
+        if digest != self.manifest[stage]["outputs"].get(name):
             return StaleCacheError(f"artifact {name} no longer matches what stage "
                                    f"'{stage}' produced; rerun '{stage}'")
         return None
@@ -364,7 +429,7 @@ class Pipeline:
         ran on the outputs its prerequisites last recorded. Unlike
         ``_check_prereq`` it compares no settings and hashes no input, so it
         needs no configuration; external inputs are not compared."""
-        self._digests = {}
+        self._start_command()
         for name in names:
             stage = _PRODUCER[name]
             refusal = (self._refusal(stage, user) if stage not in self.manifest
@@ -387,7 +452,7 @@ class Pipeline:
 
     def run(self, stage: str) -> dict[str, str]:
         """Run one stage or 'all'; returns stage -> 'ran' | 'cached'."""
-        self._digests = {}
+        self._start_command()
         if stage == "all":
             stages = STAGES
         elif stage in STAGES:
@@ -407,6 +472,7 @@ class Pipeline:
         finally:
             if gc_was_enabled:
                 gc.enable()
+        self._save_fingerprints()
         return status
 
     def _run_stage(self, stage: str) -> str:
@@ -423,7 +489,8 @@ class Pipeline:
         outputs = {}
         for name in sorted(spec.outputs):
             path = self.out_dir / name
-            outputs[name] = self._digests[path] = _sha256(path)
+            self._digests.pop(path, None)  # the digest checked before the stage ran
+            outputs[name] = self._digest(path)
         self.manifest[stage] = {
             "config": self._config_digest(stage),
             "inputs": input_digests,
@@ -524,7 +591,7 @@ class Pipeline:
     # --- debugging aid ---
 
     def explain_team(self, team_id: int) -> str:
-        self._digests = {}
+        self._start_command()
         self._check_prereq("explain", producers(sources(_EXPLAIN_READS)))
         teams = self._load("teams")
         team = teams.get(team_id)

@@ -4,9 +4,11 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import random
 import re
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -749,6 +751,42 @@ def test_cli_fig_s1_takes_no_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_unknown_preset(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["synth", "--preset", "nosuch", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown preset 'nosuch'")
+    assert all(name in err[0] for name in PRESETS)
+    assert not out.exists()
+
+
+def test_pipeline_commands_do_not_import_the_generator(s1_corpus, tmp_path):
+    """`all` on a cached out dir, and `explain`, leave the generator modules
+    unloaded in a fresh interpreter."""
+    out = tmp_path / "out"
+    run_pipeline(s1_corpus, out, 1, 8)
+    years = ["--set", "year_min=1", "--set", "year_max=8"]
+    commands = [["all", "--pubs", str(s1_corpus / "publications.jsonl"),
+                 "--citations", str(s1_corpus / "citations.csv"), "--out", str(out),
+                 "--set", "margin_years=0", *years],
+                ["explain", "--out", str(out), "--team-id", "1", *years]]
+    script = ("import json, sys\n"
+              "from teammine import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert cli.main(argv) == 0\n"
+              "print(sorted({'teammine.synthgen', 'teammine.presets'} & set(sys.modules)))\n")
+    src = str(Path(pipeline_module.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert [line.split()[:2] for line in lines[:len(STAGES)]] == [
+        [f"{stage}:", "cached"] for stage in STAGES]
+    assert lines[-1] == "[]"
+
+
 def test_manifest_records_input_digests(s1_corpus, tmp_path):
     pipeline = run_pipeline(s1_corpus, tmp_path / "out", 1, 8)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -1284,15 +1322,22 @@ def test_every_loader_is_read_and_every_read_is_loadable():
 
 def test_each_file_hashed_once_per_command(s1_corpus, tmp_path, monkeypatch):
     """A file is hashed at most once per command, and once more after the
-    stage writing it has rewritten it."""
-    calls = []
+    stage writing it has rewritten it. A file counts as checked when it was
+    hashed or its digest was taken from the sidecar."""
+    calls, checked = [], []
     sha256 = pipeline_module._sha256
+    digest = Pipeline._digest
 
     def counted(path):
         calls.append(Path(path).name)
         return sha256(path)
 
+    def looked_up(self, path):
+        checked.append(Path(path).name)
+        return digest(self, path)
+
     monkeypatch.setattr(pipeline_module, "_sha256", counted)
+    monkeypatch.setattr(Pipeline, "_digest", looked_up)
     out = tmp_path / "out"
     outputs = {stage.name: stage.outputs for stage in STAGE_TABLE}
     behind_stats = {name for stage in STAGE_TABLE[:-1] for name in stage.outputs}
@@ -1301,6 +1346,7 @@ def test_each_file_hashed_once_per_command(s1_corpus, tmp_path, monkeypatch):
         if tampered:
             (out / tampered).write_text((out / tampered).read_text() + "Z;Q,1,2\n")
         calls.clear()
+        checked.clear()
         status = Pipeline(PipelineConfig(
             pubs_path=str(s1_corpus / "publications.jsonl"),
             citations_path=str(s1_corpus / "citations.csv"), out_dir=str(out),
@@ -1310,13 +1356,14 @@ def test_each_file_hashed_once_per_command(s1_corpus, tmp_path, monkeypatch):
         for name in set(calls):
             assert calls.count(name) <= 1 + (name in rewritten), name
         if stage == "stats":  # every stage behind stats was checked
-            assert behind_stats | {"publications.jsonl", "citations.csv"} <= set(calls)
+            assert behind_stats | {"publications.jsonl", "citations.csv"} <= set(checked)
     assert calls.count("cliques.csv") == 2
 
 
 def test_second_run_of_one_pipeline_hashes_again(s1_corpus, tmp_path):
-    """Digests are not carried from one run to the next: an artifact edited
-    between two runs of the same Pipeline is noticed and rebuilt."""
+    """A run of a Pipeline trusts no digest its previous run found, only the
+    sidecar's fingerprints: an artifact edited between two runs of the same
+    Pipeline is noticed and rebuilt."""
     out = tmp_path / "out"
     pipeline = run_pipeline(s1_corpus, out, 1, 8)
     edges = out / "persistent_edges.csv"
